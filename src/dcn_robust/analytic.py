@@ -77,13 +77,19 @@ class LifetimeModel:
             raise ValueError("mean element lifetime must be positive")
 
 
+def _mean_lifetime(lifetime: LifetimeModel | float) -> float:
+    if isinstance(lifetime, LifetimeModel):
+        return lifetime.mean_element_lifetime
+    return float(lifetime)
+
+
 def elapsed_time(f: int, big_f: int, lifetime: LifetimeModel | float = 1.0) -> float:
     """Mean time until f of F exponential elements have failed.
 
     Expectation of the f-th order statistic of F i.i.d. exponentials:
     ``E[tau] * sum_{i=0}^{f-1} 1/(F-i)``.
     """
-    mean = lifetime.mean_element_lifetime if isinstance(lifetime, LifetimeModel) else float(lifetime)
+    mean = _mean_lifetime(lifetime)
     if big_f < 1:
         raise ValueError(f"element count F must be >= 1, got {big_f}")
     if not 0 <= f <= big_f:
@@ -109,7 +115,7 @@ def normalized_time_table(big_f: int) -> np.ndarray:
 def burtin_pittel_mttf(mincut: MinCutSpec, lifetime: LifetimeModel | float = 1.0) -> float:
     """First-order min-cut approximation of the mean time to the first
     server disconnection: ``(E[tau]/r) * c**(-1/r) * Gamma(1/r)``."""
-    mean = lifetime.mean_element_lifetime if isinstance(lifetime, LifetimeModel) else float(lifetime)
+    mean = _mean_lifetime(lifetime)
     r, c = mincut.r, mincut.c
     return (mean / r) * c ** (-1.0 / r) * math.gamma(1.0 / r)
 
@@ -123,7 +129,7 @@ def mttf_numeric_quadrature(
     [0, inf) numerically, after the substitution x = t^r:
     ``(1/r) * int_0^inf x^(1/r-1) exp(-k x) dx`` with k = c / E^r.
     """
-    mean = lifetime.mean_element_lifetime if isinstance(lifetime, LifetimeModel) else float(lifetime)
+    mean = _mean_lifetime(lifetime)
     r, c = mincut.r, mincut.c
     k = c / mean**r
     # Beyond x0 the exponential factor is below 1e-18 of its peak; the
@@ -221,7 +227,7 @@ def closed_form_mttf(
     ``E[tau] * sqrt(4|S|+1) / |S|``. The approximation is known-poor for
     BCube l=1 and DCell l=2 switch failures and flagged as such.
     """
-    mean = lifetime.mean_element_lifetime if isinstance(lifetime, LifetimeModel) else float(lifetime)
+    mean = _mean_lifetime(lifetime)
     kind = params.kind
     if failure is FailureType.SWITCH and kind is TopologyKind.DCELL and params.l == 1:
         servers = _server_count(params)

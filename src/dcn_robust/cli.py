@@ -160,7 +160,7 @@ def _emit(args: argparse.Namespace, report: Report) -> None:
         print(f"wrote {script}")
 
 
-def _report(args: argparse.Namespace, plan: ExperimentPlan, rows, notes=()) -> Report:
+def _report(plan: ExperimentPlan, rows, notes=()) -> Report:
     return Report(
         plan=plan_to_doc(plan),
         seed=plan.master_seed,
@@ -187,6 +187,7 @@ def _plan_from_args(
     failures: tuple[FailureType, ...],
     grids: tuple[tuple[float, ...], ...],
     metrics: tuple[str, ...],
+    class_ratios=(),
 ) -> ExperimentPlan:
     if getattr(args, "plan", None) is not None:
         doc = json.loads(Path(args.plan).read_text(encoding="utf-8"))
@@ -198,6 +199,7 @@ def _plan_from_args(
         samples=args.samples,
         master_seed=args.seed,
         metrics=metrics,
+        class_ratios=class_ratios,
     )
 
 
@@ -206,7 +208,7 @@ def _cmd_mttf(args: argparse.Namespace) -> int:
     result = simulate_nmttf(plan)
     rows = reliability_rows(result)
     notes = (result.note,) if result.note else ()
-    _emit(args, _report(args, plan, rows, notes))
+    _emit(args, _report(plan, rows, notes))
     theo = "n/a" if result.nmttf_theoretical is None else f"{result.nmttf_theoretical:.6g}"
     re_text = "n/a" if result.relative_error is None else f"{result.relative_error:.4f}"
     ci = "n/a" if result.ci95_half_width is None else f"{result.ci95_half_width:.2g}"
@@ -225,7 +227,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     assignment = _load_capacity(args, plan.params)
     rows = survival_sweep(plan, capacity_assignment=assignment)
-    _emit(args, _report(args, plan, rows))
+    _emit(args, _report(plan, rows))
     return EXIT_OK
 
 
@@ -239,24 +241,25 @@ def _cmd_sweep_2d(args: argparse.Namespace) -> int:
     )
     assignment = _load_capacity(args, plan.params)
     rows = survival_sweep_2d(plan, capacity_assignment=assignment)
-    _emit(args, _report(args, plan, rows))
+    _emit(args, _report(plan, rows))
     return EXIT_OK
 
 
 def _cmd_classed_sweep(args: argparse.Namespace) -> int:
     metrics = tuple(args.metrics.split(","))
-    ratios: dict[ElementClass, float | None] = {ElementClass(args.sweep_class): None}
+    swept = ElementClass(args.sweep_class)
+    ratios: dict[ElementClass, float | None] = {swept: None}
     for spec in args.fixed or ():
         if "=" not in spec:
             raise UnsupportedPlanError(f"--fixed expects CLASS=RATIO, got {spec!r}")
         name, _, value = spec.partition("=")
         ratios[ElementClass(name)] = float(value)
     plan = _plan_from_args(
-        args, (FailureType.SWITCH,), (_parse_grid(args.fer),), metrics
+        args, (swept.failure,), (_parse_grid(args.fer),), metrics, ratios
     )
     assignment = _load_capacity(args, plan.params)
-    rows = classed_sweep(plan, ratios, capacity_assignment=assignment)
-    _emit(args, _report(args, plan, rows))
+    rows = classed_sweep(plan, capacity_assignment=assignment)
+    _emit(args, _report(plan, rows))
     return EXIT_OK
 
 
@@ -291,7 +294,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
             "removed_switches": sorted(int(s) for s in degraded.removed_switches),
         },
     )
-    _emit(args, _report(args, plan, [row]))
+    _emit(args, _report(plan, [row]))
     print(
         f"rcr_{resource.value}={rcr!r} placement={assignment.placement.value}",
         file=sys.stderr,

@@ -239,23 +239,32 @@ def average_shortest_path_length(
     that, *sampled_pairs* uniformly random pairs are measured instead
     (cross-component pairs never contribute).
     """
-    topo = degraded.topology
     if part is None:
         part = partition(degraded)
     servers = np.flatnonzero(part.accessible_server_mask)
+    return _aspl(degraded.topology, degraded.edge_alive, servers, exact_limit, sampled_pairs, rng)
+
+
+def _aspl(
+    topology: Topology,
+    edge_alive: np.ndarray,
+    servers: np.ndarray,
+    exact_limit: int,
+    sampled_pairs: int,
+    rng: np.random.Generator | None,
+) -> AsplEstimate:
+    """ASPL among the accessible *servers* over the surviving links: exact
+    up to *exact_limit* servers, else over *sampled_pairs* random pairs."""
     if len(servers) < 2:
         return AsplEstimate(None, 0, True)
-
-    graph = _subgraph(topo, degraded.edge_alive)
-    if len(servers) <= exact_limit:
+    graph = _subgraph(topology, edge_alive)
+    exact = len(servers) <= exact_limit
+    if exact:
         total, pairs = _aspl_exact(graph, servers)
     else:
-        if rng is None:
-            rng = np.random.default_rng()
+        rng = rng if rng is not None else np.random.default_rng()
         total, pairs = _aspl_sampled(graph, servers, sampled_pairs, rng)
-    if pairs == 0:
-        return AsplEstimate(None, 0, len(servers) <= exact_limit)
-    return AsplEstimate(total / pairs, pairs, len(servers) <= exact_limit)
+    return AsplEstimate(total / pairs if pairs else None, pairs, exact)
 
 
 def _bfs_distances(graph: sp.csr_matrix, sources: np.ndarray) -> np.ndarray:
@@ -386,18 +395,9 @@ def evaluate(
     aspl = None
     if "aspl" in want:
         servers = np.flatnonzero(mask)
-        if len(servers) < 2:
-            aspl = AsplEstimate(None, 0, True)
-        else:
-            graph = _subgraph(topology, edge_alive)
-            if len(servers) <= aspl_exact_limit:
-                total, pairs = _aspl_exact(graph, servers)
-                exact = True
-            else:
-                rng = aspl_rng if aspl_rng is not None else np.random.default_rng()
-                total, pairs = _aspl_sampled(graph, servers, aspl_sampled_pairs, rng)
-                exact = False
-            aspl = AsplEstimate(total / pairs if pairs else None, pairs, exact)
+        aspl = _aspl(
+            topology, edge_alive, servers, aspl_exact_limit, aspl_sampled_pairs, aspl_rng
+        )
 
     rcr_cpu = rcr_mem = None
     if "rcr_cpu" in want:

@@ -2,9 +2,19 @@
 
 Every sample draws its own counter-based RNG stream from
 ``(master_seed, stream_tag, point, sample)``, so results are byte-identical
-no matter how samples are distributed over worker processes. Critical
-points (the minimal number of removals that disconnects a server) are
-located by bisection over each sample's removal permutation, which is
+no matter how samples are distributed over worker processes. The stream
+index packs ``(tag << 56) | (point << 32) | sample``, so a plan may hold
+at most 2**24 grid points and 2**32 samples.
+
+The three survival sweeps (one failure type, the link x switch grid, and
+per-class ratios on the three-layer fabric) share one driver over a list
+of grid points. A point says what each sample removes as ``(selector,
+count)`` draws from cached element pools, plus the fields that label its
+rows; every (point, chunk) task of one operation runs on a single process
+pool.
+
+Critical points (the minimal number of removals that disconnects a server)
+are located by bisection over each sample's removal permutation, which is
 valid because gateway reachability only degrades as the removal prefix
 grows.
 """
@@ -85,10 +95,21 @@ class ElementClass(str, Enum):
     def is_switch_class(self) -> bool:
         return self.value.endswith("switch")
 
+    @property
+    def failure(self) -> FailureType:
+        """The failure type of the elements in this class."""
+        return FailureType.SWITCH if self.is_switch_class else FailureType.LINK
+
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """What to simulate: topology, failure type(s), FER grid(s), sampling."""
+    """What to simulate: topology, failure type(s), FER grid(s), sampling.
+
+    ``class_ratios`` is set for a three-layer classed sweep only: each
+    element class maps to its fixed failure ratio, except the one class
+    that maps to None and is swept over the grid. A mapping is accepted
+    and stored as (class, ratio) pairs in class-name order.
+    """
 
     params: TopologyParams
     failures: tuple[FailureType, ...]
@@ -96,6 +117,7 @@ class ExperimentPlan:
     samples: int = DEFAULT_SWEEP_SAMPLES
     master_seed: int = 0
     metrics: tuple[str, ...] = ("asr", "sc")
+    class_ratios: tuple[tuple[ElementClass, float | None], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "failures", tuple(FailureType(f) for f in self.failures))
@@ -103,6 +125,13 @@ class ExperimentPlan:
             self, "fer_grids", tuple(tuple(float(x) for x in g) for g in self.fer_grids)
         )
         object.__setattr__(self, "metrics", tuple(self.metrics))
+        ratios = (
+            (ElementClass(c), None if r is None else float(r))
+            for c, r in dict(self.class_ratios).items()
+        )
+        object.__setattr__(
+            self, "class_ratios", tuple(sorted(ratios, key=lambda item: item[0].value))
+        )
         if not self.failures:
             raise UnsupportedPlanError("plan needs at least one failure type")
         if len(self.fer_grids) not in (0, len(self.failures)):
@@ -114,6 +143,11 @@ class ExperimentPlan:
                 raise UnsupportedPlanError("FER grid values must lie in [0, 1]")
         if self.samples < 1:
             raise UnsupportedPlanError(f"samples must be >= 1, got {self.samples}")
+        if self.samples > 2**32:
+            raise UnsupportedPlanError(f"samples must be <= 2**32, got {self.samples}")
+        points = math.prod(len(g) for g in self.fer_grids)
+        if points > 2**24:
+            raise UnsupportedPlanError(f"grid points must be <= 2**24, got {points}")
         if not 0 <= self.master_seed < 2**64:
             raise UnsupportedPlanError("master_seed must fit in 64 bits")
         for metric in self.metrics:
@@ -121,6 +155,23 @@ class ExperimentPlan:
                 raise UnsupportedPlanError(
                     f"unknown metric {metric!r}; known: {', '.join(KNOWN_METRICS)}"
                 )
+        if self.class_ratios:
+            self._check_class_ratios()
+
+    def _check_class_ratios(self) -> None:
+        if self.params.kind is not TopologyKind.THREE_LAYER:
+            raise UnsupportedPlanError("class-based sweeps apply to the three-layer topology only")
+        swept = [c for c, ratio in self.class_ratios if ratio is None]
+        if len(swept) != 1:
+            raise UnsupportedPlanError("exactly one element class must be swept (ratio None)")
+        if len({c.failure for c, _ in self.class_ratios}) != 1:
+            raise UnsupportedPlanError("cannot mix switch and link classes in one sweep")
+        kind = swept[0].failure
+        if self.failures != (kind,):
+            raise UnsupportedPlanError(f"a {kind.value}-class sweep has failures [{kind.value!r}]")
+        for c, ratio in self.class_ratios:
+            if ratio is not None and not 0.0 <= ratio <= 1.0:
+                raise UnsupportedPlanError(f"{c.value} ratio must lie in [0, 1], got {ratio}")
 
 
 @dataclass(frozen=True)
@@ -203,45 +254,81 @@ def removal_count(fer: float, total: int) -> int:
     return int(math.floor(fer * total + 1e-9))
 
 
-# --- element universes -------------------------------------------------------
+# --- element pools and masks -------------------------------------------------
+
+# Node-kind tags each element class draws from: one tag for a switch class,
+# the two endpoint tags for a link class.
+_CLASS_LAYERS = {
+    ElementClass.EDGE_SWITCH: (LAYER_EDGE,),
+    ElementClass.AGG_SWITCH: (LAYER_AGGREGATION,),
+    ElementClass.CORE_SWITCH: (LAYER_CORE,),
+    ElementClass.EDGE_LINK: ("server", LAYER_EDGE),
+    ElementClass.AGG_LINK: (LAYER_EDGE, LAYER_AGGREGATION),
+    ElementClass.CORE_LINK: (LAYER_AGGREGATION, LAYER_CORE),
+}
+
+_POOL_CACHE: dict[tuple[TopologyParams, FailureType | ElementClass], tuple[np.ndarray, bool]] = {}
 
 
-def _universe_size(topo: Topology, failure: FailureType) -> int:
-    if failure is FailureType.LINK:
-        return topo.n_links
-    if failure is FailureType.SWITCH:
-        return topo.n_switches
-    return topo.n_servers
+def _element_pool(
+    topo: Topology, selector: FailureType | ElementClass
+) -> tuple[np.ndarray, bool]:
+    """(ids, on_nodes): the elements *selector* removes from, as node ids
+    (switches, servers) or edge indices (links), in ascending order.
 
-
-def _alive_after(
-    topo: Topology, failure: FailureType, removed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(node_alive, edge_alive) after removing *removed* universe indices."""
-    if failure is FailureType.LINK:
-        edge_alive = np.ones(topo.n_links, dtype=bool)
-        edge_alive[removed] = False
-        node_alive = np.ones(topo.n_nodes, dtype=bool)
-        return node_alive, edge_alive
-    node_alive = np.ones(topo.n_nodes, dtype=bool)
-    if failure is FailureType.SWITCH:
-        node_alive[topo.n_servers + removed] = False
+    Aggregation-pair and core-core interconnect links belong to no element
+    class and are never candidates for class-based removal.
+    """
+    key = (topo.params, selector)
+    cached = _POOL_CACHE.get(key)
+    if cached is not None:
+        return cached
+    if selector is FailureType.LINK:
+        pool = np.arange(topo.n_links), False
+    elif selector is FailureType.SWITCH:
+        pool = np.arange(topo.n_servers, topo.n_nodes), True
+    elif selector is FailureType.SERVER:
+        pool = np.arange(topo.n_servers), True
     else:
-        node_alive[removed] = False
-    edge_alive = node_alive[topo.edges_u] & node_alive[topo.edges_v]
+        kinds = np.array(["server"] * topo.n_servers + list(topo.switch_layers))
+        tags = _CLASS_LAYERS[selector]
+        if selector.is_switch_class:
+            pool = np.flatnonzero(kinds == tags[0]), True
+        else:
+            a, b = kinds[topo.edges_u], kinds[topo.edges_v]
+            lo, hi = tags
+            pool = np.flatnonzero(((a == lo) & (b == hi)) | ((a == hi) & (b == lo))), False
+    _POOL_CACHE[key] = pool
+    return pool
+
+
+def _apply_removals(topo: Topology, removals) -> tuple[np.ndarray, np.ndarray]:
+    """(node_alive, edge_alive) after removing each ``(ids, on_nodes)`` set.
+
+    A removed node takes its incident links down with it.
+    """
+    node_alive = np.ones(topo.n_nodes, dtype=bool)
+    edge_alive = np.ones(topo.n_links, dtype=bool)
+    for ids, on_nodes in removals:
+        (node_alive if on_nodes else edge_alive)[ids] = False
+    if not node_alive.all():  # skips two gathers per link-only bisection probe
+        edge_alive &= node_alive[topo.edges_u] & node_alive[topo.edges_v]
     return node_alive, edge_alive
 
 
 def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:
-    """Minimal removal-prefix length of *perm* that disconnects a server.
+    """Minimal removal-prefix length of *perm* (indices into the failure
+    type's element pool) that disconnects a server.
 
     Reachability is monotone along the prefix, so bisection over the prefix
     length finds the same point as checking after every single removal.
     """
-    lo, hi = 0, len(perm)  # invariants: connected at lo, disconnected at hi
+    ids, on_nodes = _element_pool(topo, failure)
+    order = ids[perm]
+    lo, hi = 0, len(order)  # invariants: connected at lo, disconnected at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        node_alive, edge_alive = _alive_after(topo, failure, perm[:mid])
+        node_alive, edge_alive = _apply_removals(topo, [(order[:mid], on_nodes)])
         if reachability._all_servers_reach_gateway(topo, node_alive, edge_alive):
             lo = mid
         else:
@@ -270,7 +357,7 @@ def _nmttf_chunk(
     stop: int,
 ) -> np.ndarray:
     topo = _cached_topology(params)
-    big_f = _universe_size(topo, failure)
+    big_f = len(_element_pool(topo, failure)[0])
     out = np.empty(stop - start, dtype=np.int64)
     for k in range(start, stop):
         rng = sample_rng(master_seed, _TAG_NMTTF, 0, k)
@@ -281,7 +368,7 @@ def _nmttf_chunk(
 
 def _metric_chunk(
     params: TopologyParams,
-    removal_spec: tuple,
+    draws: tuple,
     metrics: tuple[str, ...],
     capacities: tuple[np.ndarray, np.ndarray] | None,
     master_seed: int,
@@ -292,11 +379,12 @@ def _metric_chunk(
 ) -> dict[str, np.ndarray]:
     """Evaluate the requested metrics over one range of sample indices.
 
-    removal_spec is ("single", failure, f) for one failure type,
-    ("multi", ((failure, f), ...)) for combined removals, or
-    ("classed", ((class, f), ...)) for per-class Three-layer removals.
+    *draws* is a tuple of ``(selector, count)`` pairs: each sample removes
+    *count* uniformly random elements of each selector's pool, drawn in
+    order from the sample's own stream.
     """
     topo = _cached_topology(params)
+    pools = [(*_element_pool(topo, selector), count) for selector, count in draws]
     n = stop - start
     out: dict[str, np.ndarray] = {m: np.full(n, np.nan) for m in metrics}
     if "aspl" in metrics:
@@ -308,7 +396,10 @@ def _metric_chunk(
 
     for k in range(start, stop):
         rng = sample_rng(master_seed, tag, point, k)
-        node_alive, edge_alive = _apply_removals(topo, removal_spec, rng)
+        removals = [
+            (ids[rng.permutation(len(ids))[:count]], on_nodes) for ids, on_nodes, count in pools
+        ]
+        node_alive, edge_alive = _apply_removals(topo, removals)
         row = reachability.evaluate(
             topo,
             node_alive,
@@ -331,86 +422,6 @@ def _metric_chunk(
     return out
 
 
-def _apply_removals(
-    topo: Topology, removal_spec: tuple, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    kind = removal_spec[0]
-    if kind == "single":
-        _, failure, f = removal_spec
-        big_f = _universe_size(topo, failure)
-        removed = rng.permutation(big_f)[:f]
-        return _alive_after(topo, failure, removed)
-
-    node_alive = np.ones(topo.n_nodes, dtype=bool)
-    edge_alive = np.ones(topo.n_links, dtype=bool)
-    if kind == "multi":
-        for failure, f in removal_spec[1]:
-            big_f = _universe_size(topo, failure)
-            removed = rng.permutation(big_f)[:f]
-            if failure is FailureType.LINK:
-                edge_alive[removed] = False
-            elif failure is FailureType.SWITCH:
-                node_alive[topo.n_servers + removed] = False
-            else:
-                node_alive[removed] = False
-    else:  # classed
-        for element_class, f in removal_spec[1]:
-            pool = _class_universe(topo, element_class)
-            removed = pool[rng.permutation(len(pool))[:f]]
-            if element_class.is_switch_class:
-                node_alive[removed] = False
-            else:
-                edge_alive[removed] = False
-    edge_alive &= node_alive[topo.edges_u] & node_alive[topo.edges_v]
-    return node_alive, edge_alive
-
-
-_CLASS_CACHE: dict[tuple[TopologyParams, ElementClass], np.ndarray] = {}
-
-
-def _class_universe(topo: Topology, element_class: ElementClass) -> np.ndarray:
-    """Element ids (switch nodes or edge indices) of one Three-layer class.
-
-    Aggregation-pair and core-core interconnect links belong to no class
-    and are never candidates for class-based removal.
-    """
-    key = (topo.params, element_class)
-    cached = _CLASS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    layer_of = {
-        ElementClass.EDGE_SWITCH: LAYER_EDGE,
-        ElementClass.AGG_SWITCH: LAYER_AGGREGATION,
-        ElementClass.CORE_SWITCH: LAYER_CORE,
-    }
-    if element_class in layer_of:
-        tag = layer_of[element_class]
-        pool = np.array(
-            [topo.n_servers + i for i, lay in enumerate(topo.switch_layers) if lay == tag],
-            dtype=np.int64,
-        )
-    else:
-        want = {
-            ElementClass.EDGE_LINK: ("server", LAYER_EDGE),
-            ElementClass.AGG_LINK: (LAYER_EDGE, LAYER_AGGREGATION),
-            ElementClass.CORE_LINK: (LAYER_AGGREGATION, LAYER_CORE),
-        }[element_class]
-
-        def kind_of(node: int) -> str:
-            return "server" if topo.is_server(node) else topo.switch_layer(node)
-
-        pool = np.array(
-            [
-                i
-                for i, (u, v) in enumerate(zip(topo.edges_u, topo.edges_v))
-                if {kind_of(int(u)), kind_of(int(v))} == set(want)
-            ],
-            dtype=np.int64,
-        )
-    _CLASS_CACHE[key] = pool
-    return pool
-
-
 # --- parallel map ------------------------------------------------------------
 
 
@@ -419,13 +430,13 @@ def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, samples)) for s in range(0, samples, size)]
 
 
-def _run_chunked(fn, common_args: tuple, samples: int, workers: int | None):
-    workers = resolve_workers(workers)
-    spans = _chunks(samples, workers)
-    if workers == 1 or len(spans) == 1:
-        return [fn(*common_args, start, stop) for start, stop in spans]
-    with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
-        futures = [pool.submit(fn, *common_args, start, stop) for start, stop in spans]
+def _run_chunked(fn, tasks: list[tuple], workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, on one process pool when
+    *workers* (already resolved) exceeds one."""
+    if workers == 1 or len(tasks) == 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
         return [f.result() for f in futures]
 
 
@@ -448,12 +459,14 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
             "server failures end the reliable phase at the first removal; nothing to simulate"
         )
     topo = _cached_topology(plan.params)
-    big_f = _universe_size(topo, failure)
+    big_f = len(_element_pool(topo, failure)[0])
 
-    parts = _run_chunked(
-        _nmttf_chunk, (plan.params, failure, plan.master_seed), plan.samples, workers
-    )
-    critical = np.concatenate(parts)
+    workers = resolve_workers(workers)
+    tasks = [
+        (plan.params, failure, plan.master_seed, start, stop)
+        for start, stop in _chunks(plan.samples, workers)
+    ]
+    critical = np.concatenate(_run_chunked(_nmttf_chunk, tasks, workers))
     table = normalized_time_table(big_f)
     per_sample_nt = table[critical]
     mean, half = confidence_interval(per_sample_nt)
@@ -514,6 +527,40 @@ def _aggregate_point(
     return rows
 
 
+def _sweep(
+    plan: ExperimentPlan,
+    tag: int,
+    points: list[tuple[tuple, dict]],
+    workers: int | None,
+    capacity_assignment,
+) -> list[MetricSample]:
+    """Evaluate the plan's metrics at every grid point, on one pool.
+
+    Each point is ``(draws, row_fields)``: the ``(selector, count)`` draws of
+    :func:`_metric_chunk` and the fields that label the point's rows. A
+    point's RNG stream index is its position in *points*.
+    """
+    capacities = _plan_capacities(plan, capacity_assignment)
+    workers = resolve_workers(workers)
+    spans = _chunks(plan.samples, workers)
+    tasks = [
+        (plan.params, draws, plan.metrics, capacities, plan.master_seed, tag, point, start, stop)
+        for point, (draws, _) in enumerate(points)
+        for start, stop in spans
+    ]
+    parts = _run_chunked(_metric_chunk, tasks, workers)
+    rows: list[MetricSample] = []
+    for point, (_, fields) in enumerate(points):
+        base = {
+            "topology": plan.params.kind.value,
+            "params": plan.params.args_text(),
+            **fields,
+        }
+        point_parts = parts[point * len(spans) : (point + 1) * len(spans)]
+        rows.extend(_aggregate_point(point_parts, plan.metrics, base))
+    return rows
+
+
 def survival_sweep(
     plan: ExperimentPlan,
     workers: int | None = None,
@@ -525,40 +572,21 @@ def survival_sweep(
     elements and reports the requested metrics with mean and 95% CI.
     A capacity assignment is required when rcr metrics are requested.
     """
-    if len(plan.failures) != 1 or len(plan.fer_grids) != 1:
-        raise UnsupportedPlanError("1-D sweep takes exactly one failure type and one grid")
+    if len(plan.failures) != 1 or len(plan.fer_grids) != 1 or plan.class_ratios:
+        raise UnsupportedPlanError("1-D sweep takes one failure type, one grid, no class ratios")
     failure = plan.failures[0]
-    topo = _cached_topology(plan.params)
-    big_f = _universe_size(topo, failure)
+    big_f = len(_element_pool(_cached_topology(plan.params), failure)[0])
     table = normalized_time_table(big_f)
-    capacities = _plan_capacities(plan, capacity_assignment)
-
-    rows: list[MetricSample] = []
-    for point, fer in enumerate(plan.fer_grids[0]):
+    points = []
+    for fer in plan.fer_grids[0]:
         f = removal_count(fer, big_f)
-        parts = _run_chunked(
-            _metric_chunk,
-            (
-                plan.params,
-                ("single", failure, f),
-                plan.metrics,
-                capacities,
-                plan.master_seed,
-                _TAG_SWEEP,
-                point,
-            ),
-            plan.samples,
-            workers,
-        )
-        base = {
-            "topology": plan.params.kind.value,
-            "params": plan.params.args_text(),
+        fields = {
             "failure_type": failure.value,
             f"fer_{failure.value}": fer,
             "normalized_time": float(table[f]),
         }
-        rows.extend(_aggregate_point(parts, plan.metrics, base))
-    return rows
+        points.append((((failure, f),), fields))
+    return _sweep(plan, _TAG_SWEEP, points, workers, capacity_assignment)
 
 
 def survival_sweep_2d(
@@ -578,104 +606,49 @@ def survival_sweep_2d(
         raise UnsupportedPlanError("2-D sweep supports the link x switch combination")
     topo = _cached_topology(plan.params)
     grids = dict(zip(plan.failures, plan.fer_grids))
-    link_grid = grids[FailureType.LINK]
-    switch_grid = grids[FailureType.SWITCH]
-    capacities = _plan_capacities(plan, capacity_assignment)
-
-    rows: list[MetricSample] = []
-    for i, fer_link in enumerate(link_grid):
-        for j, fer_switch in enumerate(switch_grid):
-            point = i * len(switch_grid) + j
-            f_link = removal_count(fer_link, topo.n_links)
-            f_switch = removal_count(fer_switch, topo.n_switches)
-            spec = (
-                "multi",
-                ((FailureType.LINK, f_link), (FailureType.SWITCH, f_switch)),
-            )
-            parts = _run_chunked(
-                _metric_chunk,
-                (
-                    plan.params,
-                    spec,
-                    plan.metrics,
-                    capacities,
-                    plan.master_seed,
-                    _TAG_SWEEP_2D,
-                    point,
-                ),
-                plan.samples,
-                workers,
-            )
-            base = {
-                "topology": plan.params.kind.value,
-                "params": plan.params.args_text(),
-                "failure_type": "link+switch",
-                "fer_link": fer_link,
-                "fer_switch": fer_switch,
-            }
-            rows.extend(_aggregate_point(parts, plan.metrics, base))
-    return rows
+    points = [
+        (
+            (
+                (FailureType.LINK, removal_count(fer_link, topo.n_links)),
+                (FailureType.SWITCH, removal_count(fer_switch, topo.n_switches)),
+            ),
+            {"failure_type": "link+switch", "fer_link": fer_link, "fer_switch": fer_switch},
+        )
+        for fer_link in grids[FailureType.LINK]
+        for fer_switch in grids[FailureType.SWITCH]
+    ]
+    return _sweep(plan, _TAG_SWEEP_2D, points, workers, capacity_assignment)
 
 
 def classed_sweep(
     plan: ExperimentPlan,
-    class_ratios: dict[ElementClass, float | None],
     workers: int | None = None,
     capacity_assignment=None,
 ) -> list[MetricSample]:
-    """Three-layer sweep with per-class failure ratios.
+    """Three-layer sweep with the plan's per-class failure ratios.
 
-    Exactly one class carries None and is swept over the plan's grid; the
-    others stay at their fixed ratios. Classes must all be switch classes
-    or all link classes.
+    The one class whose ratio is None is swept over the plan's grid; the
+    others stay at their fixed ratios (see ``ExperimentPlan.class_ratios``).
     """
-    if plan.params.kind is not TopologyKind.THREE_LAYER:
-        raise UnsupportedPlanError("class-based sweeps apply to the three-layer topology only")
-    if len(plan.fer_grids) != 1:
-        raise UnsupportedPlanError("classed sweep takes exactly one grid")
-    swept = [c for c, ratio in class_ratios.items() if ratio is None]
-    if len(swept) != 1:
-        raise UnsupportedPlanError("exactly one element class must be swept (ratio None)")
-    kinds = {c.is_switch_class for c in class_ratios}
-    if len(kinds) != 1:
-        raise UnsupportedPlanError("cannot mix switch and link classes in one sweep")
-    swept_class = swept[0]
+    if not plan.class_ratios or len(plan.fer_grids) != 1:
+        raise UnsupportedPlanError("classed sweep takes class ratios and exactly one grid")
     topo = _cached_topology(plan.params)
-    capacities = _plan_capacities(plan, capacity_assignment)
 
-    fixed = [
-        (c, removal_count(ratio, len(_class_universe(topo, c))))
-        for c, ratio in sorted(class_ratios.items(), key=lambda item: item[0].value)
-        if ratio is not None
-    ]
-    fer_field = "fer_switch" if swept_class.is_switch_class else "fer_link"
+    def size(element_class: ElementClass) -> int:
+        return len(_element_pool(topo, element_class)[0])
 
-    rows: list[MetricSample] = []
-    pool = _class_universe(topo, swept_class)
-    for point, fer in enumerate(plan.fer_grids[0]):
-        removals = tuple(fixed) + ((swept_class, removal_count(fer, len(pool))),)
-        parts = _run_chunked(
-            _metric_chunk,
-            (
-                plan.params,
-                ("classed", removals),
-                plan.metrics,
-                capacities,
-                plan.master_seed,
-                _TAG_CLASSED,
-                point,
-            ),
-            plan.samples,
-            workers,
+    fixed = tuple(
+        (c, removal_count(ratio, size(c))) for c, ratio in plan.class_ratios if ratio is not None
+    )
+    swept = next(c for c, ratio in plan.class_ratios if ratio is None)
+    points = [
+        (
+            fixed + ((swept, removal_count(fer, size(swept))),),
+            {"failure_type": swept.value, f"fer_{swept.failure.value}": fer},
         )
-        base = {
-            "topology": plan.params.kind.value,
-            "params": plan.params.args_text(),
-            "failure_type": swept_class.value,
-            fer_field: fer,
-        }
-        rows.extend(_aggregate_point(parts, plan.metrics, base))
-    return rows
+        for fer in plan.fer_grids[0]
+    ]
+    return _sweep(plan, _TAG_CLASSED, points, workers, capacity_assignment)
 
 
 def _plan_capacities(
@@ -695,7 +668,7 @@ def plan_to_doc(plan: ExperimentPlan) -> dict:
     """JSON-ready plan document (same format family as topology documents)."""
     from .topology import params_to_doc
 
-    return {
+    doc = {
         "params": params_to_doc(plan.params),
         "failures": [f.value for f in plan.failures],
         "fer_grids": [list(g) for g in plan.fer_grids],
@@ -703,6 +676,9 @@ def plan_to_doc(plan: ExperimentPlan) -> dict:
         "master_seed": plan.master_seed,
         "metrics": list(plan.metrics),
     }
+    if plan.class_ratios:
+        doc["class_ratios"] = {c.value: ratio for c, ratio in plan.class_ratios}
+    return doc
 
 
 def plan_from_doc(doc: dict) -> ExperimentPlan:
@@ -716,6 +692,7 @@ def plan_from_doc(doc: dict) -> ExperimentPlan:
             samples=int(doc.get("samples", DEFAULT_SWEEP_SAMPLES)),
             master_seed=int(doc.get("master_seed", 0)),
             metrics=tuple(doc.get("metrics", ("asr", "sc"))),
+            class_ratios=doc.get("class_ratios", ()),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, UnsupportedPlanError):

@@ -15,7 +15,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "TopologyKind",
@@ -194,10 +193,6 @@ class Topology:
         return len(self.edges_u)
 
     @property
-    def server_ids(self) -> np.ndarray:
-        return np.arange(self.n_servers)
-
-    @property
     def switch_ids(self) -> np.ndarray:
         return np.arange(self.n_servers, self.n_nodes)
 
@@ -208,26 +203,6 @@ class Topology:
         if not (self.n_servers <= node < self.n_nodes):
             raise ValueError(f"node {node} is not a switch")
         return self.switch_layers[node - self.n_servers]
-
-    @cached_property
-    def gateway_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.gateways] = True
-        return mask
-
-    @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric unweighted adjacency in CSR form."""
-        row = np.concatenate([self.edges_u, self.edges_v])
-        col = np.concatenate([self.edges_v, self.edges_u])
-        data = np.ones(len(row), dtype=np.int8)
-        return sp.csr_matrix((data, (row, col)), shape=(self.n_nodes, self.n_nodes))
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        np.add.at(deg, self.edges_u, 1)
-        np.add.at(deg, self.edges_v, 1)
-        return deg
 
     def neighbors(self) -> list[list[int]]:
         """Plain adjacency lists (used by slow-path traversals and tests)."""

@@ -14,6 +14,8 @@ from dcn_robust.report import (
 )
 from dcn_robust.simulation import (
     ExperimentPlan,
+    classed_sweep,
+    plan_from_doc,
     plan_to_doc,
     simulate_nmttf,
     survival_sweep,
@@ -230,6 +232,27 @@ class TestCli:
         assert code == 0
         body = out.read_text()
         assert "edge-switch" in body
+
+    def test_classed_sweep_plan_echo_reproduces_the_run(self, tmp_path):
+        out = tmp_path / "classed.json"
+        code = main(
+            [
+                "classed-sweep", "--topology", "three-layer",
+                "--na", "3", "--ne", "4", "--pairs", "2",
+                "--sweep-class", "edge-link", "--fixed", "agg-link=0.25",
+                "--fer", "0:0.5:0.25", "--samples", "6", "--seed", "3",
+                "--format", "json", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert doc["plan"]["failures"] == ["link"]
+        assert doc["plan"]["class_ratios"] == {"agg-link": 0.25, "edge-link": None}
+        plan = plan_from_doc(doc["plan"])
+        rows = classed_sweep(plan, workers=1)
+        echo = Report(plan=plan_to_doc(plan), seed=plan.master_seed, rows=tuple(rows))
+        assert to_json_text(echo) == text
 
     def test_capacity_cli(self, tmp_path, capsys):
         out = tmp_path / "cap.json"

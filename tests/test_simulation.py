@@ -11,8 +11,8 @@ from dcn_robust.simulation import (
     ElementClass,
     ExperimentPlan,
     UnsupportedPlanError,
-    _alive_after,
     _critical_point,
+    _element_pool,
     classed_sweep,
     confidence_interval,
     removal_count,
@@ -104,7 +104,6 @@ class TestRemovalCount:
 def forward_critical_point(topo, failure, perm):
     """Oracle: re-check gateway reachability after every single removal."""
     for f in range(1, len(perm) + 1):
-        node_alive, edge_alive = _alive_after(topo, failure, perm[:f])
         removed_switches = (
             set((topo.n_servers + perm[:f]).tolist())
             if failure is FailureType.SWITCH
@@ -331,38 +330,75 @@ class TestSweep2d:
 
 
 class TestClassedSweep:
+    def test_class_pools_match_a_per_element_scan(self):
+        params = TopologyParams(
+            kind=TopologyKind.THREE_LAYER, n_a=3, n_e=4, pairs=2, include_core_core_link=True
+        )
+        topo = build_topology(params)
+
+        def kind_of(node):
+            return "server" if topo.is_server(node) else topo.switch_layer(node)
+
+        kinds = {
+            "edge-switch": {"edge"},
+            "agg-switch": {"aggregation"},
+            "core-switch": {"core"},
+            "edge-link": {"server", "edge"},
+            "agg-link": {"edge", "aggregation"},
+            "core-link": {"aggregation", "core"},
+        }
+        for element_class in ElementClass:
+            want = kinds[element_class.value]
+            if element_class.is_switch_class:
+                switches = range(topo.n_servers, topo.n_nodes)
+                expected = [n for n in switches if {kind_of(n)} == want]
+            else:
+                expected = [
+                    i
+                    for i, (u, v) in enumerate(zip(topo.edges_u.tolist(), topo.edges_v.tolist()))
+                    if {kind_of(u), kind_of(v)} == want
+                ]
+            ids, on_nodes = _element_pool(topo, element_class)
+            assert ids.tolist() == expected
+            assert on_nodes == element_class.is_switch_class
+        # aggregation-pair and core-core links belong to no class
+        link_classes = [c for c in ElementClass if not c.is_switch_class]
+        assert sum(len(_element_pool(topo, c)[0]) for c in link_classes) < topo.n_links
+
     def test_all_zero_ratios_keep_everything(self):
+        ratios = {
+            ElementClass.EDGE_SWITCH: None,
+            ElementClass.AGG_SWITCH: 0.0,
+            ElementClass.CORE_SWITCH: 0.0,
+        }
         plan = plan_for(
             THREE_LAYER_SMALL,
             FailureType.SWITCH,
             fer_grids=((0.0,),),
             samples=4,
             metrics=("asr",),
+            class_ratios=ratios,
         )
-        ratios = {
-            ElementClass.EDGE_SWITCH: None,
-            ElementClass.AGG_SWITCH: 0.0,
-            ElementClass.CORE_SWITCH: 0.0,
-        }
-        row = classed_sweep(plan, ratios, workers=1)[0]
+        row = classed_sweep(plan, workers=1)[0]
         assert row.mean == 1.0
         assert row.failure_type == "edge-switch"
 
     def test_edge_switch_sweep_is_deterministic_fraction(self):
         # removing k of the E edge switches always removes k*n_e servers
+        ratios = {
+            ElementClass.EDGE_SWITCH: None,
+            ElementClass.AGG_SWITCH: 0.0,
+            ElementClass.CORE_SWITCH: 0.0,
+        }
         plan = plan_for(
             THREE_LAYER_SMALL,
             FailureType.SWITCH,
             fer_grids=((0.0, 0.5, 1.0),),
             samples=12,
             metrics=("asr",),
+            class_ratios=ratios,
         )
-        ratios = {
-            ElementClass.EDGE_SWITCH: None,
-            ElementClass.AGG_SWITCH: 0.0,
-            ElementClass.CORE_SWITCH: 0.0,
-        }
-        rows = classed_sweep(plan, ratios, workers=1)
+        rows = classed_sweep(plan, workers=1)
         edges_total = 6
         for row, fer in zip(rows, (0.0, 0.5, 1.0)):
             k = removal_count(fer, edges_total)
@@ -376,34 +412,45 @@ class TestClassedSweep:
             ElementClass.CORE_SWITCH: 0.0,
         }
         one_core = dict(base, **{ElementClass.CORE_SWITCH: 0.5})
-        plan = plan_for(
-            THREE_LAYER_SMALL,
-            FailureType.SWITCH,
-            fer_grids=((0.0, 0.5),),
-            samples=40,
-            metrics=("asr",),
-        )
-        rows_a = classed_sweep(plan, base, workers=1)
-        rows_b = classed_sweep(plan, one_core, workers=1)
+
+        def plan_with(ratios):
+            return plan_for(
+                THREE_LAYER_SMALL,
+                FailureType.SWITCH,
+                fer_grids=((0.0, 0.5),),
+                samples=40,
+                metrics=("asr",),
+                class_ratios=ratios,
+            )
+
+        rows_a = classed_sweep(plan_with(base), workers=1)
+        rows_b = classed_sweep(plan_with(one_core), workers=1)
         for a, b in zip(rows_a, rows_b):
             margin = (a.ci95_half_width or 0) + (b.ci95_half_width or 0)
             assert abs(a.mean - b.mean) <= max(margin, 1e-9)
 
     def test_rejects_other_topologies_and_bad_ratio_sets(self):
-        plan = plan_for(
-            BCUBE_2x2, FailureType.SWITCH, fer_grids=((0.1,),), metrics=("asr",)
-        )
+        def plan_with(params, ratios):
+            return plan_for(
+                params,
+                FailureType.SWITCH,
+                fer_grids=((0.1,),),
+                metrics=("asr",),
+                class_ratios=ratios,
+            )
+
         with pytest.raises(UnsupportedPlanError):
-            classed_sweep(plan, {ElementClass.EDGE_SWITCH: None}, workers=1)
-        plan = plan_for(
-            THREE_LAYER_SMALL, FailureType.SWITCH, fer_grids=((0.1,),), metrics=("asr",)
-        )
-        with pytest.raises(UnsupportedPlanError):
-            classed_sweep(plan, {ElementClass.EDGE_SWITCH: 0.1}, workers=1)
+            classed_sweep(plan_with(BCUBE_2x2, {ElementClass.EDGE_SWITCH: None}), workers=1)
         with pytest.raises(UnsupportedPlanError):
             classed_sweep(
-                plan,
-                {ElementClass.EDGE_SWITCH: None, ElementClass.AGG_LINK: 0.1},
+                plan_with(THREE_LAYER_SMALL, {ElementClass.EDGE_SWITCH: 0.1}), workers=1
+            )
+        with pytest.raises(UnsupportedPlanError):
+            classed_sweep(
+                plan_with(
+                    THREE_LAYER_SMALL,
+                    {ElementClass.EDGE_SWITCH: None, ElementClass.AGG_LINK: 0.1},
+                ),
                 workers=1,
             )
 
@@ -461,6 +508,38 @@ class TestDeterminismAndWorkers:
         res2 = simulate_nmttf(plan_for(DCELL_SMALL, FailureType.LINK, samples=60), workers=2)
         assert np.array_equal(res1.critical_points, res2.critical_points)
         assert res1.nmttf_sim == res2.nmttf_sim
+        plan2d = ExperimentPlan(
+            params=DCELL_SMALL,
+            failures=(FailureType.LINK, FailureType.SWITCH),
+            fer_grids=((0.0, 0.3), (0.2, 0.4)),
+            samples=20,
+            master_seed=5,
+        )
+        assert survival_sweep_2d(plan2d, workers=1) == survival_sweep_2d(plan2d, workers=2)
+        classed = plan_for(
+            THREE_LAYER_SMALL,
+            FailureType.LINK,
+            fer_grids=((0.1, 0.5),),
+            samples=20,
+            class_ratios={ElementClass.EDGE_LINK: None, ElementClass.AGG_LINK: 0.25},
+        )
+        assert classed_sweep(classed, workers=1) == classed_sweep(classed, workers=2)
+
+    def test_one_pool_per_operation(self, monkeypatch):
+        from dcn_robust import simulation
+
+        created = []
+
+        class CountingPool(simulation.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        plan = plan_for(DCELL_SMALL, FailureType.LINK, fer_grids=((0.1, 0.2, 0.3),), samples=8)
+        rows = survival_sweep(plan, workers=2)
+        assert len(created) == 1
+        assert [r.fer_link for r in rows[::2]] == [0.1, 0.2, 0.3]
 
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("DCN_ROBUST_THREADS", "3")
@@ -474,6 +553,27 @@ class TestDeterminismAndWorkers:
             resolve_workers()
 
 
+class TestRngStreamBounds:
+    # Only constructs the plans: the stream index packs the point into 24
+    # bits and the sample into 32, so larger plans would alias streams.
+    def test_sample_count_bound(self):
+        plan_for(BCUBE_2x2, FailureType.LINK, samples=2**32)
+        with pytest.raises(UnsupportedPlanError, match="samples"):
+            plan_for(BCUBE_2x2, FailureType.LINK, samples=2**32 + 1)
+
+    def test_grid_point_bound_counts_the_product(self):
+        def plan_2d(n_link, n_switch):
+            return ExperimentPlan(
+                params=BCUBE_2x2,
+                failures=(FailureType.LINK, FailureType.SWITCH),
+                fer_grids=(np.linspace(0, 1, n_link), np.linspace(0, 1, n_switch)),
+            )
+
+        plan_2d(2**12, 2**12)
+        with pytest.raises(UnsupportedPlanError, match="grid points"):
+            plan_2d(2**12 + 1, 2**12)
+
+
 class TestPlanDocuments:
     def test_round_trip(self):
         plan = ExperimentPlan(
@@ -485,6 +585,29 @@ class TestPlanDocuments:
             metrics=("asr", "sc"),
         )
         assert plan_from_doc(plan_to_doc(plan)) == plan
+
+    def test_class_ratios_round_trip(self):
+        plan = plan_for(
+            THREE_LAYER_SMALL,
+            FailureType.LINK,
+            fer_grids=((0.0, 0.2),),
+            class_ratios={ElementClass.EDGE_LINK: None, ElementClass.AGG_LINK: 0.25},
+        )
+        doc = plan_to_doc(plan)
+        assert doc["class_ratios"] == {"agg-link": 0.25, "edge-link": None}
+        assert plan_from_doc(doc) == plan
+        assert "class_ratios" not in plan_to_doc(plan_for(BCUBE_2x2, FailureType.LINK))
+
+    def test_class_ratios_must_match_the_failure_type(self):
+        ratios = {ElementClass.EDGE_LINK: None, ElementClass.AGG_LINK: 0.25}
+        with pytest.raises(UnsupportedPlanError, match="link-class"):
+            plan_for(THREE_LAYER_SMALL, FailureType.SWITCH, class_ratios=ratios)
+        with pytest.raises(UnsupportedPlanError, match="ratio"):
+            plan_for(
+                THREE_LAYER_SMALL,
+                FailureType.LINK,
+                class_ratios={ElementClass.EDGE_LINK: None, ElementClass.AGG_LINK: 1.5},
+            )
 
     def test_bad_documents(self):
         with pytest.raises(UnsupportedPlanError):
