@@ -302,18 +302,34 @@ def _element_pool(
     return pool
 
 
-def _apply_removals(topo: Topology, removals) -> tuple[np.ndarray, np.ndarray]:
+def _alive_after(topo: Topology, removals) -> tuple[np.ndarray, np.ndarray]:
     """(node_alive, edge_alive) after removing each ``(ids, on_nodes)`` set.
 
     A removed node takes its incident links down with it.
     """
     node_alive = np.ones(topo.n_nodes, dtype=bool)
     edge_alive = np.ones(topo.n_links, dtype=bool)
+    nodes_removed = False
     for ids, on_nodes in removals:
-        (node_alive if on_nodes else edge_alive)[ids] = False
-    if not node_alive.all():  # skips two gathers per link-only bisection probe
+        if on_nodes:
+            node_alive[ids] = False
+            nodes_removed = True
+        else:
+            edge_alive[ids] = False
+    if nodes_removed:  # skips two gathers per link-only bisection probe
         edge_alive &= node_alive[topo.edges_u] & node_alive[topo.edges_v]
     return node_alive, edge_alive
+
+
+def _apply_removals(
+    topo: Topology, pools, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of one sweep sample: each ``(ids, on_nodes, count)`` pool loses
+    *count* uniformly random elements, drawn in order from *rng*."""
+    return _alive_after(
+        topo,
+        [(ids[rng.permutation(len(ids))[:count]], on_nodes) for ids, on_nodes, count in pools],
+    )
 
 
 def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:
@@ -328,7 +344,7 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
     lo, hi = 0, len(order)  # invariants: connected at lo, disconnected at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        node_alive, edge_alive = _apply_removals(topo, [(order[:mid], on_nodes)])
+        node_alive, edge_alive = _alive_after(topo, [(order[:mid], on_nodes)])
         if reachability._all_servers_reach_gateway(topo, node_alive, edge_alive):
             lo = mid
         else:
@@ -396,10 +412,7 @@ def _metric_chunk(
 
     for k in range(start, stop):
         rng = sample_rng(master_seed, tag, point, k)
-        removals = [
-            (ids[rng.permutation(len(ids))[:count]], on_nodes) for ids, on_nodes, count in pools
-        ]
-        node_alive, edge_alive = _apply_removals(topo, removals)
+        node_alive, edge_alive = _apply_removals(topo, pools, rng)
         row = reachability.evaluate(
             topo,
             node_alive,
@@ -454,6 +467,8 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
     if len(plan.failures) != 1:
         raise UnsupportedPlanError("reliability simulation takes exactly one failure type")
     failure = plan.failures[0]
+    if plan.class_ratios:
+        raise UnsupportedPlanError("class ratios apply to classed sweeps only, not to MTTF")
     if failure is FailureType.SERVER:
         raise UnsupportedPlanError(
             "server failures end the reliable phase at the first removal; nothing to simulate"

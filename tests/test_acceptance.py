@@ -64,7 +64,7 @@ from dcn_robust.report import Report, reliability_rows, to_csv_text, to_json_tex
 from dcn_robust.simulation import (
     _TAG_SWEEP,
     ExperimentPlan,
-    _apply_removals,
+    _alive_after,
     confidence_interval,
     plan_to_doc,
     removal_count,
@@ -404,7 +404,7 @@ def test_criterion_09_server_failure_exactness():
             for k in range(1000):
                 rng = sample_rng(SEED, 40, int(fer * 10), k)
                 removed = rng.permutation(servers)[:f]
-                node_alive, edge_alive = _apply_removals(topo, [(removed, True)])
+                node_alive, edge_alive = _alive_after(topo, [(removed, True)])
                 row = evaluate(topo, node_alive, edge_alive, ("asr", "sc"))
                 sc_ok = row.sc >= 0.98 if name in sc_exempt else row.sc == 1.0
                 if row.asr != expected_asr or not sc_ok:

@@ -178,6 +178,12 @@ class TestSimulateNmttf:
         with pytest.raises(UnsupportedPlanError):
             simulate_nmttf(plan_for(BCUBE_2x2, FailureType.SERVER))
 
+    def test_class_ratios_rejected(self):
+        ratios = {ElementClass.EDGE_LINK: None, ElementClass.AGG_LINK: 0.25}
+        plan = plan_for(THREE_LAYER_SMALL, FailureType.LINK, class_ratios=ratios)
+        with pytest.raises(UnsupportedPlanError, match="class ratios"):
+            simulate_nmttf(plan, workers=1)
+
     def test_dcell_l3_switch_has_no_analytic_reference(self):
         params = TopologyParams(kind=TopologyKind.DCELL, n=2, l=3)
         res = simulate_nmttf(plan_for(params, FailureType.SWITCH, samples=3), workers=1)
