@@ -3,8 +3,8 @@
 Servers are binned into classes with normalized CPU/memory capacities.
 The class instances are placed over the topology's modules (aggregation
 pairs, pods, sub-cells) either spread evenly (balanced) or packed together
-(unbalanced), and the worst-case module can be knocked out deliberately to
-measure the remaining capacity.
+(unbalanced), and on three-layer and fat-tree fabrics the worst-case
+module can be knocked out deliberately to measure the remaining capacity.
 """
 
 from __future__ import annotations
@@ -272,27 +272,29 @@ def assign_capacities(
 
 
 def _isolating_switches(topology: Topology, module: np.ndarray) -> list[int]:
-    """Switches to drop for one module.
+    """The aggregation switches two hops from the module's servers.
 
-    Three-layer: the module's aggregation pair (which cuts the module off
-    entirely). Other topologies: the switches whose whole neighborhood
-    lies inside the module; this is a best-effort rule that weakens but
-    does not fully isolate recursive topologies.
+    On three-layer and fat-tree fabrics a module (an aggregation pair's
+    servers, or a pod) reaches the rest of the network only through them,
+    so removing them cuts it off. A BCube or DCell module is joined to the
+    rest through its servers' own links, so no set of switches cuts it off
+    alone, and those fabrics are refused.
     """
-    module_set = set(int(s) for s in module)
-    if topology.params.kind is TopologyKind.THREE_LAYER:
-        size = topology.params.n_a * topology.params.n_e
-        pair_index = int(module[0]) // size
-        base = topology.n_servers + 2 + 2 * pair_index
-        assert topology.switch_layers[base - topology.n_servers] == LAYER_AGGREGATION
-        return [base, base + 1]
-    neighbors = topology.neighbors()
-    picked = []
-    for sw in range(topology.n_servers, topology.n_nodes):
-        around = neighbors[sw]
-        if around and all(n in module_set for n in around):
-            picked.append(sw)
-    return picked
+    kind = topology.params.kind
+    if kind not in (TopologyKind.THREE_LAYER, TopologyKind.FAT_TREE):
+        raise ConfigurationError(
+            f"targeted module removal needs a switch-only cut, which {kind.value} lacks"
+        )
+    reached = np.zeros(topology.n_nodes, dtype=bool)
+    reached[module] = True
+    for _ in range(2):
+        step = reached.copy()
+        step[topology.edges_v[reached[topology.edges_u]]] = True
+        step[topology.edges_u[reached[topology.edges_v]]] = True
+        reached = step
+    aggregation = np.array(topology.switch_layers) == LAYER_AGGREGATION
+    switches = np.flatnonzero(reached[topology.n_servers :] & aggregation) + topology.n_servers
+    return switches.tolist()
 
 
 def remove_richest_module(
@@ -300,7 +302,8 @@ def remove_richest_module(
     assignment: CapacityAssignment,
     resource: Resource | str,
 ) -> DegradedNetwork:
-    """Degrade the network by the switches of the highest-capacity module.
+    """Cut the highest-capacity module off by removing its aggregation
+    switches (three-layer and fat-tree only; see ``_isolating_switches``).
 
     Ties break toward the smallest module index. The resulting RCR is
     deterministic: no sampling is involved.

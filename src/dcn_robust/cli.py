@@ -114,15 +114,22 @@ def _params_from_args(args: argparse.Namespace) -> TopologyParams:
     return TopologyParams(kind=kind, n=args.n, l=args.l, gateway_policy=policy)
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _parse_float(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UnsupportedPlanError(f"{option}: {text!r} is not a number") from None
+
+
+def _parse_grid(text: str, option: str = "--fer") -> tuple[float, ...]:
     """start:stop:step (inclusive of both ends within 1e-9), or a comma list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise UnsupportedPlanError(f"--fer: expected start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+            raise UnsupportedPlanError(f"{option}: expected start:stop:step, got {text!r}")
+        start, stop, step = (_parse_float(p, option) for p in parts)
         if step <= 0:
-            raise UnsupportedPlanError("--fer: step must be positive")
+            raise UnsupportedPlanError(f"{option}: step must be positive")
         values = []
         k = 0
         while True:
@@ -132,7 +139,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             values.append(value)
             k += 1
         return tuple(values)
-    return tuple(float(p) for p in text.split(","))
+    return tuple(_parse_float(p, option) for p in text.split(","))
 
 
 def _load_capacity(args: argparse.Namespace, params: TopologyParams):
@@ -236,7 +243,7 @@ def _cmd_sweep_2d(args: argparse.Namespace) -> int:
     plan = _plan_from_args(
         args,
         (FailureType.LINK, FailureType.SWITCH),
-        (_parse_grid(args.fer_link), _parse_grid(args.fer_switch)),
+        (_parse_grid(args.fer_link, "--fer-link"), _parse_grid(args.fer_switch, "--fer-switch")),
         metrics,
     )
     assignment = _load_capacity(args, plan.params)
@@ -253,7 +260,9 @@ def _cmd_classed_sweep(args: argparse.Namespace) -> int:
         if "=" not in spec:
             raise UnsupportedPlanError(f"--fixed expects CLASS=RATIO, got {spec!r}")
         name, _, value = spec.partition("=")
-        ratios[ElementClass(name)] = float(value)
+        if name not in {c.value for c in ElementClass}:
+            raise UnsupportedPlanError(f"--fixed: unknown class {name!r} in {spec!r}")
+        ratios[ElementClass(name)] = _parse_float(value, "--fixed")
     plan = _plan_from_args(
         args, (swept.failure,), (_parse_grid(args.fer),), metrics, ratios
     )

@@ -4,6 +4,11 @@ A server counts as accessible only while some path of surviving links and
 switches connects it to a surviving gateway. All operations are pure
 functions of (topology, removal sets); a shared immutable topology can be
 evaluated against many degradations concurrently.
+
+One engine serves both APIs: ``_partition_arrays`` turns alive masks into
+a ``SubnetworkPartition``, and each metric has one formula over it that
+``evaluate`` (the simulation hot path) and the object-level functions
+share.
 """
 
 from __future__ import annotations
@@ -90,15 +95,6 @@ class DegradedNetwork:
         return alive
 
 
-class _PartitionArrays(NamedTuple):
-    """Fast-path partition result over the full node index space."""
-
-    labels: np.ndarray  # component label per node (removed nodes isolated)
-    node_alive: np.ndarray
-    accessible_component: np.ndarray  # bool per component label
-    server_counts: np.ndarray  # surviving servers per component label
-
-
 def _subgraph(topology: Topology, edge_alive: np.ndarray) -> sp.csr_matrix:
     u = topology.edges_u[edge_alive]
     v = topology.edges_v[edge_alive]
@@ -109,9 +105,62 @@ def _subgraph(topology: Topology, edge_alive: np.ndarray) -> sp.csr_matrix:
     )
 
 
+@dataclass(frozen=True)
+class SubnetworkPartition:
+    """Connected components of the surviving graph, flagged by gateway access.
+
+    The fields are the arrays of one connected-components call over the
+    full node index space; the node-set views are built on first use.
+    """
+
+    labels: np.ndarray  # component label per node (removed nodes isolated)
+    node_alive: np.ndarray
+    accessible_component: np.ndarray  # bool per component label
+    server_counts: np.ndarray  # surviving servers per component label
+    n_servers_total: int
+
+    @cached_property
+    def accessible_server_mask(self) -> np.ndarray:
+        """Bool per original server id: alive and in an accessible component."""
+        n = self.n_servers_total
+        return self.node_alive[:n] & self.accessible_component[self.labels[:n]]
+
+    @cached_property
+    def _accessible_counts(self) -> np.ndarray:
+        """Surviving servers per accessible component, in label order."""
+        return self.server_counts[self.accessible_component]
+
+    @property
+    def accessible_server_total(self) -> int:
+        return int(self._accessible_counts.sum())
+
+    @cached_property
+    def _live_labels(self) -> np.ndarray:
+        """Labels of the components that hold a surviving node, ascending."""
+        return np.unique(self.labels[self.node_alive])
+
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Surviving nodes of each component, in label order."""
+        alive = np.flatnonzero(self.node_alive)
+        alive = alive[np.argsort(self.labels[alive], kind="stable")]
+        starts = np.searchsorted(self.labels[alive], self._live_labels)
+        return tuple(frozenset(g.tolist()) for g in np.split(alive, starts)[1:])
+
+    @cached_property
+    def accessible(self) -> tuple[int, ...]:
+        """Indices into ``components`` of those that reach a gateway."""
+        return tuple(np.flatnonzero(self.accessible_component[self._live_labels]).tolist())
+
+    @cached_property
+    def accessible_server_counts(self) -> tuple[int, ...]:
+        """s_k per accessible component, aligned with ``accessible``."""
+        return tuple(self._accessible_counts.tolist())
+
+
 def _partition_arrays(
     topology: Topology, node_alive: np.ndarray, edge_alive: np.ndarray
-) -> _PartitionArrays:
+) -> SubnetworkPartition:
     n_comp, labels = csgraph.connected_components(
         _subgraph(topology, edge_alive), directed=False
     )
@@ -122,7 +171,7 @@ def _partition_arrays(
     server_counts = np.bincount(
         labels[: topology.n_servers][server_alive], minlength=n_comp
     )
-    return _PartitionArrays(labels, node_alive, accessible, server_counts)
+    return SubnetworkPartition(labels, node_alive, accessible, server_counts, topology.n_servers)
 
 
 def _all_servers_reach_gateway(
@@ -130,69 +179,13 @@ def _all_servers_reach_gateway(
 ) -> bool:
     """True iff every surviving server lies in a component with a surviving
     gateway (the operational-network test applied after removals)."""
-    arrays = _partition_arrays(topology, node_alive, edge_alive)
-    server_alive = node_alive[: topology.n_servers]
-    labels = arrays.labels[: topology.n_servers][server_alive]
-    return bool(np.all(arrays.accessible_component[labels]))
-
-
-def _accessible_server_mask(topology: Topology, arrays: _PartitionArrays) -> np.ndarray:
-    mask = np.zeros(topology.n_servers, dtype=bool)
-    server_alive = arrays.node_alive[: topology.n_servers]
-    labels = arrays.labels[: topology.n_servers]
-    mask[server_alive] = arrays.accessible_component[labels[server_alive]]
-    return mask
-
-
-@dataclass(frozen=True)
-class SubnetworkPartition:
-    """Connected components of the surviving graph, flagged by gateway access."""
-
-    components: tuple[frozenset[int], ...]
-    accessible: tuple[int, ...]  # indices into components
-    accessible_server_counts: tuple[int, ...]  # s_k, aligned with accessible
-    n_servers_total: int
-    accessible_server_mask: np.ndarray  # bool per original server id
-
-    @property
-    def accessible_server_total(self) -> int:
-        return int(sum(self.accessible_server_counts))
+    part = _partition_arrays(topology, node_alive, edge_alive)
+    return part.accessible_server_total == int(node_alive[: topology.n_servers].sum())
 
 
 def partition(degraded: DegradedNetwork) -> SubnetworkPartition:
-    """Enumerate surviving components and mark the operational ones."""
-    topo = degraded.topology
-    arrays = _partition_arrays(topo, degraded.node_alive, degraded.edge_alive)
-    alive_nodes = np.flatnonzero(arrays.node_alive)
-    if len(alive_nodes) == 0:
-        return SubnetworkPartition(
-            components=(),
-            accessible=(),
-            accessible_server_counts=(),
-            n_servers_total=topo.n_servers,
-            accessible_server_mask=np.zeros(topo.n_servers, dtype=bool),
-        )
-    alive_labels = arrays.labels[alive_nodes]
-
-    order = np.argsort(alive_labels, kind="stable")
-    sorted_nodes = alive_nodes[order]
-    sorted_labels = alive_labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    groups = np.split(sorted_nodes, boundaries)
-    group_labels = [int(g[0]) for g in np.split(sorted_labels, boundaries)]
-
-    components = tuple(frozenset(int(n) for n in g) for g in groups)
-    accessible = tuple(
-        i for i, lab in enumerate(group_labels) if arrays.accessible_component[lab]
-    )
-    counts = tuple(int(arrays.server_counts[group_labels[i]]) for i in accessible)
-    return SubnetworkPartition(
-        components=components,
-        accessible=accessible,
-        accessible_server_counts=counts,
-        n_servers_total=topo.n_servers,
-        accessible_server_mask=_accessible_server_mask(topo, arrays),
-    )
+    """Label surviving components and mark the operational ones."""
+    return _partition_arrays(degraded.topology, degraded.node_alive, degraded.edge_alive)
 
 
 def accessible_server_ratio(part: SubnetworkPartition, total_servers: int | None = None) -> float:
@@ -205,11 +198,13 @@ def accessible_server_ratio(part: SubnetworkPartition, total_servers: int | None
 
 def server_connectivity(part: SubnetworkPartition) -> float:
     """Density of the logical complete-graph union over accessible components."""
-    s_a = part.accessible_server_total
+    counts = part._accessible_counts
+    s_a = int(counts.sum())
     if s_a <= 1:
         return 0.0
-    num = sum(s * (s - 1) for s in part.accessible_server_counts)
-    return num / (s_a * (s_a - 1))
+    # Both operands are exact integers below 2**53, so the float quotient
+    # is the correctly rounded one.
+    return float((counts * (counts - 1)).sum()) / (s_a * (s_a - 1))
 
 
 class AsplEstimate(NamedTuple):
@@ -373,36 +368,20 @@ def evaluate(
     """Array-level metric evaluation for the simulation hot path.
 
     Computes only the requested metric names over one degraded state given
-    as alive masks, skipping construction of the object-level partition.
+    as alive masks, with the same formulas as the object-level API.
     """
     want = set(metrics)
-    arrays = _partition_arrays(topology, node_alive, edge_alive)
-    acc_counts = arrays.server_counts[arrays.accessible_component]
-    s_a = int(acc_counts.sum())
-
-    asr = s_a / topology.n_servers if "asr" in want else None
-    sc = None
-    if "sc" in want:
-        if s_a <= 1:
-            sc = 0.0
-        else:
-            sc = float((acc_counts * (acc_counts - 1)).sum()) / (s_a * (s_a - 1))
-
-    mask = None
-    if want & {"aspl", "rcr_cpu", "rcr_mem"}:
-        mask = _accessible_server_mask(topology, arrays)
-
+    part = _partition_arrays(topology, node_alive, edge_alive)
     aspl = None
     if "aspl" in want:
-        servers = np.flatnonzero(mask)
+        servers = np.flatnonzero(part.accessible_server_mask)
         aspl = _aspl(
             topology, edge_alive, servers, aspl_exact_limit, aspl_sampled_pairs, aspl_rng
         )
-
-    rcr_cpu = rcr_mem = None
-    if "rcr_cpu" in want:
-        rcr_cpu = float(cpu[mask].sum() / cpu.sum())
-    if "rcr_mem" in want:
-        rcr_mem = float(mem[mask].sum() / mem.sum())
-
-    return SurvivalMetrics(asr=asr, sc=sc, aspl=aspl, rcr_cpu=rcr_cpu, rcr_mem=rcr_mem)
+    return SurvivalMetrics(
+        asr=accessible_server_ratio(part) if "asr" in want else None,
+        sc=server_connectivity(part) if "sc" in want else None,
+        aspl=aspl,
+        rcr_cpu=remaining_capacity_ratio(part, cpu) if "rcr_cpu" in want else None,
+        rcr_mem=remaining_capacity_ratio(part, mem) if "rcr_mem" in want else None,
+    )

@@ -199,13 +199,28 @@ class TestTargetedRemoval:
         with pytest.raises(ConfigurationError):
             remove_richest_module(topo, assignment, "gpu")
 
-    def test_best_effort_rule_on_bcube(self):
-        # non-three-layer removal drops the module-internal switches only
-        topo = build_bcube(4, 1)
+    def test_fat_tree_cut_drops_the_pod_aggregation_switches(self):
+        topo = build_fat_tree(4)  # 4 pods of 4 servers
         assignment = assign_capacities(topo, builtin_dataset("synthetic"), "unbalanced")
         degraded = remove_richest_module(topo, assignment, "cpu")
-        # BCube(4,1) modules are the level-0 cells; their level-0 switch
-        # has all its neighbors inside the module
-        assert len(degraded.removed_switches) == 1
-        sw = next(iter(degraded.removed_switches))
-        assert topo.switch_layer(sw) == "level-0"
+        # pod 0 is the richest; ids 16-19 are the core, 20-21 its aggregation pair
+        assert sorted(degraded.removed_switches) == [20, 21]
+        assert {topo.switch_layer(s) for s in degraded.removed_switches} == {"aggregation"}
+        part = partition(degraded)
+        assert not part.accessible_server_mask[assignment.modules[0]].any()
+        assert accessible_server_ratio(part) == 0.75
+
+    def test_fat_tree_24_cut_strands_exactly_one_pod(self):
+        topo = build_fat_tree(24)
+        assignment = assign_capacities(topo, builtin_dataset("synthetic"), "unbalanced")
+        degraded = remove_richest_module(topo, assignment, "cpu")
+        assert len(degraded.removed_switches) == 12
+        assert accessible_server_ratio(partition(degraded)) == pytest.approx(23 / 24)
+
+    @pytest.mark.parametrize("build", [lambda: build_bcube(4, 1), lambda: build_dcell(4, 1)])
+    def test_recursive_fabrics_refused(self, build):
+        # their modules reach the rest through server links: no switch-only cut
+        topo = build()
+        assignment = assign_capacities(topo, builtin_dataset("synthetic"), "unbalanced")
+        with pytest.raises(ConfigurationError, match="switch-only cut"):
+            remove_richest_module(topo, assignment, "cpu")

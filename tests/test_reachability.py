@@ -4,6 +4,7 @@ import pytest
 from dcn_robust.reachability import (
     AsplEstimate,
     DegradedNetwork,
+    SurvivalMetrics,
     accessible_server_ratio,
     average_shortest_path_length,
     evaluate,
@@ -228,13 +229,49 @@ class TestRemainingCapacity:
 
 
 class TestEvaluate:
+    ALL_METRICS = ("asr", "sc", "aspl", "rcr_cpu", "rcr_mem")
+
     def test_matches_object_level_api(self, tiny_topologies):
-        topo = tiny_topologies["fat-tree"]
-        links = {(int(topo.edges_u[i]), int(topo.edges_v[i])) for i in (0, 5, 9)}
-        degraded = DegradedNetwork(topo, removed_links=links)
+        # Both paths share each metric's formula, so they agree exactly.
+        rng = np.random.default_rng(17)
+        for topo in tiny_topologies.values():
+            cpu = rng.uniform(0.1, 2.0, topo.n_servers)
+            mem = rng.uniform(0.1, 2.0, topo.n_servers)
+            idx = rng.choice(topo.n_links, size=topo.n_links // 4, replace=False)
+            removals = [
+                {"removed_links": {(int(topo.edges_u[i]), int(topo.edges_v[i])) for i in idx}},
+                {"removed_switches": set(rng.choice(topo.switch_ids, size=1).tolist())},
+                {"removed_servers": set(rng.choice(topo.n_servers, size=1).tolist())},
+            ]
+            for removed in removals:
+                degraded = DegradedNetwork(topo, **removed)
+                part = partition(degraded)
+                row = evaluate(
+                    topo, degraded.node_alive, degraded.edge_alive, self.ALL_METRICS,
+                    cpu=cpu, mem=mem,
+                )
+                assert row == SurvivalMetrics(
+                    asr=accessible_server_ratio(part),
+                    sc=server_connectivity(part),
+                    aspl=average_shortest_path_length(degraded, part),
+                    rcr_cpu=remaining_capacity_ratio(part, cpu),
+                    rcr_mem=remaining_capacity_ratio(part, mem),
+                )
+
+    def test_every_node_removed(self):
+        topo = build_fat_tree(4)
+        degraded = DegradedNetwork(
+            topo,
+            removed_switches=set(topo.switch_ids.tolist()),
+            removed_servers=set(range(topo.n_servers)),
+        )
         part = partition(degraded)
-        row = evaluate(topo, degraded.node_alive, degraded.edge_alive, ("asr", "sc", "aspl"))
-        assert row.asr == pytest.approx(accessible_server_ratio(part))
-        assert row.sc == pytest.approx(server_connectivity(part))
-        est = average_shortest_path_length(degraded, part)
-        assert row.aspl.hops == pytest.approx(est.hops)
+        assert part.components == ()
+        assert part.accessible == ()
+        assert part.accessible_server_counts == ()
+        assert not part.accessible_server_mask.any()
+        caps = np.ones(topo.n_servers)
+        row = evaluate(
+            topo, degraded.node_alive, degraded.edge_alive, self.ALL_METRICS, cpu=caps, mem=caps
+        )
+        assert row == SurvivalMetrics(0.0, 0.0, AsplEstimate(None, 0, True), 0.0, 0.0)

@@ -130,6 +130,31 @@ class TestCli:
             == 3
         )
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            (["sweep", "--failure", "link", "--fer", "0.1,abc"], "'abc'"),
+            (["sweep", "--failure", "link", "--fer", "0:x:0.1"], "'x'"),
+            (["sweep2d", "--fer-link", "0,abc", "--fer-switch", "0"], "--fer-link: 'abc'"),
+            (["classed-sweep", "--sweep-class", "edge-link", "--fer", "0.1",
+              "--fixed", "agg-link=abc"], "'abc'"),
+            (["classed-sweep", "--sweep-class", "edge-link", "--fer", "0.1",
+              "--fixed", "bogus=0.1"], "'bogus'"),
+        ],
+    )
+    def test_malformed_grid_or_ratio_exit_3(self, command, bad, capsys):
+        topology = ["--topology", "three-layer", "--na", "3", "--ne", "4", "--pairs", "2"]
+        assert main(command[:1] + topology + command[1:] + ["--samples", "2"]) == 3
+        assert bad in capsys.readouterr().err
+
+    def test_targeted_removal_on_bcube_exit_3(self, capsys):
+        argv = [
+            "capacity", "--topology", "bcube", "--n", "4", "--l", "1",
+            "--dataset", "synthetic", "--placement", "unbalanced", "--remove-richest", "cpu",
+        ]
+        assert main(argv) == 3
+        assert "switch-only cut" in capsys.readouterr().err
+
     def test_reconcile_exit_0(self, capsys):
         assert main(["reconcile-table1"]) == 0
         out = capsys.readouterr().out

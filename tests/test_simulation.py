@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -546,6 +547,25 @@ class TestDeterminismAndWorkers:
         rows = survival_sweep(plan, workers=2)
         assert len(created) == 1
         assert [r.fer_link for r in rows[::2]] == [0.1, 0.2, 0.3]
+
+    def test_identical_results_under_spawn(self, monkeypatch):
+        # Spawned workers inherit no topology or pool cache from the parent,
+        # so they must rebuild everything from the task alone.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        from dcn_robust import simulation
+
+        spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
+        sweep = plan_for(DCELL_SMALL, FailureType.LINK, fer_grids=((0.2, 0.4),), samples=8)
+        mttf = plan_for(DCELL_SMALL, FailureType.SWITCH, samples=8)
+        expected = survival_sweep(sweep, workers=1), simulate_nmttf(mttf, workers=1)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", spawn_pool)
+        rows = survival_sweep(sweep, workers=2)
+        result = simulate_nmttf(mttf, workers=2)
+        assert rows == expected[0]
+        assert np.array_equal(result.critical_points, expected[1].critical_points)
+        assert result.nmttf_sim == expected[1].nmttf_sim
 
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("DCN_ROBUST_THREADS", "3")
