@@ -22,7 +22,6 @@ from .topology import TopologyKind, TopologyParams, dcell_server_count
 __all__ = [
     "FailureType",
     "MinCutSpec",
-    "LifetimeModel",
     "MttfQuality",
     "MttfEstimate",
     "OutOfScopeError",
@@ -66,24 +65,15 @@ class MinCutSpec:
             raise ValueError(f"min-cut count c must be >= 1, got {self.c}")
 
 
-@dataclass(frozen=True)
-class LifetimeModel:
-    """Exponential element lifetime with the given mean."""
-
-    mean_element_lifetime: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.mean_element_lifetime > 0:
-            raise ValueError("mean element lifetime must be positive")
+def _mean_lifetime(lifetime: float) -> float:
+    """The mean element lifetime E[tau], checked to be positive (not NaN)."""
+    mean = float(lifetime)
+    if not mean > 0:
+        raise ValueError(f"mean element lifetime must be positive, got {lifetime!r}")
+    return mean
 
 
-def _mean_lifetime(lifetime: LifetimeModel | float) -> float:
-    if isinstance(lifetime, LifetimeModel):
-        return lifetime.mean_element_lifetime
-    return float(lifetime)
-
-
-def elapsed_time(f: int, big_f: int, lifetime: LifetimeModel | float = 1.0) -> float:
+def elapsed_time(f: int, big_f: int, lifetime: float = 1.0) -> float:
     """Mean time until f of F exponential elements have failed.
 
     Expectation of the f-th order statistic of F i.i.d. exponentials:
@@ -112,7 +102,7 @@ def normalized_time_table(big_f: int) -> np.ndarray:
     return table
 
 
-def burtin_pittel_mttf(mincut: MinCutSpec, lifetime: LifetimeModel | float = 1.0) -> float:
+def burtin_pittel_mttf(mincut: MinCutSpec, lifetime: float = 1.0) -> float:
     """First-order min-cut approximation of the mean time to the first
     server disconnection: ``(E[tau]/r) * c**(-1/r) * Gamma(1/r)``."""
     mean = _mean_lifetime(lifetime)
@@ -121,7 +111,7 @@ def burtin_pittel_mttf(mincut: MinCutSpec, lifetime: LifetimeModel | float = 1.0
 
 
 def mttf_numeric_quadrature(
-    mincut: MinCutSpec, lifetime: LifetimeModel | float = 1.0
+    mincut: MinCutSpec, lifetime: float = 1.0
 ) -> float:
     """Independent oracle for :func:`burtin_pittel_mttf`.
 
@@ -218,7 +208,7 @@ def min_cut_catalog(params: TopologyParams, failure: FailureType) -> MinCutSpec:
 def closed_form_mttf(
     params: TopologyParams,
     failure: FailureType,
-    lifetime: LifetimeModel | float = 1.0,
+    lifetime: float = 1.0,
 ) -> MttfEstimate:
     """Closed-form mean time to first disconnection, flagged by quality.
 

@@ -33,7 +33,7 @@ from .simulation import (
     ExperimentPlan,
     MetricSample,
     UnsupportedPlanError,
-    classed_sweep,
+    classed_sweep,  # the three sweeps are called by name from _cmd_sweep
     plan_from_doc,
     plan_to_doc,
     simulate_nmttf,
@@ -97,6 +97,28 @@ def _add_topology(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gateway-policy", default="max", help="max, min or count=g")
 
 
+def _add_dataset(sub: argparse.ArgumentParser, required: bool = False) -> None:
+    sub.add_argument(
+        "--dataset", required=required, help="google, synthetic or a CSV file (for rcr metrics)"
+    )
+    sub.add_argument(
+        "--placement", choices=[p.value for p in Placement], default="balanced", required=required
+    )
+
+
+def _add_sweep(commands, name: str, help: str, grid, sweep: str, metrics: str = "asr"):
+    """A sweep subcommand run by :func:`_cmd_sweep`. *grid* reads its failure
+    types, grids and class ratios from the arguments; *sweep* is the name of
+    the sweep function in this module."""
+    sub = commands.add_parser(name, help=help)
+    _add_topology(sub)
+    _add_common(sub, DEFAULT_SWEEP_SAMPLES)
+    sub.add_argument("--metrics", default=metrics)
+    _add_dataset(sub)
+    sub.set_defaults(handler=_cmd_sweep, grid=grid, sweep=sweep)
+    return sub
+
+
 def _params_from_args(args: argparse.Namespace) -> TopologyParams:
     if args.topology is None:
         raise UnsupportedPlanError("--topology is required (or provide --plan)")
@@ -143,7 +165,7 @@ def _parse_grid(text: str, option: str = "--fer") -> tuple[float, ...]:
 
 
 def _load_capacity(args: argparse.Namespace, params: TopologyParams):
-    if getattr(args, "dataset", None) is None:
+    if args.dataset is None:
         return None
     name = args.dataset
     if name in ("google", "synthetic"):
@@ -151,7 +173,7 @@ def _load_capacity(args: argparse.Namespace, params: TopologyParams):
     else:
         classes = load_dataset(Path(name).read_text(encoding="utf-8"), origin=name)
     topo = build_topology(params)
-    return assign_capacities(topo, classes, getattr(args, "placement", "balanced"))
+    return assign_capacities(topo, classes, args.placement)
 
 
 def _emit(args: argparse.Namespace, report: Report) -> None:
@@ -161,7 +183,7 @@ def _emit(args: argparse.Namespace, report: Report) -> None:
         return
     args.out.write_text(text, encoding="utf-8")
     print(f"wrote {args.out}")
-    if args.format == "csv" and getattr(args, "gnuplot", False):
+    if args.format == "csv" and args.gnuplot:
         script = args.out.with_suffix(".gp")
         script.write_text(gnuplot_script(args.out.name, report), encoding="utf-8")
         print(f"wrote {script}")
@@ -227,33 +249,16 @@ def _cmd_mttf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    metrics = tuple(args.metrics.split(","))
-    plan = _plan_from_args(
-        args, (FailureType(args.failure),), (_parse_grid(args.fer),), metrics
-    )
-    assignment = _load_capacity(args, plan.params)
-    rows = survival_sweep(plan, capacity_assignment=assignment)
-    _emit(args, _report(plan, rows))
-    return EXIT_OK
+def _one_grid(args: argparse.Namespace):
+    return (FailureType(args.failure),), (_parse_grid(args.fer),), ()
 
 
-def _cmd_sweep_2d(args: argparse.Namespace) -> int:
-    metrics = tuple(args.metrics.split(","))
-    plan = _plan_from_args(
-        args,
-        (FailureType.LINK, FailureType.SWITCH),
-        (_parse_grid(args.fer_link, "--fer-link"), _parse_grid(args.fer_switch, "--fer-switch")),
-        metrics,
-    )
-    assignment = _load_capacity(args, plan.params)
-    rows = survival_sweep_2d(plan, capacity_assignment=assignment)
-    _emit(args, _report(plan, rows))
-    return EXIT_OK
+def _link_switch_grids(args: argparse.Namespace):
+    grids = (_parse_grid(args.fer_link, "--fer-link"), _parse_grid(args.fer_switch, "--fer-switch"))
+    return (FailureType.LINK, FailureType.SWITCH), grids, ()
 
 
-def _cmd_classed_sweep(args: argparse.Namespace) -> int:
-    metrics = tuple(args.metrics.split(","))
+def _class_grid(args: argparse.Namespace):
     swept = ElementClass(args.sweep_class)
     ratios: dict[ElementClass, float | None] = {swept: None}
     for spec in args.fixed or ():
@@ -263,11 +268,18 @@ def _cmd_classed_sweep(args: argparse.Namespace) -> int:
         if name not in {c.value for c in ElementClass}:
             raise UnsupportedPlanError(f"--fixed: unknown class {name!r} in {spec!r}")
         ratios[ElementClass(name)] = _parse_float(value, "--fixed")
-    plan = _plan_from_args(
-        args, (swept.failure,), (_parse_grid(args.fer),), metrics, ratios
-    )
+    return (swept.failure,), (_parse_grid(args.fer),), ratios
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Body of every sweep command: *args.grid* reads the command's failure
+    types, grids and class ratios; *args.sweep* names the sweep function,
+    looked up in this module when the command runs, so a wrapper installed
+    on the module attribute (a tracer, a test double) is the one called."""
+    failures, grids, ratios = args.grid(args)
+    plan = _plan_from_args(args, failures, grids, tuple(args.metrics.split(",")), ratios)
     assignment = _load_capacity(args, plan.params)
-    rows = classed_sweep(plan, capacity_assignment=assignment)
+    rows = globals()[args.sweep](plan, capacity_assignment=assignment)
     _emit(args, _report(plan, rows))
     return EXIT_OK
 
@@ -282,18 +294,19 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     degraded = remove_richest_module(topo, assignment, resource)
     part = partition(degraded)
     rcr = remaining_capacity_ratio(part, assignment, resource.value)
+    metric = "rcr_cpu" if resource is Resource.CPU else "rcr_mem"  # the sweeps' names
     plan = ExperimentPlan(
         params=params,
         failures=(FailureType.SWITCH,),
         samples=1,
         master_seed=args.seed,
-        metrics=("asr",),
+        metrics=(metric,),
     )
     row = MetricSample(
         topology=params.kind.value,
         params=params.args_text(),
         failure_type="targeted-module",
-        metric=f"rcr_{resource.value}",
+        metric=metric,
         mean=rcr,
         ci95_half_width=None,
         samples=1,
@@ -305,7 +318,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     )
     _emit(args, _report(plan, [row]))
     print(
-        f"rcr_{resource.value}={rcr!r} placement={assignment.placement.value}",
+        f"{metric}={rcr!r} placement={assignment.placement.value}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -393,33 +406,26 @@ def build_parser() -> argparse.ArgumentParser:
     mttf.add_argument("--plan", type=Path, help="load an experiment plan document")
     mttf.set_defaults(handler=_cmd_mttf)
 
-    sweep = commands.add_parser("sweep", help="sweep survivability metrics over a FER grid")
-    _add_topology(sweep)
-    _add_common(sweep, DEFAULT_SWEEP_SAMPLES)
+    sweep = _add_sweep(
+        commands, "sweep", "sweep survivability metrics over a FER grid",
+        _one_grid, "survival_sweep", "asr,sc",
+    )
     sweep.add_argument("--failure", choices=("link", "switch", "server"), required=True)
     sweep.add_argument("--fer", required=True, help="grid: start:stop:step or v1,v2,...")
-    sweep.add_argument("--metrics", default="asr,sc")
-    sweep.add_argument("--dataset", help="google, synthetic or a CSV file (for rcr metrics)")
-    sweep.add_argument("--placement", choices=[p.value for p in Placement], default="balanced")
     sweep.add_argument("--plan", type=Path, help="load an experiment plan document")
-    sweep.set_defaults(handler=_cmd_sweep)
 
-    sweep2d = commands.add_parser("sweep2d", help="sweep link and switch failures jointly")
-    _add_topology(sweep2d)
-    _add_common(sweep2d, DEFAULT_SWEEP_SAMPLES)
+    sweep2d = _add_sweep(
+        commands, "sweep2d", "sweep link and switch failures jointly",
+        _link_switch_grids, "survival_sweep_2d",
+    )
     sweep2d.add_argument("--fer-link", required=True)
     sweep2d.add_argument("--fer-switch", required=True)
-    sweep2d.add_argument("--metrics", default="asr")
-    sweep2d.add_argument("--dataset")
-    sweep2d.add_argument("--placement", choices=[p.value for p in Placement], default="balanced")
     sweep2d.add_argument("--plan", type=Path)
-    sweep2d.set_defaults(handler=_cmd_sweep_2d)
 
-    classed = commands.add_parser(
-        "classed-sweep", help="three-layer sweep with per-class failure ratios"
+    classed = _add_sweep(
+        commands, "classed-sweep", "three-layer sweep with per-class failure ratios",
+        _class_grid, "classed_sweep",
     )
-    _add_topology(classed)
-    _add_common(classed, DEFAULT_SWEEP_SAMPLES)
     classed.add_argument(
         "--sweep-class", required=True, choices=[c.value for c in ElementClass]
     )
@@ -430,18 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed ratio for another class (repeatable)",
     )
     classed.add_argument("--fer", required=True)
-    classed.add_argument("--metrics", default="asr")
-    classed.add_argument("--dataset")
-    classed.add_argument("--placement", choices=[p.value for p in Placement], default="balanced")
-    classed.set_defaults(handler=_cmd_classed_sweep)
 
     cap = commands.add_parser(
         "capacity", help="targeted removal of the highest-capacity module"
     )
     _add_topology(cap)
     _add_common(cap, 1)
-    cap.add_argument("--dataset", required=True)
-    cap.add_argument("--placement", choices=[p.value for p in Placement], required=True)
+    _add_dataset(cap, required=True)
     cap.add_argument("--remove-richest", choices=("cpu", "memory"), required=True)
     cap.set_defaults(handler=_cmd_capacity)
 

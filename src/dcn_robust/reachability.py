@@ -362,13 +362,13 @@ def evaluate(
     cpu: np.ndarray | None = None,
     mem: np.ndarray | None = None,
     aspl_rng: np.random.Generator | None = None,
-    aspl_exact_limit: int = EXACT_ASPL_SERVER_LIMIT,
-    aspl_sampled_pairs: int = SAMPLED_ASPL_PAIRS,
 ) -> SurvivalMetrics:
     """Array-level metric evaluation for the simulation hot path.
 
     Computes only the requested metric names over one degraded state given
-    as alive masks, with the same formulas as the object-level API.
+    as alive masks, with the same formulas as the object-level API. ASPL is
+    exact up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers, else taken
+    over ``SAMPLED_ASPL_PAIRS`` pairs drawn from *aspl_rng*.
     """
     want = set(metrics)
     part = _partition_arrays(topology, node_alive, edge_alive)
@@ -376,7 +376,7 @@ def evaluate(
     if "aspl" in want:
         servers = np.flatnonzero(part.accessible_server_mask)
         aspl = _aspl(
-            topology, edge_alive, servers, aspl_exact_limit, aspl_sampled_pairs, aspl_rng
+            topology, edge_alive, servers, EXACT_ASPL_SERVER_LIMIT, SAMPLED_ASPL_PAIRS, aspl_rng
         )
     return SurvivalMetrics(
         asr=accessible_server_ratio(part) if "asr" in want else None,

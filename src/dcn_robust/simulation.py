@@ -11,7 +11,9 @@ per-class ratios on the three-layer fabric) share one driver over a list
 of grid points. A point says what each sample removes as ``(selector,
 count)`` draws from cached element pools, plus the fields that label its
 rows; every (point, chunk) task of one operation runs on a single process
-pool.
+pool. A chunk returns the ``reachability.SurvivalMetrics`` record of each
+of its samples, in sample order, and the parent turns a point's records
+into one row per metric.
 
 Critical points (the minimal number of removals that disconnects a server)
 are located by bisection over each sample's removal permutation, which is
@@ -392,46 +394,26 @@ def _metric_chunk(
     point: int,
     start: int,
     stop: int,
-) -> dict[str, np.ndarray]:
+) -> list[reachability.SurvivalMetrics]:
     """Evaluate the requested metrics over one range of sample indices.
 
     *draws* is a tuple of ``(selector, count)`` pairs: each sample removes
     *count* uniformly random elements of each selector's pool, drawn in
-    order from the sample's own stream.
+    order from the sample's own stream. Returns each sample's record, in
+    sample order.
     """
     topo = _cached_topology(params)
     pools = [(*_element_pool(topo, selector), count) for selector, count in draws]
-    n = stop - start
-    out: dict[str, np.ndarray] = {m: np.full(n, np.nan) for m in metrics}
-    if "aspl" in metrics:
-        out["aspl_pairs"] = np.zeros(n)
-        out["aspl_exact"] = np.ones(n)
-    cpu = mem = None
-    if capacities is not None:
-        cpu, mem = capacities
-
+    cpu, mem = capacities if capacities is not None else (None, None)
+    out = []
     for k in range(start, stop):
         rng = sample_rng(master_seed, tag, point, k)
         node_alive, edge_alive = _apply_removals(topo, pools, rng)
-        row = reachability.evaluate(
-            topo,
-            node_alive,
-            edge_alive,
-            metrics,
-            cpu=cpu,
-            mem=mem,
-            aspl_rng=rng,
+        out.append(
+            reachability.evaluate(
+                topo, node_alive, edge_alive, metrics, cpu=cpu, mem=mem, aspl_rng=rng
+            )
         )
-        i = k - start
-        for m in metrics:
-            value = getattr(row, m)
-            if m == "aspl":
-                if value is not None and value.hops is not None:
-                    out[m][i] = value.hops
-                    out["aspl_pairs"][i] = value.pairs
-                    out["aspl_exact"][i] = 1.0 if value.exact else 0.0
-            elif value is not None:
-                out[m][i] = value
     return out
 
 
@@ -512,29 +494,30 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
 
 
 def _aggregate_point(
-    parts: list[dict[str, np.ndarray]],
+    records: list[reachability.SurvivalMetrics],
     metrics: tuple[str, ...],
     base: dict,
 ) -> list[MetricSample]:
+    """One row per metric over a point's per-sample records. A sample whose
+    ASPL is undefined (no two accessible servers share a component) is left
+    out of the ASPL row."""
     rows = []
-    merged = {
-        key: np.concatenate([p[key] for p in parts]) for key in parts[0]
-    }
     for metric in metrics:
-        values = merged[metric]
-        defined = values[~np.isnan(values)]
-        mean, half = confidence_interval(defined)
+        values = [getattr(r, metric) for r in records]
         extra = {}
-        if metric == "aspl" and defined.size:
-            mask = ~np.isnan(values)
-            extra["pairs_mean"] = float(merged["aspl_pairs"][mask].mean())
-            extra["exact"] = bool(merged["aspl_exact"][mask].all())
+        if metric == "aspl":
+            estimates = [v for v in values if v.hops is not None]
+            values = [v.hops for v in estimates]
+            if estimates:
+                extra["pairs_mean"] = float(np.mean([v.pairs for v in estimates]))
+                extra["exact"] = all(v.exact for v in estimates)
+        mean, half = confidence_interval(values)
         rows.append(
             MetricSample(
                 metric=metric,
                 mean=mean,
                 ci95_half_width=half,
-                samples=int(defined.size),
+                samples=len(values),
                 extra=extra,
                 **base,
             )
@@ -571,8 +554,9 @@ def _sweep(
             "params": plan.params.args_text(),
             **fields,
         }
-        point_parts = parts[point * len(spans) : (point + 1) * len(spans)]
-        rows.extend(_aggregate_point(point_parts, plan.metrics, base))
+        chunks = parts[point * len(spans) : (point + 1) * len(spans)]
+        records = [r for chunk in chunks for r in chunk]
+        rows.extend(_aggregate_point(records, plan.metrics, base))
     return rows
 
 

@@ -204,14 +204,6 @@ class Topology:
             raise ValueError(f"node {node} is not a switch")
         return self.switch_layers[node - self.n_servers]
 
-    def neighbors(self) -> list[list[int]]:
-        """Plain adjacency lists (used by slow-path traversals and tests)."""
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in zip(self.edges_u.tolist(), self.edges_v.tolist()):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {
             (int(u), int(v)): i

@@ -5,7 +5,6 @@ import pytest
 
 from dcn_robust.analytic import (
     FailureType,
-    LifetimeModel,
     MinCutSpec,
     MttfQuality,
     OutOfScopeError,
@@ -67,9 +66,19 @@ class TestElapsedTime:
             elapsed_time(0, 0)
 
     def test_lifetime_model_argument(self):
-        assert elapsed_time(1, 4, LifetimeModel(8.0)) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            LifetimeModel(0.0)
+        assert elapsed_time(1, 4, 8.0) == pytest.approx(2.0)
+        spec = MinCutSpec(2, 5)
+        params = TopologyParams(kind=TopologyKind.BCUBE, n=4, l=1)
+        calls = (
+            lambda mean: elapsed_time(1, 10, mean),
+            lambda mean: burtin_pittel_mttf(spec, mean),
+            lambda mean: mttf_numeric_quadrature(spec, mean),
+            lambda mean: closed_form_mttf(params, FailureType.LINK, mean),
+        )
+        for call in calls:
+            for bad in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="lifetime must be positive"):
+                    call(bad)
 
 
 class TestNormalizedTime:

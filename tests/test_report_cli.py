@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dcn_robust import cli
 from dcn_robust.analytic import FailureType
 from dcn_robust.cli import main
 from dcn_robust.report import (
@@ -258,6 +259,38 @@ class TestCli:
         body = out.read_text()
         assert "edge-switch" in body
 
+    @pytest.mark.parametrize(
+        "argv, name, echo",
+        [
+            (
+                ["sweep", "--failure", "switch", "--fer", "0,0.5"],
+                "survival_sweep",
+                (["switch"], [[0.0, 0.5]], ["asr", "sc"]),
+            ),
+            (
+                ["sweep2d", "--fer-link", "0.1", "--fer-switch", "0,0.2"],
+                "survival_sweep_2d",
+                (["link", "switch"], [[0.1], [0.0, 0.2]], ["asr"]),
+            ),
+            (
+                ["classed-sweep", "--sweep-class", "edge-link", "--fer", "0.3"],
+                "classed_sweep",
+                (["link"], [[0.3]], ["asr"]),
+            ),
+        ],
+    )
+    def test_sweep_commands_call_the_module_attribute(self, argv, name, echo, monkeypatch, capsys):
+        # The shared sweep body looks its sweep function up when it runs,
+        # so a wrapper set on the module attribute is the one called.
+        calls = []
+        monkeypatch.setattr(cli, name, lambda plan, **kw: calls.append(plan) or [])
+        topo = ["--topology", "three-layer", "--na", "2", "--ne", "2", "--pairs", "1"]
+        assert main([*argv, *topo, "--format", "json"]) == 0
+        (plan,) = calls
+        doc = json.loads(capsys.readouterr().out)["plan"]
+        assert doc == plan_to_doc(plan)
+        assert (doc["failures"], doc["fer_grids"], doc["metrics"]) == echo
+
     def test_classed_sweep_plan_echo_reproduces_the_run(self, tmp_path):
         out = tmp_path / "classed.json"
         code = main(
@@ -293,6 +326,25 @@ class TestCli:
         doc = json.loads(out.read_text())
         point = doc["series"][0]["points"][0]
         assert point["mean"] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "resource, metric", [("cpu", "rcr_cpu"), ("memory", "rcr_mem")]
+    )
+    def test_capacity_names_its_metric_as_the_sweeps_do(self, resource, metric, capsys):
+        code = main(
+            [
+                "capacity", "--topology", "three-layer",
+                "--na", "12", "--ne", "48", "--pairs", "6",
+                "--dataset", "synthetic", "--placement", "unbalanced",
+                "--remove-richest", resource, "--format", "json",
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["series"][0]["metric"] == metric
+        assert doc["plan"]["metrics"] == [metric]
+        assert captured.err.startswith(f"{metric}=")
 
     def test_classify_cli(self, tmp_path):
         measured = {

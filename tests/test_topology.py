@@ -18,7 +18,7 @@ from dcn_robust.topology import (
     serialize_topology,
 )
 
-from conftest import bfs_distances
+from conftest import bfs_distances, degraded_adjacency
 
 
 def closed_form_counts(params: TopologyParams) -> tuple[int, int, int]:
@@ -68,7 +68,7 @@ def test_failure_free_connectivity_and_simplicity(params):
     pairs = set(zip(topo.edges_u.tolist(), topo.edges_v.tolist()))
     assert len(pairs) == topo.n_links, "parallel edges"
     assert all(u < v for u, v in pairs), "self-loops or non-canonical edges"
-    adj = topo.neighbors()
+    adj = degraded_adjacency(topo)
     dist = bfs_distances(adj, 0)
     assert all(d != float("inf") for d in dist), "disconnected when failure-free"
 
@@ -122,7 +122,7 @@ def test_three_layer_smallest_module():
 
 def test_three_layer_cores_reach_every_aggregation_switch():
     topo = build_three_layer(3, 2, 4)
-    adj = topo.neighbors()
+    adj = degraded_adjacency(topo)
     aggs = [
         topo.n_servers + i
         for i, layer in enumerate(topo.switch_layers)
@@ -135,7 +135,7 @@ def test_three_layer_cores_reach_every_aggregation_switch():
 def test_fat_tree_core_pod_wiring():
     n = 6
     topo = build_fat_tree(n)
-    adj = topo.neighbors()
+    adj = degraded_adjacency(topo)
     half = n // 2
     cores = topo.top_level_switches.tolist()
     assert len(cores) == half * half
