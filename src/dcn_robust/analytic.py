@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
-from .topology import TopologyKind, TopologyParams, dcell_server_count
+from .topology import TopologyKind, TopologyParams
 
 __all__ = [
     "FailureType",
@@ -163,21 +163,11 @@ class MttfEstimate:
         return self.quality is MttfQuality.EXACT
 
 
-def _server_count(params: TopologyParams) -> int:
-    if params.kind is TopologyKind.THREE_LAYER:
-        return params.pairs * params.n_a * params.n_e
-    if params.kind is TopologyKind.FAT_TREE:
-        return params.n**3 // 4
-    if params.kind is TopologyKind.BCUBE:
-        return params.n ** (params.l + 1)
-    return dcell_server_count(params.n, params.l)
-
-
 def min_cut_catalog(params: TopologyParams, failure: FailureType) -> MinCutSpec:
     """Smallest cut size and count for a (topology, failure type) pair."""
     if failure is FailureType.SERVER:
         raise OutOfScopeError("server failures have no min-cut model: any one ends the reliable phase")
-    servers = _server_count(params)
+    servers = params.n_servers
     kind = params.kind
 
     if failure is FailureType.LINK:
@@ -220,7 +210,7 @@ def closed_form_mttf(
     mean = _mean_lifetime(lifetime)
     kind = params.kind
     if failure is FailureType.SWITCH and kind is TopologyKind.DCELL and params.l == 1:
-        servers = _server_count(params)
+        servers = params.n_servers
         return MttfEstimate(mean * math.sqrt(4 * servers + 1) / servers, MttfQuality.EXACT)
 
     value = burtin_pittel_mttf(min_cut_catalog(params, failure), mean)

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .reachability import DegradedNetwork, remaining_capacity_ratio
+from .reachability import DegradedNetwork
 from .topology import (
     LAYER_AGGREGATION,
     Topology,
@@ -35,7 +35,6 @@ __all__ = [
     "module_partition",
     "assign_capacities",
     "remove_richest_module",
-    "remaining_capacity_ratio",
 ]
 
 FRACTION_TOLERANCE = 1e-9

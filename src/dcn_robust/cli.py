@@ -66,9 +66,7 @@ _CONFIG_ERRORS = (
 )
 
 
-def _add_common(sub: argparse.ArgumentParser, samples_default: int) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    sub.add_argument("--samples", type=int, default=samples_default)
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=Path, help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument(
@@ -79,61 +77,91 @@ def _add_common(sub: argparse.ArgumentParser, samples_default: int) -> None:
 
 
 def _add_topology(sub: argparse.ArgumentParser) -> None:
+    """The topology options, each stored under its TopologyParams field name.
+    They default to None, so a command taking --plan can tell a given one."""
     sub.add_argument(
         "--topology",
         choices=[k.value for k in TopologyKind],
         help="topology family (required unless --plan is given)",
     )
-    sub.add_argument("--n", type=int, help="switch port count")
+    sub.add_argument("--n", type=int, help="switch port count (fat-tree/bcube/dcell)")
     sub.add_argument("--l", type=int, help="server interface level (bcube/dcell)")
-    sub.add_argument("--na", type=int, help="three-layer: edge switches per aggregation pair")
-    sub.add_argument("--ne", type=int, help="three-layer: server ports per edge switch")
+    sub.add_argument(
+        "--na", dest="n_a", type=int, help="three-layer: edge switches per aggregation pair"
+    )
+    sub.add_argument("--ne", dest="n_e", type=int, help="three-layer: server ports per edge switch")
     sub.add_argument("--pairs", type=int, help="three-layer: aggregation pair count")
     sub.add_argument(
         "--core-core-link",
+        dest="include_core_core_link",
         action="store_true",
+        default=None,
         help="three-layer: include the direct core-core link",
     )
-    sub.add_argument("--gateway-policy", default="max", help="max, min or count=g")
+    sub.add_argument("--gateway-policy", help="max (the default), min or count=g")
 
 
-def _add_dataset(sub: argparse.ArgumentParser, required: bool = False) -> None:
+def _add_dataset(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--dataset", help="google, synthetic or a CSV file (for rcr metrics)")
+    sub.add_argument("--placement", choices=[p.value for p in Placement], default="balanced")
+
+
+# The options an experiment plan is made of, by argparse dest. --plan loads
+# a plan document in place of all of them.
+_PLAN_OPTIONS = {
+    "topology": "--topology", "n": "--n", "l": "--l", "n_a": "--na", "n_e": "--ne",
+    "pairs": "--pairs", "include_core_core_link": "--core-core-link",
+    "gateway_policy": "--gateway-policy", "seed": "--seed", "samples": "--samples",
+    "metrics": "--metrics", "failure": "--failure", "fer": "--fer", "fer_link": "--fer-link",
+    "fer_switch": "--fer-switch", "sweep_class": "--sweep-class", "fixed": "--fixed",
+}
+
+
+def _add_plan(sub: argparse.ArgumentParser, grid, samples: int, metrics: str = "asr") -> None:
+    """The options shared by every command that runs an experiment plan.
+    *grid* reads the command's failure types, grids and class ratios from
+    the arguments. Plan options default to None, so that a given one is
+    refused next to --plan; *samples* and *metrics* are the defaults."""
+    _add_topology(sub)
+    sub.add_argument("--seed", type=int, help="master RNG seed (default 0)")
+    sub.add_argument("--samples", type=int, help=f"samples per point (default {samples})")
     sub.add_argument(
-        "--dataset", required=required, help="google, synthetic or a CSV file (for rcr metrics)"
+        "--plan", type=Path, help="load an experiment plan document in place of the plan options"
     )
-    sub.add_argument(
-        "--placement", choices=[p.value for p in Placement], default="balanced", required=required
-    )
+    _add_output(sub)
+    sub.set_defaults(grid=grid, default_samples=samples, default_metrics=metrics)
 
 
 def _add_sweep(commands, name: str, help: str, grid, sweep: str, metrics: str = "asr"):
-    """A sweep subcommand run by :func:`_cmd_sweep`. *grid* reads its failure
-    types, grids and class ratios from the arguments; *sweep* is the name of
+    """A sweep subcommand run by :func:`_cmd_sweep`; *sweep* is the name of
     the sweep function in this module."""
     sub = commands.add_parser(name, help=help)
-    _add_topology(sub)
-    _add_common(sub, DEFAULT_SWEEP_SAMPLES)
-    sub.add_argument("--metrics", default=metrics)
+    _add_plan(sub, grid, DEFAULT_SWEEP_SAMPLES, metrics)
+    sub.add_argument("--metrics", help=f"comma-separated metric names (default {metrics})")
     _add_dataset(sub)
-    sub.set_defaults(handler=_cmd_sweep, grid=grid, sweep=sweep)
+    sub.set_defaults(handler=_cmd_sweep, sweep=sweep)
     return sub
 
 
+def _required(args: argparse.Namespace, dest: str):
+    value = getattr(args, dest)
+    if value is None:
+        raise UnsupportedPlanError(f"{_PLAN_OPTIONS[dest]} is required (or provide --plan)")
+    return value
+
+
 def _params_from_args(args: argparse.Namespace) -> TopologyParams:
-    if args.topology is None:
-        raise UnsupportedPlanError("--topology is required (or provide --plan)")
-    kind = TopologyKind(args.topology)
-    policy = GatewayPolicy.parse(args.gateway_policy)
-    if kind is TopologyKind.THREE_LAYER:
-        return TopologyParams(
-            kind=kind,
-            n_a=args.na,
-            n_e=args.ne,
-            pairs=args.pairs,
-            include_core_core_link=args.core_core_link,
-            gateway_policy=policy,
-        )
-    return TopologyParams(kind=kind, n=args.n, l=args.l, gateway_policy=policy)
+    policy = args.gateway_policy
+    return TopologyParams(
+        kind=TopologyKind(_required(args, "topology")),
+        n=args.n,
+        l=args.l,
+        n_a=args.n_a,
+        n_e=args.n_e,
+        pairs=args.pairs,
+        include_core_core_link=bool(args.include_core_core_link),
+        gateway_policy=GatewayPolicy.parse("max" if policy is None else policy),
+    )
 
 
 def _parse_float(text: str, option: str) -> float:
@@ -211,29 +239,28 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _plan_from_args(
-    args: argparse.Namespace,
-    failures: tuple[FailureType, ...],
-    grids: tuple[tuple[float, ...], ...],
-    metrics: tuple[str, ...],
-    class_ratios=(),
-) -> ExperimentPlan:
-    if getattr(args, "plan", None) is not None:
-        doc = json.loads(Path(args.plan).read_text(encoding="utf-8"))
-        return plan_from_doc(doc)
+def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
+    """The plan document given with --plan, or the plan the options make."""
+    if args.plan is not None:
+        for dest, flag in _PLAN_OPTIONS.items():
+            if getattr(args, dest, None) is not None:
+                raise UnsupportedPlanError(f"{flag} cannot be given with --plan, which replaces it")
+        return plan_from_doc(json.loads(args.plan.read_text(encoding="utf-8")))
+    failures, grids, ratios = args.grid(args)
+    metrics = getattr(args, "metrics", None)  # mttf has no --metrics
     return ExperimentPlan(
         params=_params_from_args(args),
         failures=failures,
         fer_grids=grids,
-        samples=args.samples,
-        master_seed=args.seed,
-        metrics=metrics,
-        class_ratios=class_ratios,
+        samples=args.default_samples if args.samples is None else args.samples,
+        master_seed=0 if args.seed is None else args.seed,
+        metrics=tuple((args.default_metrics if metrics is None else metrics).split(",")),
+        class_ratios=ratios,
     )
 
 
 def _cmd_mttf(args: argparse.Namespace) -> int:
-    plan = _plan_from_args(args, (FailureType(args.failure),), (), ("asr",))
+    plan = _plan_from_args(args)
     result = simulate_nmttf(plan)
     rows = reliability_rows(result)
     notes = (result.note,) if result.note else ()
@@ -249,17 +276,25 @@ def _cmd_mttf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _failure_only(args: argparse.Namespace):
+    return (FailureType(_required(args, "failure")),), (), ()
+
+
+def _grid(args: argparse.Namespace, dest: str) -> tuple[float, ...]:
+    return _parse_grid(_required(args, dest), _PLAN_OPTIONS[dest])
+
+
 def _one_grid(args: argparse.Namespace):
-    return (FailureType(args.failure),), (_parse_grid(args.fer),), ()
+    return (FailureType(_required(args, "failure")),), (_grid(args, "fer"),), ()
 
 
 def _link_switch_grids(args: argparse.Namespace):
-    grids = (_parse_grid(args.fer_link, "--fer-link"), _parse_grid(args.fer_switch, "--fer-switch"))
+    grids = (_grid(args, "fer_link"), _grid(args, "fer_switch"))
     return (FailureType.LINK, FailureType.SWITCH), grids, ()
 
 
 def _class_grid(args: argparse.Namespace):
-    swept = ElementClass(args.sweep_class)
+    swept = ElementClass(_required(args, "sweep_class"))
     ratios: dict[ElementClass, float | None] = {swept: None}
     for spec in args.fixed or ():
         if "=" not in spec:
@@ -268,16 +303,14 @@ def _class_grid(args: argparse.Namespace):
         if name not in {c.value for c in ElementClass}:
             raise UnsupportedPlanError(f"--fixed: unknown class {name!r} in {spec!r}")
         ratios[ElementClass(name)] = _parse_float(value, "--fixed")
-    return (swept.failure,), (_parse_grid(args.fer),), ratios
+    return (swept.failure,), (_grid(args, "fer"),), ratios
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Body of every sweep command: *args.grid* reads the command's failure
-    types, grids and class ratios; *args.sweep* names the sweep function,
+    """Body of every sweep command: *args.sweep* names the sweep function,
     looked up in this module when the command runs, so a wrapper installed
     on the module attribute (a tracer, a test double) is the one called."""
-    failures, grids, ratios = args.grid(args)
-    plan = _plan_from_args(args, failures, grids, tuple(args.metrics.split(",")), ratios)
+    plan = _plan_from_args(args)
     assignment = _load_capacity(args, plan.params)
     rows = globals()[args.sweep](plan, capacity_assignment=assignment)
     _emit(args, _report(plan, rows))
@@ -293,7 +326,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     topo = assignment.topology
     degraded = remove_richest_module(topo, assignment, resource)
     part = partition(degraded)
-    rcr = remaining_capacity_ratio(part, assignment, resource.value)
+    rcr = remaining_capacity_ratio(part, assignment.capacity_vector(resource))
     metric = "rcr_cpu" if resource is Resource.CPU else "rcr_mem"  # the sweeps' names
     plan = ExperimentPlan(
         params=params,
@@ -400,49 +433,46 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(handler=_cmd_gen)
 
     mttf = commands.add_parser("mttf", help="simulate time to the first disconnection")
-    _add_topology(mttf)
-    _add_common(mttf, DEFAULT_NMTTF_SAMPLES)
-    mttf.add_argument("--failure", choices=("link", "switch"), required=True)
-    mttf.add_argument("--plan", type=Path, help="load an experiment plan document")
+    _add_plan(mttf, _failure_only, DEFAULT_NMTTF_SAMPLES)
+    mttf.add_argument("--failure", choices=("link", "switch"), help="required unless --plan")
     mttf.set_defaults(handler=_cmd_mttf)
 
     sweep = _add_sweep(
         commands, "sweep", "sweep survivability metrics over a FER grid",
         _one_grid, "survival_sweep", "asr,sc",
     )
-    sweep.add_argument("--failure", choices=("link", "switch", "server"), required=True)
-    sweep.add_argument("--fer", required=True, help="grid: start:stop:step or v1,v2,...")
-    sweep.add_argument("--plan", type=Path, help="load an experiment plan document")
+    sweep.add_argument(
+        "--failure", choices=("link", "switch", "server"), help="required unless --plan"
+    )
+    sweep.add_argument("--fer", help="grid: start:stop:step or v1,v2,...")
 
     sweep2d = _add_sweep(
         commands, "sweep2d", "sweep link and switch failures jointly",
         _link_switch_grids, "survival_sweep_2d",
     )
-    sweep2d.add_argument("--fer-link", required=True)
-    sweep2d.add_argument("--fer-switch", required=True)
-    sweep2d.add_argument("--plan", type=Path)
+    sweep2d.add_argument("--fer-link")
+    sweep2d.add_argument("--fer-switch")
 
     classed = _add_sweep(
         commands, "classed-sweep", "three-layer sweep with per-class failure ratios",
         _class_grid, "classed_sweep",
     )
-    classed.add_argument(
-        "--sweep-class", required=True, choices=[c.value for c in ElementClass]
-    )
+    classed.add_argument("--sweep-class", choices=[c.value for c in ElementClass])
     classed.add_argument(
         "--fixed",
         action="append",
         metavar="CLASS=RATIO",
         help="fixed ratio for another class (repeatable)",
     )
-    classed.add_argument("--fer", required=True)
+    classed.add_argument("--fer")
 
     cap = commands.add_parser(
         "capacity", help="targeted removal of the highest-capacity module"
     )
     _add_topology(cap)
-    _add_common(cap, 1)
-    _add_dataset(cap, required=True)
+    cap.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    _add_output(cap)
+    _add_dataset(cap)
     cap.add_argument("--remove-richest", choices=("cpu", "memory"), required=True)
     cap.set_defaults(handler=_cmd_capacity)
 

@@ -188,12 +188,11 @@ def partition(degraded: DegradedNetwork) -> SubnetworkPartition:
     return _partition_arrays(degraded.topology, degraded.node_alive, degraded.edge_alive)
 
 
-def accessible_server_ratio(part: SubnetworkPartition, total_servers: int | None = None) -> float:
+def accessible_server_ratio(part: SubnetworkPartition) -> float:
     """Fraction of the original servers that still reach a gateway."""
-    total = part.n_servers_total if total_servers is None else total_servers
-    if total <= 0:
+    if part.n_servers_total <= 0:
         raise ValueError("total server count must be positive")
-    return part.accessible_server_total / total
+    return part.accessible_server_total / part.n_servers_total
 
 
 def server_connectivity(part: SubnetworkPartition) -> float:
@@ -314,22 +313,9 @@ def _aspl_sampled(
     return total, pairs
 
 
-def remaining_capacity_ratio(
-    part: SubnetworkPartition,
-    capacities,
-    resource: str | None = None,
-) -> float:
+def remaining_capacity_ratio(part: SubnetworkPartition, capacities) -> float:
     """Capacity-weighted accessible ratio: sum of accessible-server
-    capacities over the total.
-
-    *capacities* is either a per-server vector, or a capacity assignment
-    object (see :mod:`dcn_robust.capacity`) combined with a *resource* of
-    ``"cpu"`` or ``"memory"``.
-    """
-    if hasattr(capacities, "capacity_vector"):
-        capacities = capacities.capacity_vector(resource if resource is not None else "cpu")
-    elif resource is not None and resource not in ("cpu", "memory"):
-        raise ValueError(f"resource must be 'cpu' or 'memory', got {resource!r}")
+    capacities over the total, from one capacity per server."""
     capacities = np.asarray(capacities, dtype=float)
     if len(capacities) != part.n_servers_total:
         raise ValueError(

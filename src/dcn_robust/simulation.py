@@ -157,6 +157,8 @@ class ExperimentPlan:
                 raise UnsupportedPlanError(
                     f"unknown metric {metric!r}; known: {', '.join(KNOWN_METRICS)}"
                 )
+        if len(set(self.metrics)) != len(self.metrics):
+            raise UnsupportedPlanError(f"metrics repeat a name: {', '.join(self.metrics)}")
         if self.class_ratios:
             self._check_class_ratios()
 
@@ -451,6 +453,8 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
     failure = plan.failures[0]
     if plan.class_ratios:
         raise UnsupportedPlanError("class ratios apply to classed sweeps only, not to MTTF")
+    if plan.fer_grids:
+        raise UnsupportedPlanError("FER grids apply to sweeps only, not to MTTF")
     if failure is FailureType.SERVER:
         raise UnsupportedPlanError(
             "server failures end the reliable phase at the first removal; nothing to simulate"

@@ -10,7 +10,7 @@ topologies, bit-for-bit in serialized form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 
@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "TopologyKind",
     "GatewayPolicy",
+    "KIND_FIELDS",
     "TopologyParams",
     "Topology",
     "TopologyParameterError",
@@ -112,6 +113,16 @@ class GatewayPolicy:
         return self.mode if self.mode != "count" else f"count={self.g}"
 
 
+# The construction fields each kind takes, in echo order, with their lower
+# bounds (None: the core-core link flag); other fields keep their defaults.
+KIND_FIELDS: dict[TopologyKind, dict[str, int | None]] = {
+    TopologyKind.THREE_LAYER: {"n_a": 1, "n_e": 1, "pairs": 1, "include_core_core_link": None},
+    TopologyKind.FAT_TREE: {"n": 2},  # and even
+    TopologyKind.BCUBE: {"n": 2, "l": 0},
+    TopologyKind.DCELL: {"n": 2, "l": 0},
+}
+
+
 @dataclass(frozen=True)
 class TopologyParams:
     """Construction parameters for one topology instance."""
@@ -128,32 +139,43 @@ class TopologyParams:
     def __post_init__(self) -> None:
         kind = TopologyKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind is TopologyKind.THREE_LAYER:
-            for name in ("n_a", "n_e", "pairs"):
-                value = getattr(self, name)
-                if value is None or value < 1:
-                    raise TopologyParameterError(f"three-layer: {name} must be >= 1, got {value}")
-        elif kind is TopologyKind.FAT_TREE:
-            if self.n is None or self.n < 2 or self.n % 2 != 0:
-                raise TopologyParameterError(f"fat-tree: n must be even and >= 2, got {self.n}")
-        else:  # bcube, dcell
-            if self.n is None or self.n < 2:
-                raise TopologyParameterError(f"{kind.value}: n must be >= 2, got {self.n}")
-            if self.l is None or self.l < 0:
-                raise TopologyParameterError(f"{kind.value}: l must be >= 0, got {self.l}")
+        taken = KIND_FIELDS[kind]
+        for f in fields(self):
+            if f.name in taken or f.name in ("kind", "gateway_policy"):
+                continue
+            if getattr(self, f.name) != f.default:
+                raise TopologyParameterError(
+                    f"{kind.value}: takes no {f.name} (it takes {', '.join(taken)})"
+                )
+        even = kind is TopologyKind.FAT_TREE
+        for name, low in taken.items():
+            value = getattr(self, name)
+            if low is not None and (value is None or value < low or (even and value % 2)):
+                rule = f"even and >= {low}" if even else f">= {low}"
+                raise TopologyParameterError(f"{kind.value}: {name} must be {rule}, got {value}")
+
+    def construction_fields(self) -> dict:
+        """The fields this kind takes, in echo order."""
+        return {name: getattr(self, name) for name in KIND_FIELDS[self.kind]}
+
+    @property
+    def n_servers(self) -> int:
+        """Server count of the instance these parameters build."""
+        if self.kind is TopologyKind.THREE_LAYER:
+            return self.pairs * self.n_a * self.n_e
+        if self.kind is TopologyKind.FAT_TREE:
+            return self.n**3 // 4
+        if self.kind is TopologyKind.BCUBE:
+            return self.n ** (self.l + 1)
+        return dcell_server_count(self.n, self.l)
 
     def args_text(self) -> str:
         """Compact parameter echo without the kind, e.g. ``n=58,l=1``."""
-        if self.kind is TopologyKind.THREE_LAYER:
-            core = "" if not self.include_core_core_link else ",core-link"
-            return f"n_a={self.n_a},n_e={self.n_e},pairs={self.pairs}{core}"
-        if self.kind is TopologyKind.FAT_TREE:
-            return f"n={self.n}"
-        return f"n={self.n},l={self.l}"
-
-    def label(self) -> str:
-        """Human-readable echo, e.g. ``bcube(n=58,l=1)``."""
-        return f"{self.kind.value}({self.args_text()})"
+        return ",".join(
+            "core-link" if name == "include_core_core_link" else f"{name}={value}"
+            for name, value in self.construction_fields().items()
+            if value is not False
+        )
 
 
 def dcell_server_count(n: int, l: int) -> int:
@@ -191,10 +213,6 @@ class Topology:
     @property
     def n_links(self) -> int:
         return len(self.edges_u)
-
-    @property
-    def switch_ids(self) -> np.ndarray:
-        return np.arange(self.n_servers, self.n_nodes)
 
     def is_server(self, node: int) -> bool:
         return 0 <= node < self.n_servers
@@ -302,7 +320,7 @@ def build_three_layer(
         include_core_core_link=include_core_core_link,
         gateway_policy=gateway_policy or GatewayPolicy.max_density(),
     )
-    n_servers = pairs * n_a * n_e
+    n_servers = params.n_servers
     s = n_servers  # first switch id
 
     core = [s, s + 1]
@@ -340,7 +358,7 @@ def build_fat_tree(n: int, gateway_policy: GatewayPolicy | None = None) -> Topol
         gateway_policy=gateway_policy or GatewayPolicy.max_density(),
     )
     half = n // 2
-    n_servers = half * half * n
+    n_servers = params.n_servers
     s = n_servers
 
     core = [s + i for i in range(half * half)]  # core (i, j) -> s + i*half + j
@@ -373,7 +391,7 @@ def build_bcube(n: int, l: int, gateway_policy: GatewayPolicy | None = None) -> 
         l=l,
         gateway_policy=gateway_policy or GatewayPolicy.max_density(),
     )
-    n_servers = n ** (l + 1)
+    n_servers = params.n_servers
     per_level = n**l
     s = n_servers
 
@@ -403,10 +421,8 @@ def build_dcell(n: int, l: int, gateway_policy: GatewayPolicy | None = None) -> 
         l=l,
         gateway_policy=gateway_policy or GatewayPolicy.max_density(),
     )
-    t = [n]  # t[k]: servers in a level-k cell
-    for k in range(1, l + 1):
-        t.append((t[k - 1] + 1) * t[k - 1])
-    n_servers = t[l]
+    t = [dcell_server_count(n, k) for k in range(l + 1)]  # servers in a level-k cell
+    n_servers = params.n_servers
     n_cells = n_servers // n
     s = n_servers
     layers = [level_layer(0)] * n_cells
@@ -430,16 +446,13 @@ def build_dcell(n: int, l: int, gateway_policy: GatewayPolicy | None = None) -> 
 
 def build_topology(params: TopologyParams) -> Topology:
     """Dispatch to the matching generator."""
-    if params.kind is TopologyKind.THREE_LAYER:
-        return build_three_layer(
-            params.n_a, params.n_e, params.pairs,
-            params.include_core_core_link, params.gateway_policy,
-        )
-    if params.kind is TopologyKind.FAT_TREE:
-        return build_fat_tree(params.n, params.gateway_policy)
-    if params.kind is TopologyKind.BCUBE:
-        return build_bcube(params.n, params.l, params.gateway_policy)
-    return build_dcell(params.n, params.l, params.gateway_policy)
+    builder = {
+        TopologyKind.THREE_LAYER: build_three_layer,
+        TopologyKind.FAT_TREE: build_fat_tree,
+        TopologyKind.BCUBE: build_bcube,
+        TopologyKind.DCELL: build_dcell,
+    }[params.kind]
+    return builder(**params.construction_fields(), gateway_policy=params.gateway_policy)
 
 
 def gateway_ports(topology: Topology) -> int:
@@ -469,33 +482,26 @@ _FORMAT = "dcn-topology/1"
 
 
 def params_to_doc(params: TopologyParams) -> dict:
-    doc: dict = {"kind": params.kind.value, "gateway_policy": str(params.gateway_policy)}
-    if params.kind is TopologyKind.THREE_LAYER:
-        doc.update(
-            n_a=params.n_a,
-            n_e=params.n_e,
-            pairs=params.pairs,
-            include_core_core_link=params.include_core_core_link,
-        )
-    elif params.kind is TopologyKind.FAT_TREE:
-        doc.update(n=params.n)
-    else:
-        doc.update(n=params.n, l=params.l)
-    return doc
+    return {
+        "kind": params.kind.value,
+        "gateway_policy": str(params.gateway_policy),
+        **params.construction_fields(),
+    }
 
 
 def params_from_doc(doc: dict) -> TopologyParams:
+    """Inverse of :func:`params_to_doc`; refuses a field the kind does not take."""
     try:
         kind = TopologyKind(doc["kind"])
     except (KeyError, ValueError) as exc:
         raise TopologyParseError(f"params: bad or missing kind: {exc}") from exc
-    policy = GatewayPolicy.parse(doc.get("gateway_policy", "max"))
-    fields = {k: doc.get(k) for k in ("n", "l", "n_a", "n_e", "pairs")}
+    foreign = sorted(set(doc) - {"kind", "gateway_policy", *KIND_FIELDS[kind]})
+    if foreign:
+        raise TopologyParseError(f"params: {kind.value} takes no {', '.join(foreign)}")
     return TopologyParams(
         kind=kind,
-        include_core_core_link=bool(doc.get("include_core_core_link", False)),
-        gateway_policy=policy,
-        **fields,
+        gateway_policy=GatewayPolicy.parse(doc.get("gateway_policy", "max")),
+        **{name: doc[name] for name in KIND_FIELDS[kind] if name in doc},
     )
 
 

@@ -147,7 +147,8 @@ class TestTargetedRemoval:
         assignment = assign_capacities(topo, builtin_dataset("synthetic"), "unbalanced")
         degraded = remove_richest_module(topo, assignment, "cpu")
         part = partition(degraded)
-        assert remaining_capacity_ratio(part, assignment, "cpu") == pytest.approx(0.5, rel=1e-12)
+        cpu = assignment.capacity_vector("cpu")
+        assert remaining_capacity_ratio(part, cpu) == pytest.approx(0.5, rel=1e-12)
         # the removed elements are exactly one aggregation pair
         assert len(degraded.removed_switches) == 2
 
@@ -155,7 +156,8 @@ class TestTargetedRemoval:
         topo = three_layer_3k()
         assignment = assign_capacities(topo, builtin_dataset("synthetic"), "balanced")
         part = partition(remove_richest_module(topo, assignment, "cpu"))
-        assert remaining_capacity_ratio(part, assignment, "cpu") == pytest.approx(5 / 6, rel=1e-12)
+        cpu = assignment.capacity_vector("cpu")
+        assert remaining_capacity_ratio(part, cpu) == pytest.approx(5 / 6, rel=1e-12)
 
     def test_homogeneous_matches_server_share(self):
         topo = three_layer_3k()
@@ -163,7 +165,8 @@ class TestTargetedRemoval:
         for placement in Placement:
             assignment = assign_capacities(topo, homogeneous, placement)
             part = partition(remove_richest_module(topo, assignment, "cpu"))
-            assert remaining_capacity_ratio(part, assignment, "cpu") == pytest.approx(
+            cpu = assignment.capacity_vector("cpu")
+            assert remaining_capacity_ratio(part, cpu) == pytest.approx(
                 1 - 576 / 3456, rel=1e-12
             )
             assert accessible_server_ratio(part) == pytest.approx(5 / 6)
@@ -177,7 +180,8 @@ class TestTargetedRemoval:
                     topo, builtin_dataset("synthetic"), placement
                 )
                 part = partition(remove_richest_module(topo, assignment, resource))
-                values[placement] = remaining_capacity_ratio(part, assignment, resource)
+                capacities = assignment.capacity_vector(resource)
+                values[placement] = remaining_capacity_ratio(part, capacities)
             assert values[Placement.BALANCED] >= values[Placement.UNBALANCED]
 
     def test_google_cpu_gap_smaller_than_memory_gap(self):
@@ -188,7 +192,8 @@ class TestTargetedRemoval:
             for placement in Placement:
                 assignment = assign_capacities(topo, builtin_dataset("google"), placement)
                 part = partition(remove_richest_module(topo, assignment, resource))
-                out[placement] = remaining_capacity_ratio(part, assignment, resource)
+                capacities = assignment.capacity_vector(resource)
+                out[placement] = remaining_capacity_ratio(part, capacities)
             return out[Placement.BALANCED] - out[Placement.UNBALANCED]
 
         assert gap("cpu") < gap("memory")

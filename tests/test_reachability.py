@@ -17,6 +17,10 @@ from dcn_robust.topology import build_bcube, build_dcell, build_fat_tree, build_
 from conftest import bfs_distances, degraded_adjacency, oracle_accessible_servers
 
 
+def switch_ids(topo):
+    return np.arange(topo.n_servers, topo.n_nodes)
+
+
 def oracle_aspl(topo, adj, accessible):
     """Brute-force all-pairs BFS over accessible servers, same component."""
     servers = sorted(accessible)
@@ -66,7 +70,7 @@ class TestPartition:
                 k_ln = rng.integers(0, topo.n_links // 2 + 1)
                 switches = set(
                     int(s)
-                    for s in rng.choice(topo.switch_ids, size=k_sw, replace=False)
+                    for s in rng.choice(switch_ids(topo), size=k_sw, replace=False)
                 )
                 idx = rng.choice(topo.n_links, size=k_ln, replace=False)
                 links = {
@@ -94,7 +98,7 @@ class TestRatios:
     def test_all_accessible_even_when_split(self):
         # two accessible halves of 50 each
         part_like = partition(DegradedNetwork(build_bcube(2, 0)))
-        assert accessible_server_ratio(part_like, 2) == 1.0
+        assert accessible_server_ratio(part_like) == 1.0
 
     def test_asr_example_70_of_100(self, tiny_topologies):
         # direct arithmetic on the contract
@@ -128,7 +132,7 @@ class TestRatios:
     def test_asr_monotone_under_removal_chains(self, tiny_topologies):
         rng = np.random.default_rng(13)
         for topo in tiny_topologies.values():
-            switches = topo.switch_ids.copy()
+            switches = switch_ids(topo).copy()
             rng.shuffle(switches)
             last = 1.0
             for k in range(len(switches) + 1):
@@ -213,7 +217,7 @@ class TestRemainingCapacity:
         rng = np.random.default_rng(3)
         for topo in tiny_topologies.values():
             switches = set(
-                int(s) for s in rng.choice(topo.switch_ids, size=1, replace=False)
+                int(s) for s in rng.choice(switch_ids(topo), size=1, replace=False)
             )
             part = partition(DegradedNetwork(topo, removed_switches=switches))
             caps = np.full(topo.n_servers, 0.37)
@@ -239,7 +243,7 @@ class TestEvaluate:
             idx = rng.choice(topo.n_links, size=topo.n_links // 4, replace=False)
             removals = [
                 {"removed_links": {(int(topo.edges_u[i]), int(topo.edges_v[i])) for i in idx}},
-                {"removed_switches": set(rng.choice(topo.switch_ids, size=1).tolist())},
+                {"removed_switches": set(rng.choice(switch_ids(topo), size=1).tolist())},
                 {"removed_servers": set(rng.choice(topo.n_servers, size=1).tolist())},
             ]
             for removed in removals:
@@ -261,7 +265,7 @@ class TestEvaluate:
         topo = build_fat_tree(4)
         degraded = DegradedNetwork(
             topo,
-            removed_switches=set(topo.switch_ids.tolist()),
+            removed_switches=set(switch_ids(topo).tolist()),
             removed_servers=set(range(topo.n_servers)),
         )
         part = partition(degraded)

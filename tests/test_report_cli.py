@@ -25,6 +25,11 @@ from dcn_robust.topology import TopologyKind, TopologyParams, parse_topology
 
 
 SMALL = TopologyParams(kind=TopologyKind.DCELL, n=4, l=1)
+TINY_THREE_LAYER = ["--topology", "three-layer", "--na", "2", "--ne", "2", "--pairs", "2"]
+CAPACITY_3K = [
+    "capacity", "--topology", "three-layer", "--na", "12", "--ne", "48", "--pairs", "6",
+    "--dataset", "synthetic",
+]
 
 
 def small_sweep_report(seed=5):
@@ -147,6 +152,96 @@ class TestCli:
         topology = ["--topology", "three-layer", "--na", "3", "--ne", "4", "--pairs", "2"]
         assert main(command[:1] + topology + command[1:] + ["--samples", "2"]) == 3
         assert bad in capsys.readouterr().err
+
+    def test_topology_option_the_kind_does_not_take_exit_3(self, capsys):
+        argv = [
+            "sweep", "--topology", "fat-tree", "--n", "4", "--l", "3", "--core-core-link",
+            "--pairs", "9", "--failure", "link", "--fer", "0.1", "--samples", "2",
+        ]
+        assert main(argv) == 3
+        assert "fat-tree: takes no l" in capsys.readouterr().err
+
+    def test_repeated_metric_exit_3(self, capsys):
+        argv = [
+            "sweep", "--topology", "fat-tree", "--n", "4", "--failure", "link",
+            "--fer", "0.1", "--metrics", "asr,asr", "--samples", "2",
+        ]
+        assert main(argv) == 3
+        assert "repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("sweep", ["--topology", "bcube"]),
+            ("sweep", ["--n", "4"]),
+            ("sweep", ["--l", "0"]),
+            ("sweep", ["--na", "2"]),
+            ("sweep", ["--ne", "2"]),
+            ("sweep", ["--pairs", "2"]),
+            ("sweep", ["--core-core-link"]),
+            ("sweep", ["--gateway-policy", "max"]),
+            ("sweep", ["--seed", "0"]),
+            ("sweep", ["--samples", "7"]),
+            ("sweep", ["--metrics", "sc"]),
+            ("sweep", ["--failure", "switch"]),
+            ("sweep", ["--fer", "0.5,0.9"]),
+            ("mttf", ["--failure", "link"]),
+            ("mttf", ["--seed", "3"]),
+            ("sweep2d", ["--fer-link", "0"]),
+            ("sweep2d", ["--fer-switch", "0"]),
+            ("sweep2d", ["--metrics", "asr"]),
+            ("classed-sweep", ["--sweep-class", "edge-link"]),
+            ("classed-sweep", ["--fixed", "agg-link=0.25"]),
+            ("classed-sweep", ["--fer", "0.1"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_plan_option_next_to_plan_exit_3(self, command, option, tmp_path, capsys):
+        plan = ExperimentPlan(params=SMALL, failures=(FailureType.LINK,), fer_grids=((0.0,),))
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_to_doc(plan)))
+        assert main([command, "--plan", str(path), *option]) == 3
+        assert f"{option[0]} cannot be given with --plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["mttf", *TINY_THREE_LAYER], "--failure"),
+            (["mttf", "--failure", "link"], "--topology"),
+            (["sweep", *TINY_THREE_LAYER, "--fer", "0.1"], "--failure"),
+            (["sweep", *TINY_THREE_LAYER, "--failure", "link"], "--fer"),
+            (["sweep2d", *TINY_THREE_LAYER, "--fer-switch", "0"], "--fer-link"),
+            (["sweep2d", *TINY_THREE_LAYER, "--fer-link", "0"], "--fer-switch"),
+            (["classed-sweep", *TINY_THREE_LAYER, "--fer", "0.1"], "--sweep-class"),
+            (["classed-sweep", *TINY_THREE_LAYER, "--sweep-class", "edge-link"], "--fer"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_missing_plan_option_exit_3(self, argv, missing, capsys):
+        assert main(argv) == 3
+        assert f"{missing} is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mttf", "--failure", "switch", "--samples", "6"],
+            ["sweep", "--failure", "link", "--fer", "0,0.3", "--metrics", "asr,sc,aspl"],
+            ["sweep2d", "--fer-link", "0.1", "--fer-switch", "0,0.2"],
+            ["classed-sweep", "--sweep-class", "edge-link", "--fixed", "agg-link=0.25",
+             "--fer", "0:0.5:0.25"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_plan_echo_reruns_to_the_same_report(self, argv, tmp_path, capsys):
+        topology = [*TINY_THREE_LAYER, "--core-core-link", "--gateway-policy", "count=1"]
+        first = tmp_path / "first.json"
+        options = ["--seed", "5", "--format", "json", "--out"]
+        assert main([*argv, *topology, "--samples", "4", *options, str(first)]) == 0
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(json.loads(first.read_text())["plan"]))
+        again = tmp_path / "again.json"
+        assert main([argv[0], "--plan", str(path), "--format", "json", "--out", str(again)]) == 0
+        assert again.read_text() == first.read_text()
 
     def test_targeted_removal_on_bcube_exit_3(self, capsys):
         argv = [
@@ -346,6 +441,22 @@ class TestCli:
         assert doc["plan"]["metrics"] == [metric]
         assert captured.err.startswith(f"{metric}=")
 
+    def test_capacity_has_no_samples_option(self, capsys):
+        argv = [*CAPACITY_3K, "--placement", "balanced", "--remove-richest", "cpu"]
+        assert main([*argv, "--samples", "9"]) == 2
+        assert "unrecognized arguments: --samples 9" in capsys.readouterr().err
+
+    def test_capacity_without_dataset_exit_3(self, capsys):
+        argv = ["capacity", "--topology", "fat-tree", "--n", "4", "--remove-richest", "cpu"]
+        assert main(argv) == 3
+        assert "--dataset is required" in capsys.readouterr().err
+
+    def test_capacity_placement_defaults_to_balanced(self, capsys):
+        assert main([*CAPACITY_3K, "--remove-richest", "cpu", "--format", "json"]) == 0
+        point = json.loads(capsys.readouterr().out)["series"][0]["points"][0]
+        assert point["placement"] == "balanced"
+        assert point["mean"] == pytest.approx(5 / 6, rel=1e-12)
+
     def test_classify_cli(self, tmp_path):
         measured = {
             "configs": [
@@ -406,9 +517,7 @@ class TestCli:
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan_to_doc(plan)))
         out = tmp_path / "from_plan.json"
-        # --failure/--fer are still required flags; the plan file wins
-        assert main(["sweep", "--plan", str(plan_path), "--failure", "link",
-                     "--fer", "0", "--format", "json", "--out", str(out)]) == 0
+        assert main(["sweep", "--plan", str(plan_path), "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["seed"] == 17
         assert doc["plan"]["samples"] == 4

@@ -185,6 +185,11 @@ class TestSimulateNmttf:
         with pytest.raises(UnsupportedPlanError, match="class ratios"):
             simulate_nmttf(plan, workers=1)
 
+    def test_fer_grids_rejected(self):
+        plan = plan_for(THREE_LAYER_SMALL, FailureType.LINK, fer_grids=((0.0, 0.5),))
+        with pytest.raises(UnsupportedPlanError, match="FER grids"):
+            simulate_nmttf(plan, workers=1)
+
     def test_dcell_l3_switch_has_no_analytic_reference(self):
         params = TopologyParams(kind=TopologyKind.DCELL, n=2, l=3)
         res = simulate_nmttf(plan_for(params, FailureType.SWITCH, samples=3), workers=1)
@@ -634,6 +639,10 @@ class TestPlanDocuments:
                 FailureType.LINK,
                 class_ratios={ElementClass.EDGE_LINK: None, ElementClass.AGG_LINK: 1.5},
             )
+
+    def test_repeated_metric_rejected(self):
+        with pytest.raises(UnsupportedPlanError, match="repeat"):
+            plan_for(BCUBE_2x2, FailureType.LINK, metrics=("asr", "sc", "asr"))
 
     def test_bad_documents(self):
         with pytest.raises(UnsupportedPlanError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from dcn_robust.topology import (
     build_topology,
     dcell_server_count,
     gateway_port_density,
+    params_from_doc,
+    params_to_doc,
     parse_topology,
     serialize_topology,
 )
@@ -53,7 +57,11 @@ PARAM_GRID = (
 )
 
 
-@pytest.mark.parametrize("params", PARAM_GRID, ids=lambda p: p.label())
+def param_id(params: TopologyParams) -> str:
+    return f"{params.kind.value}({params.args_text()})"
+
+
+@pytest.mark.parametrize("params", PARAM_GRID, ids=param_id)
 def test_count_closure(params):
     topo = build_topology(params)
     servers, switches, links = closed_form_counts(params)
@@ -62,7 +70,7 @@ def test_count_closure(params):
     assert topo.n_links == links
 
 
-@pytest.mark.parametrize("params", PARAM_GRID, ids=lambda p: p.label())
+@pytest.mark.parametrize("params", PARAM_GRID, ids=param_id)
 def test_failure_free_connectivity_and_simplicity(params):
     topo = build_topology(params)
     pairs = set(zip(topo.edges_u.tolist(), topo.edges_v.tolist()))
@@ -73,7 +81,7 @@ def test_failure_free_connectivity_and_simplicity(params):
     assert all(d != float("inf") for d in dist), "disconnected when failure-free"
 
 
-@pytest.mark.parametrize("params", PARAM_GRID, ids=lambda p: p.label())
+@pytest.mark.parametrize("params", PARAM_GRID, ids=param_id)
 def test_server_degrees(params):
     topo = build_topology(params)
     expected = 1
@@ -85,7 +93,7 @@ def test_server_degrees(params):
     assert set(deg.tolist()) == {expected}
 
 
-@pytest.mark.parametrize("params", PARAM_GRID[::7], ids=lambda p: p.label())
+@pytest.mark.parametrize("params", PARAM_GRID[::7], ids=param_id)
 def test_build_determinism(params):
     a = serialize_topology(build_topology(params))
     b = serialize_topology(build_topology(params))
@@ -241,3 +249,50 @@ def test_parse_rejects_garbage():
         parse_topology("{not json")
     with pytest.raises(TopologyParseError, match="format"):
         parse_topology("{}")
+
+
+# The construction fields the paper gives each kind, and a valid instance.
+TAKES = {
+    TopologyKind.THREE_LAYER: ("n_a", "n_e", "pairs", "include_core_core_link"),
+    TopologyKind.FAT_TREE: ("n",),
+    TopologyKind.BCUBE: ("n", "l"),
+    TopologyKind.DCELL: ("n", "l"),
+}
+VALID = {
+    TopologyKind.THREE_LAYER: {"n_a": 2, "n_e": 3, "pairs": 2},
+    TopologyKind.FAT_TREE: {"n": 4},
+    TopologyKind.BCUBE: {"n": 3, "l": 1},
+    TopologyKind.DCELL: {"n": 3, "l": 1},
+}
+FIELD_VALUES = {"n": 4, "l": 1, "n_a": 2, "n_e": 3, "pairs": 2, "include_core_core_link": True}
+FOREIGN = [
+    (kind, name) for kind in TopologyKind for name in FIELD_VALUES if name not in TAKES[kind]
+]
+
+
+@pytest.mark.parametrize("kind, name", FOREIGN, ids=lambda v: getattr(v, "value", v))
+def test_params_refuse_a_field_the_kind_does_not_take(kind, name):
+    TopologyParams(kind=kind, **VALID[kind])
+    with pytest.raises(TopologyParameterError, match=f"{kind.value}: takes no {name}"):
+        TopologyParams(kind=kind, **VALID[kind], **{name: FIELD_VALUES[name]})
+
+
+@pytest.mark.parametrize("kind, name", FOREIGN, ids=lambda v: getattr(v, "value", v))
+def test_params_document_refuses_a_field_the_kind_does_not_take(kind, name):
+    doc = params_to_doc(TopologyParams(kind=kind, **VALID[kind]))
+    assert sorted(doc) == sorted(["kind", "gateway_policy", *TAKES[kind]])
+    doc[name] = FIELD_VALUES[name]
+    with pytest.raises(TopologyParseError, match=f"{kind.value} takes no {name}"):
+        params_from_doc(doc)
+
+
+@pytest.mark.parametrize("policy", ["max", "min", "count=2"])
+@pytest.mark.parametrize("params", PARAM_GRID, ids=param_id)
+def test_params_round_trip_through_their_document(params, policy):
+    params = replace(params, gateway_policy=GatewayPolicy.parse(policy))
+    assert params_from_doc(params_to_doc(params)) == params
+
+
+@pytest.mark.parametrize("params", PARAM_GRID, ids=param_id)
+def test_n_servers_matches_the_construction_rules(params):
+    assert params.n_servers == closed_form_counts(params)[0]
