@@ -159,10 +159,12 @@ def module_partition(topology: Topology) -> list[np.ndarray]:
         size = params.n_a * params.n_e
     elif params.kind is TopologyKind.FAT_TREE:
         size = (params.n // 2) ** 2
+    elif params.l == 0:
+        size = servers
     elif params.kind is TopologyKind.BCUBE:
         size = params.n**params.l
     else:
-        size = dcell_server_count(params.n, params.l - 1) if params.l > 0 else servers
+        size = dcell_server_count(params.n, params.l - 1)
     ids = np.arange(servers)
     return [ids[start : start + size] for start in range(0, servers, size)]
 

@@ -239,13 +239,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_json(path: Path):
+    """The JSON document in *path*; a file that is not JSON is a
+    configuration error naming the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigurationError(f"{path}: not a JSON document: {exc}") from exc
+
+
 def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
     """The plan document given with --plan, or the plan the options make."""
     if args.plan is not None:
         for dest, flag in _PLAN_OPTIONS.items():
             if getattr(args, dest, None) is not None:
                 raise UnsupportedPlanError(f"{flag} cannot be given with --plan, which replaces it")
-        return plan_from_doc(json.loads(args.plan.read_text(encoding="utf-8")))
+        return plan_from_doc(_read_json(args.plan))
     failures, grids, ratios = args.grid(args)
     metrics = getattr(args, "metrics", None)  # mttf has no --metrics
     return ExperimentPlan(
@@ -358,9 +367,12 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    doc = _read_json(args.input)
+    entries = doc.get("configs", []) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ClassifierInputError(f"{args.input}: expected an object whose 'configs' is a list")
     configs = []
-    for pos, entry in enumerate(doc.get("configs", ())):
+    for pos, entry in enumerate(entries):
         try:
             series = entry["series"]
             configs.append(

@@ -90,6 +90,12 @@ class TestModulePartition:
         assert len(modules) == 57
         assert all(len(m) == 56 for m in modules)
 
+    @pytest.mark.parametrize("build", [build_bcube, build_dcell])
+    def test_level_zero_is_one_module(self, build):
+        topo = build(4, 0)
+        modules = module_partition(topo)
+        assert [m.tolist() for m in modules] == [list(range(topo.n_servers))]
+
     def test_partition_covers_every_server_once(self):
         topo = build_dcell(4, 1)
         modules = module_partition(topo)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from dcn_robust.reachability import (
     AsplEstimate,
@@ -11,6 +12,10 @@ from dcn_robust.reachability import (
     partition,
     remaining_capacity_ratio,
     server_connectivity,
+    _ASPL_SOURCE_CHUNK,
+    _aspl_exact,
+    _popcount,
+    _subgraph,
 )
 from dcn_robust.topology import build_bcube, build_dcell, build_fat_tree, build_three_layer
 
@@ -21,10 +26,11 @@ def switch_ids(topo):
     return np.arange(topo.n_servers, topo.n_nodes)
 
 
-def oracle_aspl(topo, adj, accessible):
-    """Brute-force all-pairs BFS over accessible servers, same component."""
-    servers = sorted(accessible)
-    total = 0.0
+def oracle_hops(adj, servers):
+    """Brute-force all-pairs BFS: (hop total, pair count) over the
+    same-component pairs of *servers*."""
+    servers = sorted(servers)
+    total = 0
     pairs = 0
     for i, s in enumerate(servers):
         dist = bfs_distances(adj, s)
@@ -32,7 +38,52 @@ def oracle_aspl(topo, adj, accessible):
             if dist[t] != float("inf"):
                 total += dist[t]
                 pairs += 1
+    return total, pairs
+
+
+def oracle_aspl(topo, adj, accessible):
+    """Brute-force all-pairs BFS over accessible servers, same component."""
+    total, pairs = oracle_hops(adj, accessible)
     return (total / pairs if pairs else None), pairs
+
+
+def dijkstra_hops(graph, servers):
+    """(hop total, pair count) from scipy's unweighted Dijkstra, 512
+    sources per call: the exact ASPL kernel the MS-BFS replaced."""
+    accessible = np.zeros(graph.shape[0], dtype=bool)
+    accessible[servers] = True
+    total = 0.0
+    pairs = 0
+    for start in range(0, len(servers), 512):
+        dist = csgraph.shortest_path(
+            graph, method="D", unweighted=True, directed=False,
+            indices=servers[start : start + 512],
+        )[:, accessible]
+        finite = np.isfinite(dist)
+        total += float(dist[finite].sum())
+        pairs += int(finite.sum())
+    # Ordered pairs counted both ways, plus one zero self-distance per server.
+    return total / 2.0, (pairs - len(servers)) // 2
+
+
+def removed_links(topo, rng, count):
+    idx = rng.choice(topo.n_links, size=count, replace=False)
+    return {(int(topo.edges_u[i]), int(topo.edges_v[i])) for i in idx}
+
+
+def split_fabric(topo, rng):
+    """Link removals leaving several server-holding components, some with
+    a surviving gateway and some without."""
+    for _ in range(1000):
+        degraded = DegradedNetwork(
+            topo, removed_links=removed_links(topo, rng, rng.integers(1, topo.n_links))
+        )
+        part = partition(degraded)
+        holding = np.unique(part.labels[: topo.n_servers])
+        gated = part.accessible_component[holding]
+        if len(holding) >= 2 and gated.any() and not gated.all():
+            return degraded
+    raise AssertionError("no split found")
 
 
 class TestPartition:
@@ -72,10 +123,7 @@ class TestPartition:
                     int(s)
                     for s in rng.choice(switch_ids(topo), size=k_sw, replace=False)
                 )
-                idx = rng.choice(topo.n_links, size=k_ln, replace=False)
-                links = {
-                    (int(topo.edges_u[i]), int(topo.edges_v[i])) for i in idx
-                }
+                links = removed_links(topo, rng, k_ln)
                 degraded = DegradedNetwork(
                     topo, removed_links=links, removed_switches=switches
                 )
@@ -171,8 +219,7 @@ class TestAspl:
     def test_matches_oracle_under_removals(self, tiny_topologies):
         rng = np.random.default_rng(5)
         for topo in tiny_topologies.values():
-            idx = rng.choice(topo.n_links, size=topo.n_links // 4, replace=False)
-            links = {(int(topo.edges_u[i]), int(topo.edges_v[i])) for i in idx}
+            links = removed_links(topo, rng, topo.n_links // 4)
             degraded = DegradedNetwork(topo, removed_links=links)
             part = partition(degraded)
             adj = degraded_adjacency(topo, links)
@@ -212,6 +259,76 @@ class TestAspl:
         assert sampled.hops == pytest.approx(exact.hops, rel=0.02)
 
 
+class TestAsplKernel:
+    """``_aspl_exact`` is pinned integer-equal to the oracles."""
+
+    @staticmethod
+    def assert_matches_oracle(degraded, min_accessible=0):
+        topo = degraded.topology
+        adj = degraded_adjacency(
+            topo, degraded.removed_links, degraded.removed_switches, degraded.removed_servers
+        )
+        graph = _subgraph(topo, degraded.edge_alive)
+        accessible = oracle_accessible_servers(topo, adj, degraded.removed_switches)
+        assert len(accessible) > min_accessible
+        surviving = set(np.flatnonzero(degraded.node_alive[: topo.n_servers]).tolist())
+        # The kernel counts same-component pairs of any server set; the
+        # surviving set adds components without a gateway.
+        for servers in (accessible, surviving):
+            ids = np.array(sorted(servers), dtype=np.int64)
+            assert _aspl_exact(graph, ids) == oracle_hops(adj, servers)
+
+    def test_matches_bfs_oracle_intact_and_split(self, tiny_topologies):
+        rng = np.random.default_rng(23)
+        for topo in tiny_topologies.values():
+            self.assert_matches_oracle(DegradedNetwork(topo))
+            self.assert_matches_oracle(split_fabric(topo, rng))
+
+    def test_sources_spanning_several_words(self):
+        topo = build_fat_tree(8)  # 128 servers
+        rng = np.random.default_rng(29)
+        links = removed_links(topo, rng, topo.n_links // 5)
+        self.assert_matches_oracle(DegradedNetwork(topo, removed_links=links), 64)
+
+    def test_sources_spanning_several_blocks(self):
+        topo = build_fat_tree(14)  # 686 servers
+        rng = np.random.default_rng(31)
+        switches = set(rng.choice(switch_ids(topo), size=20, replace=False).tolist())
+        self.assert_matches_oracle(
+            DegradedNetwork(topo, removed_switches=switches), _ASPL_SOURCE_CHUNK
+        )
+
+    @pytest.mark.parametrize("words", [[0], [1], [1 << 63], [2**64 - 1], [0, 1, 1 << 63, 2**64 - 1]])
+    def test_popcount_matches_bin_count(self, words):
+        rows = np.array(words, dtype=np.uint64).reshape(-1, 1)
+        assert _popcount(rows) == sum(bin(w).count("1") for w in words)
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (build_three_layer, (12, 48, 6)),
+            (build_fat_tree, (24,)),
+            (build_bcube, (58, 1)),
+            (build_bcube, (15, 2)),
+            (build_bcube, (5, 4)),
+            (build_dcell, (58, 1)),
+            (build_dcell, (7, 2)),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_matches_dijkstra_on_acceptance_configurations(self, build, args):
+        # One link-FER-0.4 sample per acceptance configuration.
+        topo = build(*args)
+        rng = np.random.default_rng(37)
+        degraded = DegradedNetwork(
+            topo, removed_links=removed_links(topo, rng, int(0.4 * topo.n_links))
+        )
+        servers = np.flatnonzero(partition(degraded).accessible_server_mask)
+        graph = _subgraph(topo, degraded.edge_alive)
+        assert len(servers) > _ASPL_SOURCE_CHUNK
+        assert _aspl_exact(graph, servers) == dijkstra_hops(graph, servers)
+
+
 class TestRemainingCapacity:
     def test_constant_capacities_equal_asr(self, tiny_topologies):
         rng = np.random.default_rng(3)
@@ -240,9 +357,8 @@ class TestEvaluate:
         for topo in tiny_topologies.values():
             cpu = rng.uniform(0.1, 2.0, topo.n_servers)
             mem = rng.uniform(0.1, 2.0, topo.n_servers)
-            idx = rng.choice(topo.n_links, size=topo.n_links // 4, replace=False)
             removals = [
-                {"removed_links": {(int(topo.edges_u[i]), int(topo.edges_v[i])) for i in idx}},
+                {"removed_links": removed_links(topo, rng, topo.n_links // 4)},
                 {"removed_switches": set(rng.choice(switch_ids(topo), size=1).tolist())},
                 {"removed_servers": set(rng.choice(topo.n_servers, size=1).tolist())},
             ]

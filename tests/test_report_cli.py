@@ -124,6 +124,13 @@ class TestCli:
         assert "n must be even" in capsys.readouterr().err
         assert main(["gen", "--topology", "bcube", "--n", "4"]) == 3
 
+    @pytest.mark.parametrize("command, option", [("sweep", "--plan"), ("classify", "--input")])
+    def test_malformed_json_input_exit_3(self, command, option, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert main([command, option, str(path)]) == 3
+        assert f"error: {path}: not a JSON document" in capsys.readouterr().err
+
     def test_missing_dataset_file_exit_3(self, tmp_path):
         assert (
             main(
@@ -488,6 +495,13 @@ class TestCli:
              "series": {"link": {"asr": 0.9}}}
         ]}))
         assert main(["classify", "--input", str(src)]) == 3
+
+    @pytest.mark.parametrize("text", ["[]", '{"configs": 5}'])
+    def test_classify_input_not_a_configs_object_exit_3(self, text, tmp_path, capsys):
+        src = tmp_path / "measured.json"
+        src.write_text(text)
+        assert main(["classify", "--input", str(src)]) == 3
+        assert "'configs' is a list" in capsys.readouterr().err
 
     def test_gnuplot_emission(self, tmp_path):
         out = tmp_path / "sweep.csv"
