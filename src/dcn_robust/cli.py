@@ -341,7 +341,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         params=params,
         failures=(FailureType.SWITCH,),
         samples=1,
-        master_seed=args.seed,
         metrics=(metric,),
     )
     row = MetricSample(
@@ -482,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         "capacity", help="targeted removal of the highest-capacity module"
     )
     _add_topology(cap)
-    cap.add_argument("--seed", type=int, default=0, help="master RNG seed")
     _add_output(cap)
     _add_dataset(cap)
     cap.add_argument("--remove-richest", choices=("cpu", "memory"), required=True)

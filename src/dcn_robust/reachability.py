@@ -178,7 +178,9 @@ def _all_servers_reach_gateway(
     topology: Topology, node_alive: np.ndarray, edge_alive: np.ndarray
 ) -> bool:
     """True iff every surviving server lies in a component with a surviving
-    gateway (the operational-network test applied after removals)."""
+    gateway (the operational-network test applied after removals). It is
+    the probe of the certificate that checks each critical point the
+    simulation's bottleneck tree finds."""
     part = _partition_arrays(topology, node_alive, edge_alive)
     return part.accessible_server_total == int(node_alive[: topology.n_servers].sum())
 

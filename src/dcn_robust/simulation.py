@@ -16,9 +16,15 @@ of its samples, in sample order, and the parent turns a point's records
 into one row per metric.
 
 Critical points (the minimal number of removals that disconnects a server)
-are located by bisection over each sample's removal permutation, which is
-valid because gateway reachability only degrades as the removal prefix
-grows.
+come from one maximum spanning tree per sample. Each element's removal
+time is its position in the sample's permutation; a super-root joins every
+gateway. A maximum spanning tree over those times keeps a maximin path
+between every pair of nodes (T. C. Hu, "The maximum capacity route
+problem", Oper. Res. 9, 1961), so the smallest time on a server's tree
+path to the root is the last removal count at which it still reaches a
+gateway, whichever maximum tree the solver returns. Two partition probes
+then certify the answer: every server reaches a gateway one removal
+before the critical point, and some server is stranded at it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from . import reachability
 from .analytic import (
@@ -320,7 +328,7 @@ def _alive_after(topo: Topology, removals) -> tuple[np.ndarray, np.ndarray]:
             nodes_removed = True
         else:
             edge_alive[ids] = False
-    if nodes_removed:  # skips two gathers per link-only bisection probe
+    if nodes_removed:  # skips two gathers per link-only certificate probe
         edge_alive &= node_alive[topo.edges_u] & node_alive[topo.edges_v]
     return node_alive, edge_alive
 
@@ -336,24 +344,89 @@ def _apply_removals(
     )
 
 
+_TREE_CACHE: dict[TopologyParams, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _tree_graph(topo: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indices, indptr, slot_edge): the CSR pattern of the links plus one
+    edge from each gateway to a super-root (node ``n_nodes``), and the edge
+    each CSR slot holds (links first, then the gateway edges in order)."""
+    cached = _TREE_CACHE.get(topo.params)
+    if cached is None:
+        u = np.concatenate([topo.edges_u, topo.gateways])
+        v = np.concatenate([topo.edges_v, np.full(len(topo.gateways), topo.n_nodes)])
+        size = topo.n_nodes + 1
+        pattern = sp.csr_matrix((np.arange(1, len(u) + 1), (u, v)), shape=(size, size))
+        cached = pattern.indices, pattern.indptr, pattern.data - 1
+        _TREE_CACHE[topo.params] = cached
+    return cached
+
+
+def _stranding_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.ndarray:
+    """Per server, the largest removal-prefix length of *perm* after which
+    it still reaches a gateway (-1 if it never does).
+
+    A link's time is its own position in the removal order, or under node
+    failures the earlier of its endpoints' positions; never-removed
+    elements take F. The bottleneck of a server's path to the super-root
+    in a maximum spanning tree over those times is its answer.
+    """
+    ids, on_nodes = _element_pool(topo, failure)
+    big_f = len(ids)
+    times = np.full(topo.n_nodes if on_nodes else topo.n_links, big_f)
+    times[ids[perm]] = np.arange(big_f)
+    if on_nodes:
+        link_times = np.minimum(times[topo.edges_u], times[topo.edges_v])
+        edge_times = np.concatenate([link_times, times[topo.gateways]])
+    else:
+        edge_times = np.concatenate([times, np.full(len(topo.gateways), big_f)])
+    indices, indptr, slot_edge = _tree_graph(topo)
+    root = topo.n_nodes
+    # Weights F + 1 - t lie in [1, F + 1]: csgraph reads a 0 as no edge.
+    weights = big_f + 1 - edge_times[slot_edge]
+    graph = sp.csr_matrix((weights, indices, indptr), shape=(root + 1, root + 1))
+    tree = csgraph.minimum_spanning_tree(graph).tocoo()
+    _, parent = csgraph.breadth_first_order(
+        tree, root, directed=False, return_predecessors=True
+    )
+    # Each node's time is first that of the tree edge to its parent; pointer
+    # jumping then folds in every edge on the way to the root.
+    child = np.where(parent[tree.col] == tree.row, tree.col, tree.row)
+    bottleneck = np.empty(root + 1, dtype=np.int64)
+    bottleneck[child] = big_f + 1 - tree.data.astype(np.int64)
+    unreached = parent < 0
+    bottleneck[unreached] = -1
+    bottleneck[root] = big_f
+    parent[unreached] = root
+    while True:
+        grandparent = parent[parent]
+        if np.array_equal(grandparent, parent):
+            return bottleneck[: topo.n_servers]
+        np.minimum(bottleneck, bottleneck[parent], out=bottleneck)
+        parent = grandparent
+
+
 def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:
     """Minimal removal-prefix length of *perm* (indices into the failure
     type's element pool) that disconnects a server.
 
-    Reachability is monotone along the prefix, so bisection over the prefix
-    length finds the same point as checking after every single removal.
+    It is one past the earliest stranding time. Reachability only degrades
+    as the prefix grows, so two partition probes prove it: every server
+    reaches a gateway one removal earlier, and some server does not at it.
     """
+    critical = int(_stranding_times(topo, failure, perm).min()) + 1
     ids, on_nodes = _element_pool(topo, failure)
     order = ids[perm]
-    lo, hi = 0, len(order)  # invariants: connected at lo, disconnected at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        node_alive, edge_alive = _alive_after(topo, [(order[:mid], on_nodes)])
-        if reachability._all_servers_reach_gateway(topo, node_alive, edge_alive):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+
+    def all_reach(prefix: int) -> bool:
+        node_alive, edge_alive = _alive_after(topo, [(order[:prefix], on_nodes)])
+        return reachability._all_servers_reach_gateway(topo, node_alive, edge_alive)
+
+    if critical < 1 or not all_reach(critical - 1) or all_reach(critical):
+        raise RuntimeError(
+            f"bottleneck tree gives critical point {critical}, which the partition probes refute"
+        )
+    return critical
 
 
 # --- worker-side execution ---------------------------------------------------
@@ -504,7 +577,8 @@ def _aggregate_point(
 ) -> list[MetricSample]:
     """One row per metric over a point's per-sample records. A sample whose
     ASPL is undefined (no two accessible servers share a component) is left
-    out of the ASPL row."""
+    out of the ASPL row. A row of two or more samples that are all equal is
+    flagged ``degenerate``: its half-width of 0.0 is not certainty."""
     rows = []
     for metric in metrics:
         values = [getattr(r, metric) for r in records]
@@ -515,6 +589,8 @@ def _aggregate_point(
             if estimates:
                 extra["pairs_mean"] = float(np.mean([v.pairs for v in estimates]))
                 extra["exact"] = all(v.exact for v in estimates)
+        if len(values) >= 2 and all(v == values[0] for v in values):
+            extra["degenerate"] = True
         mean, half = confidence_interval(values)
         rows.append(
             MetricSample(

@@ -81,6 +81,15 @@ class TestReportFormats:
         for series in doc["series"]:
             assert len(series["points"]) == 2
 
+    def test_degenerate_flag_is_in_json_only(self):
+        report = small_sweep_report()
+        doc = json.loads(to_json_text(report))
+        for series in doc["series"]:
+            zero, varied = series["points"]
+            assert zero["ci95_half"] == 0.0 and zero["degenerate"] is True
+            assert varied["ci95_half"] > 0.0 and "degenerate" not in varied
+        assert "degenerate" not in to_csv_text(report)
+
     def test_byte_stable_across_runs(self):
         a, b = small_sweep_report(), small_sweep_report()
         assert to_csv_text(a) == to_csv_text(b)
@@ -452,6 +461,14 @@ class TestCli:
         argv = [*CAPACITY_3K, "--placement", "balanced", "--remove-richest", "cpu"]
         assert main([*argv, "--samples", "9"]) == 2
         assert "unrecognized arguments: --samples 9" in capsys.readouterr().err
+
+    def test_capacity_has_no_seed_option(self, capsys):
+        argv = [*CAPACITY_3K, "--placement", "balanced", "--remove-richest", "cpu"]
+        assert main([*argv, "--seed", "9"]) == 2
+        assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["seed"] == 0 and doc["plan"]["master_seed"] == 0
 
     def test_capacity_without_dataset_exit_3(self, capsys):
         argv = ["capacity", "--topology", "fat-tree", "--n", "4", "--remove-richest", "cpu"]

@@ -3,15 +3,18 @@ import itertools
 import math
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dcn_robust import reachability, simulation
 from dcn_robust.analytic import FailureType, normalized_time, normalized_time_table
 from dcn_robust.simulation import (
     ElementClass,
     ExperimentPlan,
     UnsupportedPlanError,
+    _alive_after,
     _critical_point,
     _element_pool,
     classed_sweep,
@@ -26,6 +29,7 @@ from dcn_robust.simulation import (
     plan_to_doc,
 )
 from dcn_robust.topology import (
+    GatewayPolicy,
     TopologyKind,
     TopologyParams,
     build_topology,
@@ -123,10 +127,64 @@ def forward_critical_point(topo, failure, perm):
     return len(perm)
 
 
+def bisect_critical_point(topo, failure, perm):
+    """Oracle: bisection over the removal-prefix length, one partition
+    probe per step (valid because reachability only degrades as the
+    prefix grows)."""
+    ids, on_nodes = _element_pool(topo, failure)
+    order = ids[perm]
+    lo, hi = 0, len(order)  # invariants: connected at lo, disconnected at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        node_alive, edge_alive = _alive_after(topo, [(order[:mid], on_nodes)])
+        if reachability._all_servers_reach_gateway(topo, node_alive, edge_alive):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def param_id(params: TopologyParams) -> str:
+    return f"{params.kind.value}({params.args_text()})"
+
+
+def _tree_cases():
+    """Topology params under every gateway policy their top level admits."""
+    bases = [
+        TopologyParams(kind=TopologyKind.FAT_TREE, n=4),
+        TopologyParams(kind=TopologyKind.BCUBE, n=3, l=1),
+        BCUBE_2x2,
+        BCUBE_CELL,
+        DCELL_SMALL,
+        THREE_LAYER_SMALL,
+    ]
+    policies = [GatewayPolicy.max_density(), GatewayPolicy.min_density(), GatewayPolicy.count(2)]
+    cases = []
+    for base in bases:
+        top_level = len(build_topology(base).top_level_switches)
+        for policy in policies:
+            if policy.mode != "count" or policy.g <= top_level:
+                params = replace(base, gateway_policy=policy)
+                cases.append(pytest.param(params, id=f"{param_id(base)}-{policy}"))
+    return cases
+
+
+# The reliable-nmttf benchmark configurations (acceptance scale).
+NMTTF_CONFIGS = [
+    (TopologyParams(kind=TopologyKind.FAT_TREE, n=24), FailureType.LINK),
+    (TopologyParams(kind=TopologyKind.FAT_TREE, n=24), FailureType.SWITCH),
+    (TopologyParams(kind=TopologyKind.BCUBE, n=15, l=2), FailureType.LINK),
+    (TopologyParams(kind=TopologyKind.BCUBE, n=15, l=2), FailureType.SWITCH),
+    (TopologyParams(kind=TopologyKind.DCELL, n=7, l=2), FailureType.LINK),
+    (TopologyParams(kind=TopologyKind.DCELL, n=7, l=2), FailureType.SWITCH),
+    (TopologyParams(kind=TopologyKind.THREE_LAYER, n_a=12, n_e=48, pairs=6), FailureType.LINK),
+]
+
+
 class TestCriticalPoint:
-    @pytest.mark.parametrize("params", [BCUBE_2x2, BCUBE_CELL, DCELL_SMALL, THREE_LAYER_SMALL])
+    @pytest.mark.parametrize("params", _tree_cases())
     @pytest.mark.parametrize("failure", [FailureType.LINK, FailureType.SWITCH])
-    def test_bisection_equals_per_removal_scan(self, params, failure):
+    def test_tree_equals_per_removal_scan(self, params, failure):
         topo = build_topology(params)
         big_f = topo.n_links if failure is FailureType.LINK else topo.n_switches
         rng = np.random.default_rng(42)
@@ -135,6 +193,41 @@ class TestCriticalPoint:
             assert _critical_point(topo, failure, perm) == forward_critical_point(
                 topo, failure, perm
             )
+
+    @pytest.mark.parametrize(
+        "params,failure",
+        [pytest.param(p, f, id=f"{param_id(p)}-{f.value}") for p, f in NMTTF_CONFIGS],
+    )
+    def test_tree_equals_bisection_on_the_nmttf_stream(self, params, failure):
+        topo = build_topology(params)
+        big_f = len(_element_pool(topo, failure)[0])
+        for k in range(30):
+            perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
+            assert _critical_point(topo, failure, perm) == bisect_critical_point(
+                topo, failure, perm
+            )
+
+    def test_stranding_times_are_the_last_connected_prefix(self):
+        topo = build_topology(DCELL_SMALL)
+        perm = np.random.default_rng(3).permutation(topo.n_switches)
+        times = simulation._stranding_times(topo, FailureType.SWITCH, perm)
+        order = topo.n_servers + perm
+        for f in range(topo.n_switches + 1):
+            node_alive, edge_alive = _alive_after(topo, [(order[:f], True)])
+            part = reachability._partition_arrays(topo, node_alive, edge_alive)
+            assert np.array_equal(part.accessible_server_mask, times >= f)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_off_by_one_tree_is_refuted(self, monkeypatch, shift):
+        topo = build_topology(THREE_LAYER_SMALL)
+        perm = np.random.default_rng(7).permutation(topo.n_links)
+        true_point = _critical_point(topo, FailureType.LINK, perm)
+        tree = simulation._stranding_times
+        monkeypatch.setattr(
+            simulation, "_stranding_times", lambda *args: tree(*args) + shift
+        )
+        with pytest.raises(RuntimeError, match=f"critical point {true_point + shift}"):
+            _critical_point(topo, FailureType.LINK, perm)
 
 
 class TestSimulateNmttf:
@@ -217,6 +310,19 @@ class TestSurvivalSweep:
         assert by_metric["sc"].mean == 1.0
         assert by_metric["asr"].ci95_half_width == 0.0
         assert by_metric["asr"].normalized_time == 0.0
+
+    def test_all_equal_samples_are_flagged_degenerate(self):
+        plan = plan_for(
+            DCELL_SMALL, FailureType.LINK, fer_grids=((0.0, 0.4),), samples=20, metrics=("asr",)
+        )
+        zero, varied = survival_sweep(plan, workers=1)
+        assert zero.ci95_half_width == 0.0
+        assert zero.extra == {"degenerate": True}
+        assert varied.ci95_half_width > 0.0
+        assert varied.extra == {}
+        single = survival_sweep(replace(plan, samples=1), workers=1)[0]
+        assert single.ci95_half_width is None
+        assert single.extra == {}
 
     def test_rows_carry_grid_and_time(self):
         plan = plan_for(
