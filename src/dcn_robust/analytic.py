@@ -144,9 +144,6 @@ def mttf_numeric_quadrature(
     return value / r
 
 
-_SWITCH_QUALITY_POOR = "poor approximation"
-
-
 class MttfQuality(str, Enum):
     EXACT = "exact"
     APPROXIMATE = "approximate"

@@ -33,7 +33,7 @@ from .simulation import (
     ExperimentPlan,
     MetricSample,
     UnsupportedPlanError,
-    classed_sweep,  # the three sweeps are called by name from _cmd_sweep
+    classed_sweep,
     plan_from_doc,
     plan_to_doc,
     simulate_nmttf,
@@ -47,11 +47,11 @@ from .topology import (
     TopologyParams,
     TopologyParseError,
     build_topology,
+    params_to_doc,
     serialize_topology,
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RECONCILE = 4
 
@@ -132,9 +132,11 @@ def _add_plan(sub: argparse.ArgumentParser, grid, samples: int, metrics: str = "
     sub.set_defaults(grid=grid, default_samples=samples, default_metrics=metrics)
 
 
-def _add_sweep(commands, name: str, help: str, grid, sweep: str, metrics: str = "asr"):
-    """A sweep subcommand run by :func:`_cmd_sweep`; *sweep* is the name of
-    the sweep function in this module."""
+def _add_sweep(commands, name: str, help: str, grid, sweep, metrics: str = "asr"):
+    """A sweep subcommand that :func:`_cmd_sweep` runs with the sweep
+    function *sweep*. ``main`` builds the parser on every call, so a
+    wrapper set on this module's attribute beforehand (a tracer, a test
+    double) is the one bound."""
     sub = commands.add_parser(name, help=help)
     _add_plan(sub, grid, DEFAULT_SWEEP_SAMPLES, metrics)
     sub.add_argument("--metrics", help=f"comma-separated metric names (default {metrics})")
@@ -316,12 +318,10 @@ def _class_grid(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Body of every sweep command: *args.sweep* names the sweep function,
-    looked up in this module when the command runs, so a wrapper installed
-    on the module attribute (a tracer, a test double) is the one called."""
+    """Body of every sweep command; *args.sweep* is its sweep function."""
     plan = _plan_from_args(args)
     assignment = _load_capacity(args, plan.params)
-    rows = globals()[args.sweep](plan, capacity_assignment=assignment)
+    rows = args.sweep(plan, capacity_assignment=assignment)
     _emit(args, _report(plan, rows))
     return EXIT_OK
 
@@ -337,12 +337,14 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     part = partition(degraded)
     rcr = remaining_capacity_ratio(part, assignment.capacity_vector(resource))
     metric = "rcr_cpu" if resource is Resource.CPU else "rcr_mem"  # the sweeps' names
-    plan = ExperimentPlan(
-        params=params,
-        failures=(FailureType.SWITCH,),
-        samples=1,
-        metrics=(metric,),
-    )
+    # What ran. It is no experiment plan, so --plan refuses it (exit 3).
+    echo = {
+        "params": params_to_doc(params),
+        "dataset": args.dataset,
+        "placement": assignment.placement.value,
+        "remove_richest": args.remove_richest,
+        "metrics": [metric],
+    }
     row = MetricSample(
         topology=params.kind.value,
         params=params.args_text(),
@@ -357,7 +359,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
             "removed_switches": sorted(int(s) for s in degraded.removed_switches),
         },
     )
-    _emit(args, _report(plan, [row]))
+    _emit(args, Report(plan=echo, seed=0, rows=(row,)))
     print(
         f"{metric}={rcr!r} placement={assignment.placement.value}",
         file=sys.stderr,
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = _add_sweep(
         commands, "sweep", "sweep survivability metrics over a FER grid",
-        _one_grid, "survival_sweep", "asr,sc",
+        _one_grid, survival_sweep, "asr,sc",
     )
     sweep.add_argument(
         "--failure", choices=("link", "switch", "server"), help="required unless --plan"
@@ -459,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep2d = _add_sweep(
         commands, "sweep2d", "sweep link and switch failures jointly",
-        _link_switch_grids, "survival_sweep_2d",
+        _link_switch_grids, survival_sweep_2d,
     )
     sweep2d.add_argument("--fer-link")
     sweep2d.add_argument("--fer-switch")
 
     classed = _add_sweep(
         commands, "classed-sweep", "three-layer sweep with per-class failure ratios",
-        _class_grid, "classed_sweep",
+        _class_grid, classed_sweep,
     )
     classed.add_argument("--sweep-class", choices=[c.value for c in ElementClass])
     classed.add_argument(

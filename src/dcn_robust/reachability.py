@@ -5,15 +5,16 @@ switches connects it to a surviving gateway. All operations are pure
 functions of (topology, removal sets); a shared immutable topology can be
 evaluated against many degradations concurrently.
 
-One engine serves both APIs: ``_partition_arrays`` turns alive masks into
-a ``SubnetworkPartition``, and each metric has one formula over it that
-``evaluate`` (the simulation hot path) and the object-level functions
-share.
+One engine serves both APIs: ``_alive_after`` builds the alive masks of a
+set of removals, ``_partition_arrays`` turns them into a
+``SubnetworkPartition`` that keeps the graph it labelled, and each metric
+has one formula over it that ``evaluate`` (the simulation hot path) and
+the object-level functions share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -41,6 +42,25 @@ SAMPLED_ASPL_PAIRS = 100_000
 _ASPL_SOURCE_CHUNK = 512
 
 
+def _alive_after(topo: Topology, removals) -> tuple[np.ndarray, np.ndarray]:
+    """(node_alive, edge_alive) after removing each ``(ids, on_nodes)`` set.
+
+    A removed node takes its incident links down with it.
+    """
+    node_alive = np.ones(topo.n_nodes, dtype=bool)
+    edge_alive = np.ones(topo.n_links, dtype=bool)
+    nodes_removed = False
+    for ids, on_nodes in removals:
+        if on_nodes:
+            node_alive[ids] = False
+            nodes_removed = True
+        else:
+            edge_alive[ids] = False
+    if nodes_removed:  # skips two gathers per link-only certificate probe
+        edge_alive &= node_alive[topo.edges_u] & node_alive[topo.edges_v]
+    return node_alive, edge_alive
+
+
 @dataclass(frozen=True)
 class DegradedNetwork:
     """A topology minus removed links, switches and servers.
@@ -53,6 +73,9 @@ class DegradedNetwork:
     removed_links: frozenset[tuple[int, int]] = frozenset()
     removed_switches: frozenset[int] = frozenset()
     removed_servers: frozenset[int] = frozenset()
+    # Both masks come from one _alive_after call over the removals.
+    node_alive: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_alive: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         topo = self.topology
@@ -69,30 +92,21 @@ class DegradedNetwork:
         for node in self.removed_switches:
             if not (topo.n_servers <= node < topo.n_nodes):
                 raise ValueError(f"removed switch {node} is not a switch node")
+        edge_ids = []
         if self.removed_links:
-            known = topo.edge_index()
+            pairs = zip(topo.edges_u.tolist(), topo.edges_v.tolist())
+            index = dict(zip(pairs, range(topo.n_links)))
             for link in self.removed_links:
-                if link not in known:
+                if link not in index:
                     raise ValueError(f"removed link {link} is not in the topology")
-
-    @cached_property
-    def node_alive(self) -> np.ndarray:
-        alive = np.ones(self.topology.n_nodes, dtype=bool)
-        if self.removed_switches:
-            alive[list(self.removed_switches)] = False
-        if self.removed_servers:
-            alive[list(self.removed_servers)] = False
-        return alive
-
-    @cached_property
-    def edge_alive(self) -> np.ndarray:
-        topo = self.topology
-        alive = self.node_alive[topo.edges_u] & self.node_alive[topo.edges_v]
-        if self.removed_links:
-            idx = topo.edge_index()
-            dead = [idx[link] for link in self.removed_links]
-            alive[dead] = False
-        return alive
+                edge_ids.append(index[link])
+        nodes = [*self.removed_switches, *self.removed_servers]
+        node_alive, edge_alive = _alive_after(
+            topo,
+            [(np.array(nodes, dtype=np.int64), True), (np.array(edge_ids, dtype=np.int64), False)],
+        )
+        object.__setattr__(self, "node_alive", node_alive)
+        object.__setattr__(self, "edge_alive", edge_alive)
 
 
 def _subgraph(topology: Topology, edge_alive: np.ndarray) -> sp.csr_matrix:
@@ -110,7 +124,8 @@ class SubnetworkPartition:
     """Connected components of the surviving graph, flagged by gateway access.
 
     The fields are the arrays of one connected-components call over the
-    full node index space; the node-set views are built on first use.
+    full node index space, and the surviving-link graph it labelled; the
+    node-set views are built on first use.
     """
 
     labels: np.ndarray  # component label per node (removed nodes isolated)
@@ -118,6 +133,7 @@ class SubnetworkPartition:
     accessible_component: np.ndarray  # bool per component label
     server_counts: np.ndarray  # surviving servers per component label
     n_servers_total: int
+    graph: sp.csr_matrix  # surviving links, both directions
 
     @cached_property
     def accessible_server_mask(self) -> np.ndarray:
@@ -161,9 +177,8 @@ class SubnetworkPartition:
 def _partition_arrays(
     topology: Topology, node_alive: np.ndarray, edge_alive: np.ndarray
 ) -> SubnetworkPartition:
-    n_comp, labels = csgraph.connected_components(
-        _subgraph(topology, edge_alive), directed=False
-    )
+    graph = _subgraph(topology, edge_alive)
+    n_comp, labels = csgraph.connected_components(graph, directed=False)
     alive_gateways = topology.gateways[node_alive[topology.gateways]]
     accessible = np.zeros(n_comp, dtype=bool)
     accessible[labels[alive_gateways]] = True
@@ -171,7 +186,9 @@ def _partition_arrays(
     server_counts = np.bincount(
         labels[: topology.n_servers][server_alive], minlength=n_comp
     )
-    return SubnetworkPartition(labels, node_alive, accessible, server_counts, topology.n_servers)
+    return SubnetworkPartition(
+        labels, node_alive, accessible, server_counts, topology.n_servers, graph
+    )
 
 
 def _all_servers_reach_gateway(
@@ -225,43 +242,32 @@ def average_shortest_path_length(
     degraded: DegradedNetwork,
     part: SubnetworkPartition | None = None,
     *,
-    exact_limit: int = EXACT_ASPL_SERVER_LIMIT,
-    sampled_pairs: int = SAMPLED_ASPL_PAIRS,
     rng: np.random.Generator | None = None,
 ) -> AsplEstimate:
     """Mean hop count between accessible servers of the same component.
 
-    Exact up to *exact_limit* accessible servers, by a bit-parallel
-    multi-source BFS over blocks of 512 sources (``_aspl_exact``); beyond
-    that, *sampled_pairs* uniformly random pairs are measured by one
-    Dijkstra per distinct left endpoint instead (cross-component pairs
-    never contribute).
+    Exact up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers, by a
+    bit-parallel multi-source BFS over blocks of 512 sources
+    (``_aspl_exact``); beyond that, ``SAMPLED_ASPL_PAIRS`` uniformly random
+    pairs are measured by one Dijkstra per distinct left endpoint instead
+    (cross-component pairs never contribute).
     """
-    if part is None:
-        part = partition(degraded)
+    return _aspl(partition(degraded) if part is None else part, rng)
+
+
+def _aspl(part: SubnetworkPartition, rng: np.random.Generator | None) -> AsplEstimate:
+    """ASPL among the accessible servers of *part* over its surviving-link
+    graph: exact up to ``EXACT_ASPL_SERVER_LIMIT`` servers, else over
+    ``SAMPLED_ASPL_PAIRS`` random pairs."""
     servers = np.flatnonzero(part.accessible_server_mask)
-    return _aspl(degraded.topology, degraded.edge_alive, servers, exact_limit, sampled_pairs, rng)
-
-
-def _aspl(
-    topology: Topology,
-    edge_alive: np.ndarray,
-    servers: np.ndarray,
-    exact_limit: int,
-    sampled_pairs: int,
-    rng: np.random.Generator | None,
-) -> AsplEstimate:
-    """ASPL among the accessible *servers* over the surviving links: exact
-    up to *exact_limit* servers, else over *sampled_pairs* random pairs."""
     if len(servers) < 2:
         return AsplEstimate(None, 0, True)
-    graph = _subgraph(topology, edge_alive)
-    exact = len(servers) <= exact_limit
+    exact = len(servers) <= EXACT_ASPL_SERVER_LIMIT
     if exact:
-        total, pairs = _aspl_exact(graph, servers)
+        total, pairs = _aspl_exact(part.graph, servers)
     else:
         rng = rng if rng is not None else np.random.default_rng()
-        total, pairs = _aspl_sampled(graph, servers, sampled_pairs, rng)
+        total, pairs = _aspl_sampled(part.graph, servers, SAMPLED_ASPL_PAIRS, rng)
     return AsplEstimate(total / pairs if pairs else None, pairs, exact)
 
 
@@ -401,16 +407,10 @@ def evaluate(
     """
     want = set(metrics)
     part = _partition_arrays(topology, node_alive, edge_alive)
-    aspl = None
-    if "aspl" in want:
-        servers = np.flatnonzero(part.accessible_server_mask)
-        aspl = _aspl(
-            topology, edge_alive, servers, EXACT_ASPL_SERVER_LIMIT, SAMPLED_ASPL_PAIRS, aspl_rng
-        )
     return SurvivalMetrics(
         asr=accessible_server_ratio(part) if "asr" in want else None,
         sc=server_connectivity(part) if "sc" in want else None,
-        aspl=aspl,
+        aspl=_aspl(part, aspl_rng) if "aspl" in want else None,
         rcr_cpu=remaining_capacity_ratio(part, cpu) if "rcr_cpu" in want else None,
         rcr_mem=remaining_capacity_ratio(part, mem) if "rcr_mem" in want else None,
     )

@@ -47,6 +47,9 @@ from .analytic import (
     closed_form_mttf,
     normalized_time_table,
 )
+# Called through this module's globals, so a wrapper set on
+# simulation._alive_after sees every sweep sample and certificate probe.
+from .reachability import _alive_after
 from .topology import (
     LAYER_AGGREGATION,
     LAYER_CORE,
@@ -312,25 +315,6 @@ def _element_pool(
             pool = np.flatnonzero(((a == lo) & (b == hi)) | ((a == hi) & (b == lo))), False
     _POOL_CACHE[key] = pool
     return pool
-
-
-def _alive_after(topo: Topology, removals) -> tuple[np.ndarray, np.ndarray]:
-    """(node_alive, edge_alive) after removing each ``(ids, on_nodes)`` set.
-
-    A removed node takes its incident links down with it.
-    """
-    node_alive = np.ones(topo.n_nodes, dtype=bool)
-    edge_alive = np.ones(topo.n_links, dtype=bool)
-    nodes_removed = False
-    for ids, on_nodes in removals:
-        if on_nodes:
-            node_alive[ids] = False
-            nodes_removed = True
-        else:
-            edge_alive[ids] = False
-    if nodes_removed:  # skips two gathers per link-only certificate probe
-        edge_alive &= node_alive[topo.edges_u] & node_alive[topo.edges_v]
-    return node_alive, edge_alive
 
 
 def _apply_removals(

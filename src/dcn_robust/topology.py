@@ -10,9 +10,8 @@ topologies, bit-for-bit in serialized form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -222,35 +221,6 @@ class Topology:
             raise ValueError(f"node {node} is not a switch")
         return self.switch_layers[node - self.n_servers]
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {
-            (int(u), int(v)): i
-            for i, (u, v) in enumerate(zip(self.edges_u, self.edges_v))
-        }
-
-    @cached_property
-    def top_level_switches(self) -> np.ndarray:
-        """Switch ids at the highest hierarchical level, in id order."""
-        tag = _top_layer_tag(self.params)
-        offset = self.n_servers
-        return np.array(
-            [offset + i for i, layer in enumerate(self.switch_layers) if layer == tag],
-            dtype=np.int64,
-        )
-
-    def with_gateway_policy(self, policy: GatewayPolicy) -> "Topology":
-        """A copy of this topology with gateways re-designated under *policy*."""
-        gates = _select_gateways(self.top_level_switches, policy)
-        params = replace(self.params, gateway_policy=policy)
-        return Topology(
-            params=params,
-            n_servers=self.n_servers,
-            switch_layers=self.switch_layers,
-            edges_u=self.edges_u,
-            edges_v=self.edges_v,
-            gateways=gates,
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
             return NotImplemented
@@ -274,13 +244,13 @@ def _top_layer_tag(params: TopologyParams) -> str:
 
 def _select_gateways(top_level: np.ndarray, policy: GatewayPolicy) -> np.ndarray:
     if policy.mode == "max":
-        return top_level.copy()
+        return top_level
     g = 1 if policy.mode == "min" else int(policy.g or 0)
     if g > len(top_level):
         raise TopologyParameterError(
             f"gateway_policy: g={g} exceeds the {len(top_level)} top-level switches"
         )
-    return top_level[:g].copy()  # smallest node ids, deterministic
+    return top_level[:g]  # smallest node ids, deterministic
 
 
 def _finish(
@@ -292,15 +262,18 @@ def _finish(
     arr = np.array([(u, v) if u < v else (v, u) for u, v in edges], dtype=np.int64)
     order = np.lexsort((arr[:, 1], arr[:, 0]))
     arr = arr[order]
-    topo = Topology(
+    tag = _top_layer_tag(params)
+    top_level = np.array(
+        [n_servers + i for i, layer in enumerate(switch_layers) if layer == tag], dtype=np.int64
+    )
+    return Topology(
         params=params,
         n_servers=n_servers,
         switch_layers=tuple(switch_layers),
         edges_u=np.ascontiguousarray(arr[:, 0]),
         edges_v=np.ascontiguousarray(arr[:, 1]),
-        gateways=np.empty(0, dtype=np.int64),
+        gateways=_select_gateways(top_level, params.gateway_policy),
     )
-    return topo.with_gateway_policy(params.gateway_policy)
 
 
 def build_three_layer(

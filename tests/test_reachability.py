@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
+from dcn_robust import reachability
 from dcn_robust.reachability import (
     AsplEstimate,
     DegradedNetwork,
@@ -13,6 +14,7 @@ from dcn_robust.reachability import (
     remaining_capacity_ratio,
     server_connectivity,
     _ASPL_SOURCE_CHUNK,
+    _alive_after,
     _aspl_exact,
     _popcount,
     _subgraph,
@@ -138,8 +140,39 @@ class TestPartition:
             DegradedNetwork(topo, removed_servers={topo.n_nodes - 1})
         with pytest.raises(ValueError):
             DegradedNetwork(topo, removed_switches={0})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"removed link \(0, 1\) is not in the topology"):
             DegradedNetwork(topo, removed_links={(0, 1)})
+        known = (int(topo.edges_u[0]), int(topo.edges_v[0]))
+        with pytest.raises(ValueError, match=r"removed link \(0, 1\)"):
+            DegradedNetwork(topo, removed_links={known, (1, 0)})
+
+    def test_masks_are_the_engine_masks(self, tiny_topologies):
+        # The object API's masks come from the engine's one mask builder.
+        rng = np.random.default_rng(41)
+        for topo in tiny_topologies.values():
+            for _ in range(10):
+                edges = rng.choice(topo.n_links, size=rng.integers(0, topo.n_links), replace=False)
+                switches = rng.choice(
+                    switch_ids(topo), size=rng.integers(0, topo.n_switches + 1), replace=False
+                )
+                servers = rng.choice(
+                    topo.n_servers, size=rng.integers(0, topo.n_servers + 1), replace=False
+                )
+                # Each link in a random endpoint order.
+                ends = np.stack([topo.edges_u[edges], topo.edges_v[edges]], axis=1)
+                flip = rng.random(len(edges)) < 0.5
+                ends[flip] = ends[flip][:, ::-1]
+                degraded = DegradedNetwork(
+                    topo,
+                    removed_links={(int(u), int(v)) for u, v in ends},
+                    removed_switches=set(switches.tolist()),
+                    removed_servers=set(servers.tolist()),
+                )
+                node_alive, edge_alive = _alive_after(
+                    topo, [(edges, False), (switches, True), (servers, True)]
+                )
+                assert np.array_equal(degraded.node_alive, node_alive)
+                assert np.array_equal(degraded.edge_alive, edge_alive)
 
 
 class TestRatios:
@@ -244,16 +277,13 @@ class TestAspl:
         assert est.hops is None
         assert est.pairs == 0
 
-    def test_sampled_mode_agrees_with_exact(self):
+    def test_sampled_mode_agrees_with_exact(self, monkeypatch):
         topo = build_fat_tree(8)  # 128 servers
         degraded = DegradedNetwork(topo)
         exact = average_shortest_path_length(degraded)
-        sampled = average_shortest_path_length(
-            degraded,
-            exact_limit=10,
-            sampled_pairs=30_000,
-            rng=np.random.default_rng(11),
-        )
+        monkeypatch.setattr(reachability, "EXACT_ASPL_SERVER_LIMIT", 10)
+        monkeypatch.setattr(reachability, "SAMPLED_ASPL_PAIRS", 30_000)
+        sampled = average_shortest_path_length(degraded, rng=np.random.default_rng(11))
         assert not sampled.exact
         assert sampled.pairs > 0
         assert sampled.hops == pytest.approx(exact.hops, rel=0.02)
@@ -376,6 +406,21 @@ class TestEvaluate:
                     rcr_cpu=remaining_capacity_ratio(part, cpu),
                     rcr_mem=remaining_capacity_ratio(part, mem),
                 )
+
+    def test_aspl_reads_the_partition_graph(self, monkeypatch):
+        # One surviving-link graph per state: the partition's serves ASPL.
+        topo = build_fat_tree(4)
+        degraded = DegradedNetwork(topo, removed_links={(0, 22)})
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _subgraph(*args)
+
+        monkeypatch.setattr(reachability, "_subgraph", counted)
+        row = evaluate(topo, degraded.node_alive, degraded.edge_alive, ("asr", "aspl"))
+        assert len(calls) == 1
+        assert row.aspl == average_shortest_path_length(degraded)
 
     def test_every_node_removed(self):
         topo = build_fat_tree(4)

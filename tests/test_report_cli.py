@@ -468,7 +468,27 @@ class TestCli:
         assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
         assert main([*argv, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["seed"] == 0 and doc["plan"]["master_seed"] == 0
+        assert doc["seed"] == 0 and "master_seed" not in doc["plan"]
+
+    def test_capacity_echo_is_no_runnable_plan(self, tmp_path, capsys):
+        argv = [
+            "capacity", "--topology", "fat-tree", "--n", "4", "--dataset", "synthetic",
+            "--remove-richest", "cpu", "--format", "json",
+        ]
+        assert main(argv) == 0
+        echo = json.loads(capsys.readouterr().out)["plan"]
+        assert echo == {
+            "params": {"kind": "fat-tree", "gateway_policy": "max", "n": 4},
+            "dataset": "synthetic",
+            "placement": "balanced",
+            "remove_richest": "cpu",
+            "metrics": ["rcr_cpu"],
+        }
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(echo))
+        for command in ("mttf", "sweep"):
+            assert main([command, "--plan", str(path)]) == 3
+            assert "bad plan document" in capsys.readouterr().err
 
     def test_capacity_without_dataset_exit_3(self, capsys):
         argv = ["capacity", "--topology", "fat-tree", "--n", "4", "--remove-richest", "cpu"]

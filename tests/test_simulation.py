@@ -161,7 +161,7 @@ def _tree_cases():
     policies = [GatewayPolicy.max_density(), GatewayPolicy.min_density(), GatewayPolicy.count(2)]
     cases = []
     for base in bases:
-        top_level = len(build_topology(base).top_level_switches)
+        top_level = len(build_topology(base).gateways)  # every one under max
         for policy in policies:
             if policy.mode != "count" or policy.g <= top_level:
                 params = replace(base, gateway_policy=policy)

@@ -145,7 +145,7 @@ def test_fat_tree_core_pod_wiring():
     topo = build_fat_tree(n)
     adj = degraded_adjacency(topo)
     half = n // 2
-    cores = topo.top_level_switches.tolist()
+    cores = topo.gateways.tolist()  # every core under the default max policy
     assert len(cores) == half * half
     for core in cores:
         # one aggregation link into each of the n pods
@@ -180,13 +180,13 @@ def test_gateway_defaults():
 
 def test_gateway_policies():
     topo = build_fat_tree(8)
-    one = topo.with_gateway_policy(GatewayPolicy.min_density())
+    one = build_fat_tree(8, GatewayPolicy.min_density())
     assert len(one.gateways) == 1
-    three = topo.with_gateway_policy(GatewayPolicy.count(3))
+    three = build_fat_tree(8, GatewayPolicy.count(3))
     assert len(three.gateways) == 3
-    assert three.gateways.tolist() == sorted(topo.top_level_switches.tolist())[:3]
+    assert three.gateways.tolist() == sorted(topo.gateways.tolist())[:3]
     with pytest.raises(TopologyParameterError):
-        topo.with_gateway_policy(GatewayPolicy.count(17))  # only 16 cores
+        build_fat_tree(8, GatewayPolicy.count(17))  # only 16 cores
     assert GatewayPolicy.parse("count=5") == GatewayPolicy.count(5)
     with pytest.raises(TopologyParameterError):
         GatewayPolicy.parse("most")
@@ -199,7 +199,7 @@ def test_gateway_port_density_values():
     assert gateway_port_density(three) == pytest.approx(0.007, abs=2e-4)
     assert gateway_port_density(build_bcube(4, 1)) == pytest.approx(1.0)
     assert gateway_port_density(build_dcell(4, 1)) == pytest.approx(1.0)
-    ft_min = build_fat_tree(24).with_gateway_policy(GatewayPolicy.min_density())
+    ft_min = build_fat_tree(24, GatewayPolicy.min_density())
     assert gateway_port_density(ft_min) == pytest.approx(24 / 3456)
 
 
