@@ -246,11 +246,12 @@ def average_shortest_path_length(
 ) -> AsplEstimate:
     """Mean hop count between accessible servers of the same component.
 
-    Exact up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers, by a
-    bit-parallel multi-source BFS over blocks of 512 sources
-    (``_aspl_exact``); beyond that, ``SAMPLED_ASPL_PAIRS`` uniformly random
-    pairs are measured by one Dijkstra per distinct left endpoint instead
-    (cross-component pairs never contribute).
+    Both modes run one bit-parallel multi-source BFS (``_bit_bfs``) and
+    differ only in the pairs they count: every pair up to
+    ``EXACT_ASPL_SERVER_LIMIT`` accessible servers (``_aspl_exact``),
+    beyond that ``SAMPLED_ASPL_PAIRS`` uniformly random pairs, measured
+    from their distinct left ends (``_aspl_sampled``). Cross-component
+    pairs never contribute.
     """
     return _aspl(partition(degraded) if part is None else part, rng)
 
@@ -271,12 +272,6 @@ def _aspl(part: SubnetworkPartition, rng: np.random.Generator | None) -> AsplEst
     return AsplEstimate(total / pairs if pairs else None, pairs, exact)
 
 
-def _bfs_distances(graph: sp.csr_matrix, sources: np.ndarray) -> np.ndarray:
-    return csgraph.shortest_path(
-        graph, method="D", unweighted=True, directed=False, indices=sources
-    )
-
-
 # Set bits of every byte value, for popcounts that run on any numpy
 # (np.bitwise_count needs numpy 2.0).
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -287,33 +282,41 @@ def _popcount(words: np.ndarray) -> int:
     return int(_BYTE_POPCOUNT[words.view(np.uint8)].sum(dtype=np.int64))
 
 
-def _aspl_exact(graph: sp.csr_matrix, servers: np.ndarray) -> tuple[float, int]:
-    """(hop total, pair count) over the same-component pairs of *servers*.
+def _linked_first(
+    graph: sp.csr_matrix, sources: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray, int]:
+    """(graph, nodes, n_sources): *graph* restricted to its nodes with a
+    link, reordered so that the linked ones of *sources* take the first
+    ``n_sources`` rows in their given order; row r is node ``nodes[r]``.
+
+    A node without a link reaches nothing, and every row left is a
+    non-empty ``reduceat`` segment for ``_bit_bfs``.
+    """
+    linked = np.diff(graph.indptr) > 0
+    is_source = np.zeros(graph.shape[0], dtype=bool)
+    is_source[sources] = True
+    head = sources[linked[sources]]
+    nodes = np.concatenate([head, np.flatnonzero(linked & ~is_source)])
+    return graph[nodes][:, nodes], nodes, len(head)
+
+
+def _bit_bfs(graph: sp.csr_matrix, n_sources: int):
+    """BFS levels from each of the first *n_sources* rows of *graph*, whose
+    every row has a link: yields ``(start, width, level, new_bits)``.
 
     Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
-    PVLDB 8(4), 2014): each block of ``_ASPL_SOURCE_CHUNK`` sources gets
-    one bit per source in every node's ``uint64`` row, and one level
-    ORs the frontier rows of each node's neighbours, keeps the bits the
-    node has not seen, and counts the new bits on server rows. Hop totals
-    and pair counts are exact integers.
+    PVLDB 8(4), 2014): each block of ``_ASPL_SOURCE_CHUNK`` sources, rows
+    ``start`` to ``start + width``, gets one bit per source in every row's
+    ``uint64`` words, and one level ORs the frontier rows of each row's
+    neighbours and keeps the bits the row has not seen. ``new_bits[r]``
+    holds bit ``s - start`` exactly when row r is ``level`` hops from
+    source row s; it must not be written to.
     """
-    degree = np.diff(graph.indptr)
-    is_server = np.zeros(graph.shape[0], dtype=bool)
-    is_server[servers] = True
-    # Only nodes with a link take part (their neighbours have one too), so
-    # every row of the reordered graph is a non-empty reduceat segment;
-    # sources come first so the server rows are one leading slice.
-    sources = servers[degree[servers] > 0]
-    nodes = np.concatenate([sources, np.flatnonzero((degree > 0) & ~is_server)])
-    sub = graph[nodes][:, nodes]
-    starts, neighbours = sub.indptr[:-1], sub.indices
-    n_sources = len(sources)
-    total = 0
-    pairs = 0
+    starts, neighbours = graph.indptr[:-1], graph.indices
     for start in range(0, n_sources, _ASPL_SOURCE_CHUNK):
         width = min(_ASPL_SOURCE_CHUNK, n_sources - start)
         bit = np.arange(width)
-        frontier = np.zeros((len(nodes), (width + 63) // 64), dtype=np.uint64)
+        frontier = np.zeros((graph.shape[0], (width + 63) // 64), dtype=np.uint64)
         frontier[start + bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
         visited = frontier.copy()
         level = 0
@@ -324,11 +327,55 @@ def _aspl_exact(graph: sp.csr_matrix, servers: np.ndarray) -> tuple[float, int]:
             if not frontier.any():
                 break
             visited |= frontier
-            count = _popcount(frontier[:n_sources])
-            total += level * count
-            pairs += count
+            yield start, width, level, frontier
+
+
+def _aspl_exact(graph: sp.csr_matrix, servers: np.ndarray) -> tuple[float, int]:
+    """(hop total, pair count) over the same-component pairs of *servers*.
+
+    One ``_bit_bfs`` from every server with a link; each level's new bits
+    on the server rows are that many pairs at that hop count. Hop totals
+    and pair counts are exact integers.
+    """
+    sub, _, n_sources = _linked_first(graph, servers)
+    total = 0
+    pairs = 0
+    for _, _, level, new_bits in _bit_bfs(sub, n_sources):
+        count = _popcount(new_bits[:n_sources])
+        total += level * count
+        pairs += count
     # Every pair was reached from both of its ends.
     return total / 2.0, pairs // 2
+
+
+def _bfs_distances(graph: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Hop distance over *graph* of each pair ``(left[i], right[i])``;
+    ``inf`` where the two ends share no component.
+
+    One ``_bit_bfs`` runs from the distinct left ends, and at each level
+    pair i reads its bit out of the new-frontier row of ``right[i]``, so
+    no distance matrix is built.
+    """
+    dist = np.where(left == right, 0.0, np.inf)
+    sources, source_of = np.unique(left, return_inverse=True)
+    sub, nodes, n_sources = _linked_first(graph, sources)
+    row = np.full(graph.shape[0], -1, dtype=np.int64)
+    row[nodes] = np.arange(len(nodes))
+    # Linked sources hold the leading rows, so a left end's row is its
+    # source index; -1 marks an end without a link.
+    src = row[sources][source_of]
+    dst = row[right]
+    block = None
+    for start, width, level, new_bits in _bit_bfs(sub, n_sources):
+        if start != block:
+            block = start
+            pick = np.flatnonzero((src >= start) & (src < start + width) & (dst >= 0))
+            bit = src[pick] - start
+            word = bit // 64
+            mask = np.uint64(1) << (bit % 64).astype(np.uint64)
+            ends = dst[pick]
+        dist[pick[(new_bits[ends, word] & mask) != 0]] = level
+    return dist
 
 
 def _aspl_sampled(
@@ -337,27 +384,15 @@ def _aspl_sampled(
     n_pairs: int,
     rng: np.random.Generator,
 ) -> tuple[float, int]:
+    """(hop total, pair count) over the same-component pairs among
+    *n_pairs* pairs of *servers* drawn uniformly, self-pairs dropped."""
     left = servers[rng.integers(0, len(servers), size=n_pairs)]
     right = servers[rng.integers(0, len(servers), size=n_pairs)]
     keep = left != right
-    left, right = left[keep], right[keep]
-    order = np.argsort(left, kind="stable")
-    left, right = left[order], right[order]
-    uniq, starts = np.unique(left, return_index=True)
-    total = 0.0
-    pairs = 0
-    bounds = np.append(starts, len(left))
-    for c0 in range(0, len(uniq), _ASPL_SOURCE_CHUNK):
-        chunk = uniq[c0 : c0 + _ASPL_SOURCE_CHUNK]
-        dist = _bfs_distances(graph, chunk)
-        for row, src in enumerate(chunk):
-            i = c0 + row
-            targets = right[bounds[i] : bounds[i + 1]]
-            d = dist[row, targets]
-            finite = np.isfinite(d)
-            total += float(d[finite].sum())
-            pairs += int(finite.sum())
-    return total, pairs
+    dist = _bfs_distances(graph, left[keep], right[keep])
+    reached = dist[np.isfinite(dist)]
+    # Integer hop counts below 2**53: the float sum is exact.
+    return float(reached.sum()), len(reached)
 
 
 def remaining_capacity_ratio(part: SubnetworkPartition, capacities) -> float:
@@ -400,10 +435,9 @@ def evaluate(
 
     Computes only the requested metric names over one degraded state given
     as alive masks, with the same formulas as the object-level API. ASPL is
-    exact up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers, by the
-    bit-parallel multi-source BFS of ``_aspl_exact`` (blocks of 512
-    sources); above it, the Dijkstra path takes it over
-    ``SAMPLED_ASPL_PAIRS`` pairs drawn from *aspl_rng*.
+    exact up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers; above it,
+    the same bit-parallel BFS measures ``SAMPLED_ASPL_PAIRS`` pairs drawn
+    from *aspl_rng*.
     """
     want = set(metrics)
     part = _partition_arrays(topology, node_alive, edge_alive)

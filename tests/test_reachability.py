@@ -16,6 +16,8 @@ from dcn_robust.reachability import (
     _ASPL_SOURCE_CHUNK,
     _alive_after,
     _aspl_exact,
+    _aspl_sampled,
+    _bfs_distances,
     _popcount,
     _subgraph,
 )
@@ -66,6 +68,34 @@ def dijkstra_hops(graph, servers):
         pairs += int(finite.sum())
     # Ordered pairs counted both ways, plus one zero self-distance per server.
     return total / 2.0, (pairs - len(servers)) // 2
+
+
+def dijkstra_sampled(graph, servers, n_pairs, rng):
+    """(hop total, pair count) over *n_pairs* random pairs of *servers*,
+    by one scipy Dijkstra per distinct left end in calls of 512 sources:
+    the sampled ASPL kernel the bit-parallel BFS replaced."""
+    left = servers[rng.integers(0, len(servers), size=n_pairs)]
+    right = servers[rng.integers(0, len(servers), size=n_pairs)]
+    keep = left != right
+    left, right = left[keep], right[keep]
+    order = np.argsort(left, kind="stable")
+    left, right = left[order], right[order]
+    uniq, starts = np.unique(left, return_index=True)
+    total = 0.0
+    pairs = 0
+    bounds = np.append(starts, len(left))
+    for c0 in range(0, len(uniq), 512):
+        chunk = uniq[c0 : c0 + 512]
+        dist = csgraph.shortest_path(
+            graph, method="D", unweighted=True, directed=False, indices=chunk
+        )
+        for row in range(len(chunk)):
+            i = c0 + row
+            d = dist[row, right[bounds[i] : bounds[i + 1]]]
+            finite = np.isfinite(d)
+            total += float(d[finite].sum())
+            pairs += int(finite.sum())
+    return total, pairs
 
 
 def removed_links(topo, rng, count):
@@ -357,6 +387,91 @@ class TestAsplKernel:
         graph = _subgraph(topo, degraded.edge_alive)
         assert len(servers) > _ASPL_SOURCE_CHUNK
         assert _aspl_exact(graph, servers) == dijkstra_hops(graph, servers)
+
+
+class TestAsplSampled:
+    """``_aspl_sampled`` is pinned integer-equal to the Dijkstra oracle it
+    replaced, drawing the same pairs from the same stream."""
+
+    @staticmethod
+    def assert_matches_oracle(graph, servers, n_pairs, seed):
+        rng = np.random.default_rng(seed)
+        assert _aspl_sampled(graph, servers, n_pairs, rng) == dijkstra_sampled(
+            graph, servers, n_pairs, np.random.default_rng(seed)
+        )
+        # The kernel spends exactly the two pair draws of the stream.
+        twin = np.random.default_rng(seed)
+        twin.integers(0, len(servers), size=n_pairs)
+        twin.integers(0, len(servers), size=n_pairs)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_matches_oracle_intact_and_split(self, tiny_topologies):
+        rng = np.random.default_rng(43)
+        for topo in tiny_topologies.values():
+            for degraded in (DegradedNetwork(topo), split_fabric(topo, rng)):
+                graph = _subgraph(topo, degraded.edge_alive)
+                accessible = partition(degraded).accessible_server_mask
+                surviving = degraded.node_alive[: topo.n_servers]
+                for servers in (accessible, surviving):
+                    self.assert_matches_oracle(graph, np.flatnonzero(servers), 2000, 47)
+
+    def test_estimate_over_the_limit(self, monkeypatch):
+        topo = build_fat_tree(8)  # 128 servers
+        monkeypatch.setattr(reachability, "EXACT_ASPL_SERVER_LIMIT", 10)
+        rng = np.random.default_rng(53)
+        degraded = DegradedNetwork(topo, removed_links=removed_links(topo, rng, 40))
+        part = partition(degraded)
+        servers = np.flatnonzero(part.accessible_server_mask)
+        total, pairs = dijkstra_sampled(
+            part.graph, servers, reachability.SAMPLED_ASPL_PAIRS, np.random.default_rng(59)
+        )
+        est = average_shortest_path_length(degraded, part, rng=np.random.default_rng(59))
+        assert est == AsplEstimate(total / pairs, pairs, False)
+        self.assert_matches_oracle(part.graph, servers, reachability.SAMPLED_ASPL_PAIRS, 59)
+
+    def test_fat_tree_26_link_fer_005(self):
+        # The size the benchmark's sampled operation runs at.
+        topo = build_fat_tree(26)
+        rng = np.random.default_rng(61)
+        degraded = DegradedNetwork(
+            topo, removed_links=removed_links(topo, rng, round(0.05 * topo.n_links))
+        )
+        part = partition(degraded)
+        servers = np.flatnonzero(part.accessible_server_mask)
+        assert len(servers) > reachability.EXACT_ASPL_SERVER_LIMIT
+        self.assert_matches_oracle(part.graph, servers, reachability.SAMPLED_ASPL_PAIRS, 67)
+
+
+class TestBfsDistances:
+    """``_bfs_distances`` is pinned pair by pair to the BFS oracle."""
+
+    @pytest.mark.parametrize("chunk", [_ASPL_SOURCE_CHUNK, 64])
+    def test_matches_bfs_oracle(self, chunk, monkeypatch):
+        monkeypatch.setattr(reachability, "_ASPL_SOURCE_CHUNK", chunk)
+        topo = build_fat_tree(8)  # 208 nodes
+        rng = np.random.default_rng(71)
+        links = removed_links(topo, rng, topo.n_links // 3)
+        links.add((0, int(topo.edges_v[topo.edges_u == 0][0])))  # server 0's one link
+        adj = degraded_adjacency(topo, links)
+        assert adj[0] == []
+        graph = _subgraph(topo, DegradedNetwork(topo, removed_links=links).edge_alive)
+        # 180 distinct left ends, server 0 among them, each repeated; those
+        # with a link fill blocks of 64 and end on a partial word.
+        ends = np.concatenate([[0], rng.choice(np.arange(1, topo.n_nodes), 179, replace=False)])
+        linked = sum(1 for s in ends.tolist() if adj[s])
+        assert linked > 2 * 64 and linked % 64
+        left = np.concatenate([ends, rng.choice(ends, size=450)])
+        right = rng.integers(0, topo.n_nodes, size=len(left))
+        right[:5] = left[:5]
+        dist = _bfs_distances(graph, left, right)
+        oracle = {int(s): bfs_distances(adj, int(s)) for s in ends}
+        assert dist.tolist() == [oracle[s][t] for s, t in zip(left.tolist(), right.tolist())]
+        assert np.isinf(dist).any() and (dist[1:] == 0).any() and (dist > 2).any()
+
+    def test_no_pairs(self):
+        graph = _subgraph(build_bcube(2, 0), np.ones(2, dtype=bool))
+        none = np.array([], dtype=np.int64)
+        assert _bfs_distances(graph, none, none).shape == (0,)
 
 
 class TestRemainingCapacity:

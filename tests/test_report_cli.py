@@ -391,8 +391,9 @@ class TestCli:
         ],
     )
     def test_sweep_commands_call_the_module_attribute(self, argv, name, echo, monkeypatch, capsys):
-        # The shared sweep body looks its sweep function up when it runs,
-        # so a wrapper set on the module attribute is the one called.
+        # main builds the parser on every call, and each sweep subcommand
+        # binds the module attribute's sweep function then, so a wrapper
+        # set on the attribute before main runs is the one called.
         calls = []
         monkeypatch.setattr(cli, name, lambda plan, **kw: calls.append(plan) or [])
         topo = ["--topology", "three-layer", "--na", "2", "--ne", "2", "--pairs", "1"]
