@@ -17,7 +17,6 @@ from .analytic import (
     closed_form_mttf,
     elapsed_time,
     min_cut_catalog,
-    mttf_numeric_quadrature,
     normalized_time,
 )
 from .capacity import (

@@ -3,9 +3,8 @@
 Element lifetimes are independent exponentials with mean ``E[tau]``; the
 time to reach f failures out of F follows from order statistics. The mean
 time to the first server disconnection is approximated from the smallest
-cut sets (size r, count c) of each topology, with a numeric-quadrature
-oracle for cross-checking and exact handling of the one case where any two
-switch failures disconnect servers.
+cut sets (size r, count c) of each topology, with exact handling of the
+one case where any two switch failures disconnect servers.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
 
 from .topology import TopologyKind, TopologyParams
 
@@ -29,7 +27,6 @@ __all__ = [
     "normalized_time",
     "normalized_time_table",
     "burtin_pittel_mttf",
-    "mttf_numeric_quadrature",
     "min_cut_catalog",
     "closed_form_mttf",
     "interface_gain_server_threshold",
@@ -108,40 +105,6 @@ def burtin_pittel_mttf(mincut: MinCutSpec, lifetime: float = 1.0) -> float:
     mean = _mean_lifetime(lifetime)
     r, c = mincut.r, mincut.c
     return (mean / r) * c ** (-1.0 / r) * math.gamma(1.0 / r)
-
-
-def mttf_numeric_quadrature(
-    mincut: MinCutSpec, lifetime: float = 1.0
-) -> float:
-    """Independent oracle for :func:`burtin_pittel_mttf`.
-
-    Integrates the approximated reliability exp(-t^r c / E^r) over t in
-    [0, inf) numerically, after the substitution x = t^r:
-    ``(1/r) * int_0^inf x^(1/r-1) exp(-k x) dx`` with k = c / E^r.
-    """
-    mean = _mean_lifetime(lifetime)
-    r, c = mincut.r, mincut.c
-    k = c / mean**r
-    # Beyond x0 the exponential factor is below 1e-18 of its peak; the
-    # remaining tail is orders below the 1e-8 oracle tolerance.
-    x0 = 42.0 / k
-    if r == 1:
-        value, err = integrate.quad(lambda x: math.exp(-k * x), 0.0, x0, epsabs=0, epsrel=1e-12)
-    else:
-        # x^(1/r-1) is an integrable endpoint singularity; integrate it as
-        # an algebraic weight so the quadrature sees only the smooth part.
-        value, err = integrate.quad(
-            lambda x: math.exp(-k * x),
-            0.0,
-            x0,
-            weight="alg",
-            wvar=(1.0 / r - 1.0, 0.0),
-            epsabs=0,
-            epsrel=1e-12,
-        )
-    if not math.isfinite(value) or (value > 0 and err / value > 1e-9):
-        raise ArithmeticError(f"quadrature did not converge: value={value}, err={err}")
-    return value / r
 
 
 class MttfQuality(str, Enum):

@@ -246,12 +246,13 @@ def average_shortest_path_length(
 ) -> AsplEstimate:
     """Mean hop count between accessible servers of the same component.
 
-    Both modes run one bit-parallel multi-source BFS (``_bit_bfs``) and
-    differ only in the pairs they count: every pair up to
-    ``EXACT_ASPL_SERVER_LIMIT`` accessible servers (``_aspl_exact``),
+    Both modes fold each single-link server into its neighbour plus one
+    hop (``_fold``), run one bit-parallel multi-source BFS (``_bit_bfs``)
+    from the anchors, and differ only in the pairs they count: every pair
+    up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers (``_aspl_exact``),
     beyond that ``SAMPLED_ASPL_PAIRS`` uniformly random pairs, measured
-    from their distinct left ends (``_aspl_sampled``). Cross-component
-    pairs never contribute.
+    from the distinct anchors of their left ends (``_aspl_sampled``).
+    Cross-component pairs never contribute.
     """
     return _aspl(partition(degraded) if part is None else part, rng)
 
@@ -272,32 +273,85 @@ def _aspl(part: SubnetworkPartition, rng: np.random.Generator | None) -> AsplEst
     return AsplEstimate(total / pairs if pairs else None, pairs, exact)
 
 
-# Set bits of every byte value, for popcounts that run on any numpy
-# (np.bitwise_count needs numpy 2.0).
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# Constants of the SWAR popcount, which runs on any numpy (np.bitwise_count
+# needs numpy 2.0) and takes fewer passes than a per-byte table lookup.
+_M1, _M2, _M4, _H01 = (
+    np.uint64(m)
+    for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+_S1, _S2, _S4, _S56 = (np.uint64(s) for s in (1, 2, 4, 56))
 
 
-def _popcount(words: np.ndarray) -> int:
-    """Total set bits of a C-contiguous ``uint64`` array."""
-    return int(_BYTE_POPCOUNT[words.view(np.uint8)].sum(dtype=np.int64))
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of a 2-D ``uint64`` array, which is not written to."""
+    half = words >> _S1
+    half &= _M1
+    x = words - half
+    half = x >> _S2
+    half &= _M2
+    x &= _M2
+    x += half
+    x += x >> _S4
+    x &= _M4
+    x *= _H01  # each word's byte counts summed into its top byte
+    x >>= _S56
+    return x.sum(axis=1, dtype=np.int64)
+
+
+def _fold(graph: sp.csr_matrix, servers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor, off) per node of *graph*, folding the pendant servers.
+
+    A server of *servers* with one link, whose neighbour has two or more,
+    is a pendant: its anchor is that neighbour and its ``off`` is one hop.
+    Every other node is its own anchor, zero hops off. Every path from a
+    pendant runs through its anchor, and no shortest path between two
+    other nodes runs through a pendant, so for servers s != t of one
+    component d(s, t) = off[s] + off[t] + d(anchor[s], anchor[t]), also
+    over the graph without the pendants. The neighbour's second link
+    keeps the two servers of a two-server component from folding into
+    each other. Folding degree-1 vertices is a standard step for
+    closeness and all-pairs distance sums (Sariyüce, Kaya, Saule and
+    Çatalyürek, "Graph Manipulations for Fast Centrality Computation",
+    ACM TKDD 11(3), 2017).
+    """
+    degree = np.diff(graph.indptr)
+    single = servers[degree[servers] == 1]
+    neighbour = graph.indices[graph.indptr[single]]
+    pendant = degree[neighbour] >= 2
+    anchor = np.arange(graph.shape[0])
+    anchor[single[pendant]] = neighbour[pendant]
+    off = np.zeros(graph.shape[0], dtype=np.int64)
+    off[single[pendant]] = 1
+    return anchor, off
 
 
 def _linked_first(
-    graph: sp.csr_matrix, sources: np.ndarray
+    graph: sp.csr_matrix, sources: np.ndarray, targets: np.ndarray
 ) -> tuple[sp.csr_matrix, np.ndarray, int]:
-    """(graph, nodes, n_sources): *graph* restricted to its nodes with a
-    link, reordered so that the linked ones of *sources* take the first
-    ``n_sources`` rows in their given order; row r is node ``nodes[r]``.
+    """(graph, row, n_sources): *graph* cut to the nodes that can matter to
+    a path between two ends (*sources* and *targets*), reordered so that
+    the linked ones of *sources* take the first ``n_sources`` rows in
+    their given order; node v is row ``row[v]``, -1 where it was cut.
 
-    A node without a link reaches nothing, and every row left is a
-    non-empty ``reduceat`` segment for ``_bit_bfs``.
+    A node with one link that is no end lies inside no path between two
+    ends, so it is cut (the pendant servers ``_fold`` leaves behind). A
+    node left without a link reaches nothing and is cut too, so every
+    row left is a non-empty ``reduceat`` segment for ``_bit_bfs``.
     """
-    linked = np.diff(graph.indptr) > 0
-    is_source = np.zeros(graph.shape[0], dtype=bool)
-    is_source[sources] = True
+    n = graph.shape[0]
+    degree = np.diff(graph.indptr)
+    end = np.zeros(n, dtype=bool)
+    end[targets] = True
+    end[sources] = True
+    leaf = (degree == 1) & ~end
+    degree = degree - np.bincount(graph.indices[graph.indptr[:-1][leaf]], minlength=n)
+    linked = (degree > 0) & ~leaf
     head = sources[linked[sources]]
-    nodes = np.concatenate([head, np.flatnonzero(linked & ~is_source)])
-    return graph[nodes][:, nodes], nodes, len(head)
+    linked[head] = False
+    nodes = np.concatenate([head, np.flatnonzero(linked)])
+    row = np.full(n, -1, dtype=np.int64)
+    row[nodes] = np.arange(len(nodes))
+    return graph[nodes][:, nodes], row, len(head)
 
 
 def _bit_bfs(graph: sp.csr_matrix, n_sources: int):
@@ -330,22 +384,63 @@ def _bit_bfs(graph: sp.csr_matrix, n_sources: int):
             yield start, width, level, frontier
 
 
+def _weight_planes(weights: np.ndarray) -> list[tuple[int, np.ndarray | None]]:
+    """``(2**j, mask)`` per bit j that some of *weights* has: the mask's
+    ``uint64`` words hold bit c where ``weights[c]`` has bit j, as in a
+    ``_bit_bfs`` row; None where every weight has it."""
+    words = (len(weights) + 63) // 64
+    shifts = np.arange(64, dtype=np.uint64)
+    planes = []
+    for j in range(int(weights.max()).bit_length()):
+        has = (weights >> j) & 1
+        if has.all():
+            planes.append((1 << j, None))
+        elif has.any():
+            bits = np.zeros(words * 64, dtype=np.uint64)
+            bits[: len(weights)] = has
+            mask = (bits.reshape(words, 64) << shifts).sum(axis=1, dtype=np.uint64)
+            planes.append((1 << j, mask))
+    return planes
+
+
 def _aspl_exact(graph: sp.csr_matrix, servers: np.ndarray) -> tuple[float, int]:
     """(hop total, pair count) over the same-component pairs of *servers*.
 
-    One ``_bit_bfs`` from every server with a link; each level's new bits
-    on the server rows are that many pairs at that hop count. Hop totals
-    and pair counts are exact integers.
+    The servers are folded into their anchors (``_fold``), and one
+    ``_bit_bfs`` runs from every distinct anchor with a link, over the
+    graph without the pendants. With w_a servers on anchor a, n_c(s) of
+    *servers* in s's component and one hop ``off_s`` per pendant s, the
+    hop total is the sum over anchor pairs a < b of w_a w_b d(a, b), plus
+    the sum over servers of off_s (n_c(s) - 1); the pair count is the sum
+    over components of n_c (n_c - 1) / 2. Each level weighs a row's new
+    bits by the source weights one bit plane at a time
+    (``_weight_planes``); without pendants the one plane is a plain
+    popcount. Hop totals and pair counts are exact integers.
     """
-    sub, _, n_sources = _linked_first(graph, servers)
+    anchor, off = _fold(graph, servers)
+    anchors, slot, weight = np.unique(anchor[servers], return_inverse=True, return_counts=True)
+    sub, row, n_sources = _linked_first(graph, anchors, anchors)
+    linked = row[anchors] >= 0
+    w = weight[linked]
+    reach = np.zeros(n_sources, dtype=np.int64)  # servers reached per row
     total = 0
-    pairs = 0
-    for _, _, level, new_bits in _bit_bfs(sub, n_sources):
-        count = _popcount(new_bits[:n_sources])
-        total += level * count
-        pairs += count
-    # Every pair was reached from both of its ends.
-    return total / 2.0, pairs // 2
+    block = None
+    for start, width, level, new_bits in _bit_bfs(sub, n_sources):
+        if start != block:
+            block = start
+            planes = _weight_planes(w[start : start + width])
+        rows = new_bits[:n_sources]
+        counts = sum(
+            scale * _popcount(rows if mask is None else rows & mask) for scale, mask in planes
+        )
+        reach += counts
+        total += level * int(w @ counts)
+    in_component = weight.copy()
+    in_component[linked] += reach
+    # Pairs across anchors were reached from both of their ends.
+    total = total // 2 + int(off[servers] @ (in_component[slot] - 1))
+    pairs = int(w @ reach) // 2 + int((weight * (weight - 1)).sum()) // 2
+    return float(total), pairs
 
 
 def _bfs_distances(graph: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -358,11 +453,9 @@ def _bfs_distances(graph: sp.csr_matrix, left: np.ndarray, right: np.ndarray) ->
     """
     dist = np.where(left == right, 0.0, np.inf)
     sources, source_of = np.unique(left, return_inverse=True)
-    sub, nodes, n_sources = _linked_first(graph, sources)
-    row = np.full(graph.shape[0], -1, dtype=np.int64)
-    row[nodes] = np.arange(len(nodes))
+    sub, row, n_sources = _linked_first(graph, sources, right)
     # Linked sources hold the leading rows, so a left end's row is its
-    # source index; -1 marks an end without a link.
+    # source index; -1 marks an end that was cut.
     src = row[sources][source_of]
     dst = row[right]
     block = None
@@ -385,11 +478,17 @@ def _aspl_sampled(
     rng: np.random.Generator,
 ) -> tuple[float, int]:
     """(hop total, pair count) over the same-component pairs among
-    *n_pairs* pairs of *servers* drawn uniformly, self-pairs dropped."""
+    *n_pairs* pairs of *servers* drawn uniformly, self-pairs dropped.
+
+    Each pair is measured between the anchors of its ends (``_fold``),
+    plus their hops off them, so the BFS runs from distinct anchors.
+    """
     left = servers[rng.integers(0, len(servers), size=n_pairs)]
     right = servers[rng.integers(0, len(servers), size=n_pairs)]
     keep = left != right
-    dist = _bfs_distances(graph, left[keep], right[keep])
+    left, right = left[keep], right[keep]
+    anchor, off = _fold(graph, servers)
+    dist = _bfs_distances(graph, anchor[left], anchor[right]) + (off[left] + off[right])
     reached = dist[np.isfinite(dist)]
     # Integer hop counts below 2**53: the float sum is exact.
     return float(reached.sum()), len(reached)
@@ -437,7 +536,8 @@ def evaluate(
     as alive masks, with the same formulas as the object-level API. ASPL is
     exact up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers; above it,
     the same bit-parallel BFS measures ``SAMPLED_ASPL_PAIRS`` pairs drawn
-    from *aspl_rng*.
+    from *aspl_rng*. Both run it from the anchors of the folded
+    single-link servers (``_fold``), not from every server.
     """
     want = set(metrics)
     part = _partition_arrays(topology, node_alive, edge_alive)

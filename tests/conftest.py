@@ -1,5 +1,9 @@
-import pytest
+import math
 
+import pytest
+from scipy import integrate
+
+from dcn_robust.analytic import MinCutSpec, _mean_lifetime
 from dcn_robust.topology import (
     build_bcube,
     build_dcell,
@@ -106,3 +110,35 @@ def oracle_server_rings(topo):
         )
     unpaired = {u for u in range(s) if len(peers[u]) != 2}
     return rings, unpaired, switches - set(topo.gateways.tolist())
+
+
+def mttf_numeric_quadrature(mincut: MinCutSpec, lifetime: float = 1.0) -> float:
+    """Independent oracle for ``analytic.burtin_pittel_mttf``.
+
+    Integrates the approximated reliability exp(-t^r c / E^r) over t in
+    [0, inf) numerically, after the substitution x = t^r:
+    ``(1/r) * int_0^inf x^(1/r-1) exp(-k x) dx`` with k = c / E^r.
+    """
+    mean = _mean_lifetime(lifetime)
+    r, c = mincut.r, mincut.c
+    k = c / mean**r
+    # Beyond x0 the exponential factor is below 1e-18 of its peak; the
+    # remaining tail is orders below the 1e-8 oracle tolerance.
+    x0 = 42.0 / k
+    if r == 1:
+        value, err = integrate.quad(lambda x: math.exp(-k * x), 0.0, x0, epsabs=0, epsrel=1e-12)
+    else:
+        # x^(1/r-1) is an integrable endpoint singularity; integrate it as
+        # an algebraic weight so the quadrature sees only the smooth part.
+        value, err = integrate.quad(
+            lambda x: math.exp(-k * x),
+            0.0,
+            x0,
+            weight="alg",
+            wvar=(1.0 / r - 1.0, 0.0),
+            epsabs=0,
+            epsrel=1e-12,
+        )
+    if not math.isfinite(value) or (value > 0 and err / value > 1e-9):
+        raise ArithmeticError(f"quadrature did not converge: value={value}, err={err}")
+    return value / r

@@ -42,7 +42,6 @@ from dcn_robust.analytic import (
     fat_tree_deficit_server_threshold,
     interface_gain_server_threshold,
     min_cut_catalog,
-    mttf_numeric_quadrature,
     normalized_time_table,
 )
 from dcn_robust.capacity import (
@@ -74,7 +73,12 @@ from dcn_robust.simulation import (
 )
 from dcn_robust.topology import TopologyKind, TopologyParams, build_topology
 
-from conftest import degraded_adjacency, oracle_accessible_servers, oracle_server_rings
+from conftest import (
+    degraded_adjacency,
+    mttf_numeric_quadrature,
+    oracle_accessible_servers,
+    oracle_server_rings,
+)
 
 SEED = 20250810
 

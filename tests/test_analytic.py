@@ -14,11 +14,12 @@ from dcn_robust.analytic import (
     fat_tree_deficit_server_threshold,
     interface_gain_server_threshold,
     min_cut_catalog,
-    mttf_numeric_quadrature,
     normalized_time,
     normalized_time_table,
 )
 from dcn_robust.topology import TopologyKind, TopologyParams
+
+from conftest import mttf_numeric_quadrature
 
 
 def three_layer_3k():

@@ -18,6 +18,7 @@ from dcn_robust.reachability import (
     _aspl_exact,
     _aspl_sampled,
     _bfs_distances,
+    _fold,
     _popcount,
     _subgraph,
 )
@@ -358,10 +359,40 @@ class TestAsplKernel:
             DegradedNetwork(topo, removed_switches=switches), _ASPL_SOURCE_CHUNK
         )
 
+    def test_folds_pendants_onto_server_anchors(self):
+        # DCell(4,1): server 0 keeps only its link to server 4, which has a
+        # second link, so server 4 (itself in the set) is its anchor.
+        # Servers 1 and 8 keep only their link to each other: a two-server
+        # component without a gateway, where neither folds into the other.
+        topo = build_dcell(4, 1)
+        degraded = DegradedNetwork(topo, removed_links={(0, 20), (1, 20), (8, 22)})
+        anchor, off = _fold(_subgraph(topo, degraded.edge_alive), np.arange(topo.n_servers))
+        assert (anchor[0], off[0], off[4]) == (4, 1, 0)
+        assert (anchor[[1, 8]].tolist(), off[[1, 8]].tolist()) == ([1, 8], [0, 0])
+        self.assert_matches_oracle(degraded)
+
+    @pytest.mark.parametrize("chunk", [_ASPL_SOURCE_CHUNK, 64])
+    def test_weights_spanning_four_bit_planes(self, chunk, monkeypatch):
+        monkeypatch.setattr(reachability, "_ASPL_SOURCE_CHUNK", chunk)
+        # BCube(9,1): server s links to switches 81 + s // 9 and 90 + s % 9.
+        # Cutting the second link leaves 8, 5 and 2 pendant servers on
+        # switches 81, 82 and 83, so the anchor weights 1, 2, 5 and 8 fill
+        # bit planes 0 to 3, and the 69 anchors end on a partial word.
+        topo = build_bcube(9, 1)
+        cut = [*range(0, 8), *range(9, 14), 18, 19]
+        degraded = DegradedNetwork(topo, removed_links={(s, 90 + s % 9) for s in cut})
+        anchor, _ = _fold(_subgraph(topo, degraded.edge_alive), np.arange(topo.n_servers))
+        anchors, weight = np.unique(anchor[: topo.n_servers], return_counts=True)
+        assert sorted(weight[anchors >= topo.n_servers].tolist()) == [2, 5, 8]
+        assert len(anchors) == 69
+        self.assert_matches_oracle(degraded)
+
     @pytest.mark.parametrize("words", [[0], [1], [1 << 63], [2**64 - 1], [0, 1, 1 << 63, 2**64 - 1]])
     def test_popcount_matches_bin_count(self, words):
         rows = np.array(words, dtype=np.uint64).reshape(-1, 1)
-        assert _popcount(rows) == sum(bin(w).count("1") for w in words)
+        assert _popcount(rows).tolist() == [bin(w).count("1") for w in words]
+        row = rows.reshape(1, -1)
+        assert _popcount(row).tolist() == [sum(bin(w).count("1") for w in words)]
 
     @pytest.mark.parametrize(
         "build, args",
@@ -440,6 +471,19 @@ class TestAsplSampled:
         servers = np.flatnonzero(part.accessible_server_mask)
         assert len(servers) > reachability.EXACT_ASPL_SERVER_LIMIT
         self.assert_matches_oracle(part.graph, servers, reachability.SAMPLED_ASPL_PAIRS, 67)
+
+    def test_dcell_link_failures_fold_onto_servers(self):
+        topo = build_dcell(4, 2)  # 420 servers
+        rng = np.random.default_rng(73)
+        degraded = DegradedNetwork(
+            topo, removed_links=removed_links(topo, rng, round(0.3 * topo.n_links))
+        )
+        part = partition(degraded)
+        servers = np.flatnonzero(part.accessible_server_mask)
+        anchor, off = _fold(part.graph, servers)
+        # Some pendant servers hang on a server, not on a switch.
+        assert (anchor[servers][off[servers] == 1] < topo.n_servers).any()
+        self.assert_matches_oracle(part.graph, servers, 20_000, 79)
 
 
 class TestBfsDistances:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -573,3 +577,14 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["seed"] == 17
         assert doc["plan"]["samples"] == 4
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # Only the quadrature oracle under tests/ integrates; every run would
+    # otherwise pay for loading scipy.integrate at start-up.
+    code = "import sys, dcn_robust.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
