@@ -171,7 +171,8 @@ def module_partition(topology: Topology) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class CapacityAssignment:
-    """Per-server capacities plus the module layout used to place them."""
+    """Per-server capacities plus the module layout used to place them,
+    on the topology they were placed over."""
 
     topology: Topology
     placement: Placement
@@ -299,12 +300,11 @@ def _isolating_switches(topology: Topology, module: np.ndarray) -> list[int]:
 
 
 def remove_richest_module(
-    topology: Topology,
-    assignment: CapacityAssignment,
-    resource: Resource | str,
+    assignment: CapacityAssignment, resource: Resource | str
 ) -> DegradedNetwork:
-    """Cut the highest-capacity module off by removing its aggregation
-    switches (three-layer and fat-tree only; see ``_isolating_switches``).
+    """Cut the highest-capacity module off the topology the assignment
+    carries, by removing its aggregation switches (three-layer and
+    fat-tree only; see ``_isolating_switches``).
 
     Ties break toward the smallest module index. The resulting RCR is
     deterministic: no sampling is involved.
@@ -312,5 +312,6 @@ def remove_richest_module(
     resource = Resource.of(resource)
     totals = assignment.module_capacity(resource)
     richest = int(np.argmax(totals))  # argmax takes the first maximum
+    topology = assignment.topology
     switches = _isolating_switches(topology, assignment.modules[richest])
     return DegradedNetwork(topology, removed_switches=frozenset(switches))

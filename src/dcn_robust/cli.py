@@ -33,6 +33,7 @@ from .simulation import (
     ExperimentPlan,
     MetricSample,
     UnsupportedPlanError,
+    _cached_topology,
     classed_sweep,
     plan_from_doc,
     plan_to_doc,
@@ -42,6 +43,7 @@ from .simulation import (
 )
 from .topology import (
     GatewayPolicy,
+    Topology,
     TopologyKind,
     TopologyParameterError,
     TopologyParams,
@@ -69,11 +71,6 @@ _CONFIG_ERRORS = (
 def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=Path, help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument(
-        "--gnuplot",
-        action="store_true",
-        help="also emit a gnuplot script next to a CSV --out",
-    )
 
 
 def _add_topology(sub: argparse.ArgumentParser) -> None:
@@ -140,6 +137,11 @@ def _add_sweep(commands, name: str, help: str, grid, sweep, metrics: str = "asr"
     sub = commands.add_parser(name, help=help)
     _add_plan(sub, grid, DEFAULT_SWEEP_SAMPLES, metrics)
     sub.add_argument("--metrics", help=f"comma-separated metric names (default {metrics})")
+    sub.add_argument(
+        "--gnuplot",
+        action="store_true",
+        help="also emit a gnuplot script next to a CSV --out",
+    )
     _add_dataset(sub)
     sub.set_defaults(handler=_cmd_sweep, sweep=sweep)
     return sub
@@ -194,7 +196,8 @@ def _parse_grid(text: str, option: str = "--fer") -> tuple[float, ...]:
     return tuple(_parse_float(p, option) for p in text.split(","))
 
 
-def _load_capacity(args: argparse.Namespace, params: TopologyParams):
+def _load_capacity(args: argparse.Namespace, topology: Topology):
+    """The --dataset placed over *topology*, or None without --dataset."""
     if args.dataset is None:
         return None
     name = args.dataset
@@ -202,8 +205,7 @@ def _load_capacity(args: argparse.Namespace, params: TopologyParams):
         classes = builtin_dataset(name)
     else:
         classes = load_dataset(Path(name).read_text(encoding="utf-8"), origin=name)
-    topo = build_topology(params)
-    return assign_capacities(topo, classes, args.placement)
+    return assign_capacities(topology, classes, args.placement)
 
 
 def _emit(args: argparse.Namespace, report: Report) -> None:
@@ -213,7 +215,7 @@ def _emit(args: argparse.Namespace, report: Report) -> None:
         return
     args.out.write_text(text, encoding="utf-8")
     print(f"wrote {args.out}")
-    if args.format == "csv" and args.gnuplot:
+    if args.format == "csv" and getattr(args, "gnuplot", False):  # sweeps only
         script = args.out.with_suffix(".gp")
         script.write_text(gnuplot_script(args.out.name, report), encoding="utf-8")
         print(f"wrote {script}")
@@ -320,7 +322,7 @@ def _class_grid(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Body of every sweep command; *args.sweep* is its sweep function."""
     plan = _plan_from_args(args)
-    assignment = _load_capacity(args, plan.params)
+    assignment = _load_capacity(args, _cached_topology(plan.params))
     rows = args.sweep(plan, capacity_assignment=assignment)
     _emit(args, _report(plan, rows))
     return EXIT_OK
@@ -328,12 +330,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    assignment = _load_capacity(args, params)
-    if assignment is None:
+    if args.dataset is None:
         raise ConfigurationError("--dataset is required")
+    assignment = _load_capacity(args, build_topology(params))
     resource = Resource.of(args.remove_richest)
-    topo = assignment.topology
-    degraded = remove_richest_module(topo, assignment, resource)
+    degraded = remove_richest_module(assignment, resource)
     part = partition(degraded)
     rcr = remaining_capacity_ratio(part, assignment.capacity_vector(resource))
     metric = "rcr_cpu" if resource is Resource.CPU else "rcr_mem"  # the sweeps' names

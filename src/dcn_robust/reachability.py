@@ -239,28 +239,19 @@ class AsplEstimate(NamedTuple):
 
 
 def average_shortest_path_length(
-    degraded: DegradedNetwork,
-    part: SubnetworkPartition | None = None,
-    *,
-    rng: np.random.Generator | None = None,
+    part: SubnetworkPartition, *, rng: np.random.Generator | None = None
 ) -> AsplEstimate:
-    """Mean hop count between accessible servers of the same component.
+    """Mean hop count between accessible servers of the same component of
+    *part*, over the surviving-link graph it labelled.
 
     Both modes fold each single-link server into its neighbour plus one
     hop (``_fold``), run one bit-parallel multi-source BFS (``_bit_bfs``)
     from the anchors, and differ only in the pairs they count: every pair
     up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers (``_aspl_exact``),
-    beyond that ``SAMPLED_ASPL_PAIRS`` uniformly random pairs, measured
-    from the distinct anchors of their left ends (``_aspl_sampled``).
-    Cross-component pairs never contribute.
+    beyond that ``SAMPLED_ASPL_PAIRS`` uniformly random pairs drawn from
+    *rng*, measured from the distinct anchors of their left ends
+    (``_aspl_sampled``). Cross-component pairs never contribute.
     """
-    return _aspl(partition(degraded) if part is None else part, rng)
-
-
-def _aspl(part: SubnetworkPartition, rng: np.random.Generator | None) -> AsplEstimate:
-    """ASPL among the accessible servers of *part* over its surviving-link
-    graph: exact up to ``EXACT_ASPL_SERVER_LIMIT`` servers, else over
-    ``SAMPLED_ASPL_PAIRS`` random pairs."""
     servers = np.flatnonzero(part.accessible_server_mask)
     if len(servers) < 2:
         return AsplEstimate(None, 0, True)
@@ -544,7 +535,7 @@ def evaluate(
     return SurvivalMetrics(
         asr=accessible_server_ratio(part) if "asr" in want else None,
         sc=server_connectivity(part) if "sc" in want else None,
-        aspl=_aspl(part, aspl_rng) if "aspl" in want else None,
+        aspl=average_shortest_path_length(part, rng=aspl_rng) if "aspl" in want else None,
         rcr_cpu=remaining_capacity_ratio(part, cpu) if "rcr_cpu" in want else None,
         rcr_mem=remaining_capacity_ratio(part, mem) if "rcr_mem" in want else None,
     )

@@ -176,7 +176,8 @@ def to_json_text(report: Report) -> str:
 
 
 def gnuplot_script(csv_path: str, report: Report) -> str:
-    """A pipeable gnuplot script plotting mean vs FER per metric series."""
+    """A pipeable gnuplot script plotting mean vs FER per metric series,
+    each from its own metric's rows of a sweep's CSV."""
     metrics = []
     for row in report.rows:
         if row.metric not in metrics:
@@ -191,6 +192,7 @@ def gnuplot_script(csv_path: str, report: Report) -> str:
             break
         if row.fer_link is not None:
             break
+    metric_col = CSV_COLUMNS.index("metric") + 1
     mean_col = CSV_COLUMNS.index("mean") + 1
     ci_col = CSV_COLUMNS.index("ci95_half") + 1
     lines = [
@@ -199,9 +201,11 @@ def gnuplot_script(csv_path: str, report: Report) -> str:
         "set xlabel 'failed elements ratio'",
     ]
     for metric in metrics:
+        # Rows of the other metrics read NaN, which gnuplot skips.
+        mean = f"(strcol({metric_col}) eq '{metric}' ? ${mean_col} : NaN)"
         lines.append(f"set ylabel '{metric}'")
         lines.append(
-            f"plot '{csv_path}' skip 1 using {fer_col}:{mean_col}:{ci_col} "
+            f"plot '{csv_path}' skip 1 using {fer_col}:{mean}:{ci_col} "
             f"with yerrorlines title '{metric}'"
         )
         lines.append("pause -1")

@@ -58,6 +58,8 @@ from .topology import (
     TopologyKind,
     TopologyParams,
     build_topology,
+    params_from_doc,
+    params_to_doc,
 )
 
 __all__ = [
@@ -150,9 +152,11 @@ class ExperimentPlan:
         if len(self.fer_grids) not in (0, len(self.failures)):
             raise UnsupportedPlanError("plan needs one FER grid per failure type")
         for grid in self.fer_grids:
+            if not grid:
+                raise UnsupportedPlanError("FER grid must hold at least one value")
             if list(grid) != sorted(grid):
                 raise UnsupportedPlanError("FER grid must be sorted ascending")
-            if grid and (grid[0] < 0.0 or grid[-1] > 1.0):
+            if grid[0] < 0.0 or grid[-1] > 1.0:
                 raise UnsupportedPlanError("FER grid values must lie in [0, 1]")
         if self.samples < 1:
             raise UnsupportedPlanError(f"samples must be >= 1, got {self.samples}")
@@ -717,6 +721,13 @@ def classed_sweep(
 def _plan_capacities(
     plan: ExperimentPlan, assignment
 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (cpu, memory) vectors of *assignment*, which must have been
+    made for the plan's own topology."""
+    if assignment is not None and assignment.topology.params != plan.params:
+        raise UnsupportedPlanError(
+            f"capacity assignment is for {params_to_doc(assignment.topology.params)}, "
+            f"the plan runs {params_to_doc(plan.params)}"
+        )
     if not any(m.startswith("rcr") for m in plan.metrics):
         return None
     if assignment is None:
@@ -729,8 +740,6 @@ def _plan_capacities(
 
 def plan_to_doc(plan: ExperimentPlan) -> dict:
     """JSON-ready plan document (same format family as topology documents)."""
-    from .topology import params_to_doc
-
     doc = {
         "params": params_to_doc(plan.params),
         "failures": [f.value for f in plan.failures],
@@ -745,8 +754,6 @@ def plan_to_doc(plan: ExperimentPlan) -> dict:
 
 
 def plan_from_doc(doc: dict) -> ExperimentPlan:
-    from .topology import params_from_doc
-
     try:
         return ExperimentPlan(
             params=params_from_doc(doc["params"]),

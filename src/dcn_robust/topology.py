@@ -4,7 +4,9 @@ Each builder produces an immutable :class:`Topology`: servers and switches
 with stable integer ids (servers first, then switches, both in generator
 traversal order), a canonical sorted edge list, and a default gateway set
 (all top-level switches). Identical parameters always produce identical
-topologies, bit-for-bit in serialized form.
+topologies, bit-for-bit in serialized form, and a topology document
+parses only as the topology its params build: a topology is a function
+of its :class:`TopologyParams`, which the engine's caches key on.
 """
 
 from __future__ import annotations
@@ -478,25 +480,39 @@ def params_from_doc(doc: dict) -> TopologyParams:
     )
 
 
-def serialize_topology(topology: Topology) -> str:
-    """Self-describing UTF-8 document; identical params yield identical bytes."""
+def _topology_doc(topology: Topology) -> dict:
     nodes = [{"id": i, "kind": "server"} for i in range(topology.n_servers)]
     nodes.extend(
         {"id": topology.n_servers + i, "kind": "switch", "layer": layer}
         for i, layer in enumerate(topology.switch_layers)
     )
-    doc = {
+    return {
         "format": _FORMAT,
         "params": params_to_doc(topology.params),
         "nodes": nodes,
         "edges": [[int(u), int(v)] for u, v in zip(topology.edges_u, topology.edges_v)],
         "gateways": [int(g) for g in topology.gateways],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def serialize_topology(topology: Topology) -> str:
+    """Self-describing UTF-8 document; identical params yield identical bytes."""
+    return json.dumps(_topology_doc(topology), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True)
 
 
 def parse_topology(document: str) -> Topology:
-    """Inverse of :func:`serialize_topology`, validating graph invariants."""
+    """Inverse of :func:`serialize_topology`: the topology the document's
+    params build.
+
+    The document's ``nodes``, ``edges`` and ``gateways`` must equal that
+    build's own serialization, compared as JSON values, so a document
+    parses only as the topology its params build; the error names the
+    first entry that differs, or both lengths.
+    """
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -507,61 +523,17 @@ def parse_topology(document: str) -> Topology:
         if key not in doc:
             raise TopologyParseError(f"missing field {key!r}")
 
-    params = params_from_doc(doc["params"])
-
-    servers: set[int] = set()
-    switches: dict[int, str] = {}
-    for pos, node in enumerate(doc["nodes"]):
-        try:
-            nid, kind = int(node["id"]), node["kind"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TopologyParseError(f"nodes[{pos}]: bad entry: {exc}") from exc
-        if nid in servers or nid in switches:
-            raise TopologyParseError(f"nodes[{pos}]: duplicate id {nid}")
-        if kind == "server":
-            servers.add(nid)
-        elif kind == "switch":
-            switches[nid] = str(node.get("layer", ""))
-        else:
-            raise TopologyParseError(f"nodes[{pos}]: unknown kind {kind!r}")
-    n_servers = len(servers)
-    n_nodes = n_servers + len(switches)
-    if servers != set(range(n_servers)):
-        raise TopologyParseError("nodes: server ids must be 0..n_servers-1")
-    if set(switches) != set(range(n_servers, n_nodes)):
-        raise TopologyParseError("nodes: switch ids must follow server ids contiguously")
-    layers = tuple(switches[i] for i in range(n_servers, n_nodes))
-
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
-    for pos, e in enumerate(doc["edges"]):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise TopologyParseError(f"edges[{pos}]: expected a pair")
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise TopologyParseError(f"edges[{pos}]: self-loop at node {u}")
-        for end in (u, v):
-            if not (0 <= end < n_nodes):
-                raise TopologyParseError(f"edges[{pos}]: unknown node id {end}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise TopologyParseError(f"edges[{pos}]: duplicate edge {key}")
-        seen.add(key)
-        pairs.append(key)
-
-    gateways = []
-    for pos, g in enumerate(doc["gateways"]):
-        g = int(g)
-        if g not in switches:
-            raise TopologyParseError(f"gateways[{pos}]: node {g} is not a switch")
-        gateways.append(g)
-
-    arr = np.array(sorted(pairs), dtype=np.int64).reshape(len(pairs), 2)
-    return Topology(
-        params=params,
-        n_servers=n_servers,
-        switch_layers=layers,
-        edges_u=np.ascontiguousarray(arr[:, 0]),
-        edges_v=np.ascontiguousarray(arr[:, 1]),
-        gateways=np.array(sorted(gateways), dtype=np.int64),
-    )
+    topology = build_topology(params_from_doc(doc["params"]))
+    built = _topology_doc(topology)
+    for key in ("nodes", "edges", "gateways"):
+        got, want = doc[key], built[key]
+        if _json(got) == _json(want):
+            continue
+        if not isinstance(got, list) or len(got) != len(want):
+            size = len(got) if isinstance(got, list) else "no list"
+            raise TopologyParseError(f"{key}: got {size}, params build {len(want)} entries")
+        pos = next(i for i, (a, b) in enumerate(zip(got, want)) if _json(a) != _json(b))
+        raise TopologyParseError(
+            f"{key}[{pos}]: got {_json(got[pos])}, params build {_json(want[pos])}"
+        )
+    return topology

@@ -444,7 +444,7 @@ def test_criterion_11_capacity_targets():
     rcr = {}
     for placement, expected in ((Placement.UNBALANCED, 0.5), (Placement.BALANCED, 5 / 6)):
         assignment = assign_capacities(topo, synthetic, placement)
-        part = partition(remove_richest_module(topo, assignment, "cpu"))
+        part = partition(remove_richest_module(assignment, "cpu"))
         value = remaining_capacity_ratio(part, assignment.capacity_vector("cpu"))
         rcr[placement.value] = (value, expected)
     targeted_ok = all(

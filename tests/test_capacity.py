@@ -151,7 +151,7 @@ class TestTargetedRemoval:
     def test_synthetic_unbalanced_halves_cpu(self):
         topo = three_layer_3k()
         assignment = assign_capacities(topo, builtin_dataset("synthetic"), "unbalanced")
-        degraded = remove_richest_module(topo, assignment, "cpu")
+        degraded = remove_richest_module(assignment, "cpu")
         part = partition(degraded)
         cpu = assignment.capacity_vector("cpu")
         assert remaining_capacity_ratio(part, cpu) == pytest.approx(0.5, rel=1e-12)
@@ -161,7 +161,7 @@ class TestTargetedRemoval:
     def test_synthetic_balanced_keeps_five_sixths(self):
         topo = three_layer_3k()
         assignment = assign_capacities(topo, builtin_dataset("synthetic"), "balanced")
-        part = partition(remove_richest_module(topo, assignment, "cpu"))
+        part = partition(remove_richest_module(assignment, "cpu"))
         cpu = assignment.capacity_vector("cpu")
         assert remaining_capacity_ratio(part, cpu) == pytest.approx(5 / 6, rel=1e-12)
 
@@ -170,7 +170,7 @@ class TestTargetedRemoval:
         homogeneous = (ServerClass(1, 0.8, 0.8, 1.0),)
         for placement in Placement:
             assignment = assign_capacities(topo, homogeneous, placement)
-            part = partition(remove_richest_module(topo, assignment, "cpu"))
+            part = partition(remove_richest_module(assignment, "cpu"))
             cpu = assignment.capacity_vector("cpu")
             assert remaining_capacity_ratio(part, cpu) == pytest.approx(
                 1 - 576 / 3456, rel=1e-12
@@ -185,7 +185,7 @@ class TestTargetedRemoval:
                 assignment = assign_capacities(
                     topo, builtin_dataset("synthetic"), placement
                 )
-                part = partition(remove_richest_module(topo, assignment, resource))
+                part = partition(remove_richest_module(assignment, resource))
                 capacities = assignment.capacity_vector(resource)
                 values[placement] = remaining_capacity_ratio(part, capacities)
             assert values[Placement.BALANCED] >= values[Placement.UNBALANCED]
@@ -197,7 +197,7 @@ class TestTargetedRemoval:
             out = {}
             for placement in Placement:
                 assignment = assign_capacities(topo, builtin_dataset("google"), placement)
-                part = partition(remove_richest_module(topo, assignment, resource))
+                part = partition(remove_richest_module(assignment, resource))
                 capacities = assignment.capacity_vector(resource)
                 out[placement] = remaining_capacity_ratio(part, capacities)
             return out[Placement.BALANCED] - out[Placement.UNBALANCED]
@@ -208,12 +208,13 @@ class TestTargetedRemoval:
         topo = build_bcube(4, 1)
         assignment = assign_capacities(topo, builtin_dataset("google"), "balanced")
         with pytest.raises(ConfigurationError):
-            remove_richest_module(topo, assignment, "gpu")
+            remove_richest_module(assignment, "gpu")
 
     def test_fat_tree_cut_drops_the_pod_aggregation_switches(self):
         topo = build_fat_tree(4)  # 4 pods of 4 servers
         assignment = assign_capacities(topo, builtin_dataset("synthetic"), "unbalanced")
-        degraded = remove_richest_module(topo, assignment, "cpu")
+        degraded = remove_richest_module(assignment, "cpu")
+        assert degraded.topology is assignment.topology
         # pod 0 is the richest; ids 16-19 are the core, 20-21 its aggregation pair
         assert sorted(degraded.removed_switches) == [20, 21]
         assert {topo.switch_layer(s) for s in degraded.removed_switches} == {"aggregation"}
@@ -224,7 +225,7 @@ class TestTargetedRemoval:
     def test_fat_tree_24_cut_strands_exactly_one_pod(self):
         topo = build_fat_tree(24)
         assignment = assign_capacities(topo, builtin_dataset("synthetic"), "unbalanced")
-        degraded = remove_richest_module(topo, assignment, "cpu")
+        degraded = remove_richest_module(assignment, "cpu")
         assert len(degraded.removed_switches) == 12
         assert accessible_server_ratio(partition(degraded)) == pytest.approx(23 / 24)
 
@@ -234,4 +235,4 @@ class TestTargetedRemoval:
         topo = build()
         assignment = assign_capacities(topo, builtin_dataset("synthetic"), "unbalanced")
         with pytest.raises(ConfigurationError, match="switch-only cut"):
-            remove_richest_module(topo, assignment, "cpu")
+            remove_richest_module(assignment, "cpu")

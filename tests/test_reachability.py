@@ -259,14 +259,14 @@ class TestRatios:
 class TestAspl:
     def test_shared_switch_pair(self):
         topo = build_bcube(2, 0)
-        est = average_shortest_path_length(DegradedNetwork(topo))
+        est = average_shortest_path_length(partition(DegradedNetwork(topo)))
         assert est == AsplEstimate(2.0, 1, True)
 
     def test_fat_tree_4_failure_free_matches_bfs_oracle(self):
         topo = build_fat_tree(4)
         adj = degraded_adjacency(topo)
         expected, pairs = oracle_aspl(topo, adj, set(range(topo.n_servers)))
-        est = average_shortest_path_length(DegradedNetwork(topo))
+        est = average_shortest_path_length(partition(DegradedNetwork(topo)))
         assert est.pairs == pairs == 120
         assert est.hops == pytest.approx(expected)
         # frozen oracle value: 8 same-edge pairs at 2, 16 same-pod at 4, 96 at 6
@@ -276,7 +276,7 @@ class TestAspl:
         topo = build_dcell(4, 1)
         adj = degraded_adjacency(topo)
         expected, _ = oracle_aspl(topo, adj, set(range(topo.n_servers)))
-        est = average_shortest_path_length(DegradedNetwork(topo))
+        est = average_shortest_path_length(partition(DegradedNetwork(topo)))
         assert est.hops == pytest.approx(expected)
         assert est.hops == pytest.approx(670 / 190)  # frozen from the oracle
 
@@ -289,7 +289,7 @@ class TestAspl:
             adj = degraded_adjacency(topo, links)
             accessible = oracle_accessible_servers(topo, adj)
             expected, pairs = oracle_aspl(topo, adj, accessible)
-            est = average_shortest_path_length(degraded, part)
+            est = average_shortest_path_length(part)
             if expected is None:
                 assert est.hops is None
             else:
@@ -299,11 +299,11 @@ class TestAspl:
     def test_undefined_below_two_servers(self):
         topo = build_bcube(2, 0)
         est = average_shortest_path_length(
-            DegradedNetwork(topo, removed_servers={0})
+            partition(DegradedNetwork(topo, removed_servers={0}))
         )
         assert est.hops is None or est.pairs == 0
         est = average_shortest_path_length(
-            DegradedNetwork(topo, removed_switches={2})
+            partition(DegradedNetwork(topo, removed_switches={2}))
         )
         assert est.hops is None
         assert est.pairs == 0
@@ -311,10 +311,10 @@ class TestAspl:
     def test_sampled_mode_agrees_with_exact(self, monkeypatch):
         topo = build_fat_tree(8)  # 128 servers
         degraded = DegradedNetwork(topo)
-        exact = average_shortest_path_length(degraded)
+        exact = average_shortest_path_length(partition(degraded))
         monkeypatch.setattr(reachability, "EXACT_ASPL_SERVER_LIMIT", 10)
         monkeypatch.setattr(reachability, "SAMPLED_ASPL_PAIRS", 30_000)
-        sampled = average_shortest_path_length(degraded, rng=np.random.default_rng(11))
+        sampled = average_shortest_path_length(partition(degraded), rng=np.random.default_rng(11))
         assert not sampled.exact
         assert sampled.pairs > 0
         assert sampled.hops == pytest.approx(exact.hops, rel=0.02)
@@ -456,7 +456,7 @@ class TestAsplSampled:
         total, pairs = dijkstra_sampled(
             part.graph, servers, reachability.SAMPLED_ASPL_PAIRS, np.random.default_rng(59)
         )
-        est = average_shortest_path_length(degraded, part, rng=np.random.default_rng(59))
+        est = average_shortest_path_length(part, rng=np.random.default_rng(59))
         assert est == AsplEstimate(total / pairs, pairs, False)
         self.assert_matches_oracle(part.graph, servers, reachability.SAMPLED_ASPL_PAIRS, 59)
 
@@ -561,7 +561,7 @@ class TestEvaluate:
                 assert row == SurvivalMetrics(
                     asr=accessible_server_ratio(part),
                     sc=server_connectivity(part),
-                    aspl=average_shortest_path_length(degraded, part),
+                    aspl=average_shortest_path_length(part),
                     rcr_cpu=remaining_capacity_ratio(part, cpu),
                     rcr_mem=remaining_capacity_ratio(part, mem),
                 )
@@ -579,7 +579,7 @@ class TestEvaluate:
         monkeypatch.setattr(reachability, "_subgraph", counted)
         row = evaluate(topo, degraded.node_alive, degraded.edge_alive, ("asr", "aspl"))
         assert len(calls) == 1
-        assert row.aspl == average_shortest_path_length(degraded)
+        assert row.aspl == average_shortest_path_length(partition(degraded))
 
     def test_every_node_removed(self):
         topo = build_fat_tree(4)

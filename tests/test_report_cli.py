@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dcn_robust import cli
+from dcn_robust import cli, simulation
 from dcn_robust.analytic import FailureType
 from dcn_robust.cli import main
 from dcn_robust.report import (
@@ -25,7 +25,7 @@ from dcn_robust.simulation import (
     simulate_nmttf,
     survival_sweep,
 )
-from dcn_robust.topology import TopologyKind, TopologyParams, parse_topology
+from dcn_robust.topology import TopologyKind, TopologyParams, build_topology, parse_topology
 
 
 SMALL = TopologyParams(kind=TopologyKind.DCELL, n=4, l=1)
@@ -113,6 +113,15 @@ class TestReportFormats:
         script = gnuplot_script("out.csv", report)
         assert "out.csv" in script
         assert "yerrorlines" in script
+        # The sweep's rows alternate asr and sc; each curve keeps its own.
+        plots = [line for line in script.splitlines() if line.startswith("plot")]
+        metric, mean, ci = (CSV_COLUMNS.index(c) + 1 for c in ("metric", "mean", "ci95_half"))
+        fer = CSV_COLUMNS.index("fer_link") + 1
+        assert plots == [
+            f"plot 'out.csv' skip 1 using {fer}:(strcol({metric}) eq '{name}' ? ${mean} : NaN)"
+            f":{ci} with yerrorlines title '{name}'"
+            for name in ("asr", "sc")
+        ]
 
 
 class TestCli:
@@ -143,6 +152,57 @@ class TestCli:
         path.write_text("{not json")
         assert main([command, option, str(path)]) == 3
         assert f"error: {path}: not a JSON document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--failure", "link", "--fer", "0.5:0.1:0.1"],
+            ["sweep2d", "--fer-link", "0.5:0.1:0.1", "--fer-switch", "0"],
+        ],
+        ids=["sweep", "sweep2d"],
+    )
+    def test_empty_grid_exit_3(self, command, threads, monkeypatch, tmp_path, capsys):
+        # Refused before any pool starts, whatever the worker count.
+        monkeypatch.setenv("DCN_ROBUST_THREADS", threads)
+        out = tmp_path / "r.csv"
+        argv = command[:1] + TINY_THREE_LAYER + command[1:] + ["--samples", "2", "--out", str(out)]
+        assert main(argv) == 3
+        assert "FER grid must hold at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_empty_grid_in_a_plan_file_exit_3(self, threads, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("DCN_ROBUST_THREADS", threads)
+        plan = ExperimentPlan(params=SMALL, failures=(FailureType.LINK,), fer_grids=((0.0,),))
+        doc = plan_to_doc(plan)
+        doc["fer_grids"] = [[]]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--plan", str(path)]) == 3
+        assert "FER grid must hold at least one value" in capsys.readouterr().err
+
+    def test_dataset_sweep_builds_its_topology_once(self, monkeypatch, capsys):
+        # The capacity assignment is placed over the sweep's own topology.
+        monkeypatch.setenv("DCN_ROBUST_THREADS", "1")
+        monkeypatch.setattr(simulation, "_TOPO_CACHE", {})
+        builds = {"cli": 0, "simulation": 0}
+
+        def counting(module):
+            def build(params):
+                builds[module] += 1
+                return build_topology(params)
+
+            return build
+
+        monkeypatch.setattr(cli, "build_topology", counting("cli"))
+        monkeypatch.setattr(simulation, "build_topology", counting("simulation"))
+        argv = [
+            "sweep", *TINY_THREE_LAYER, "--failure", "switch", "--fer", "0,0.5",
+            "--metrics", "asr,rcr_cpu", "--dataset", "google", "--samples", "2",
+        ]
+        assert main(argv) == 0
+        assert builds == {"cli": 0, "simulation": 1}
 
     def test_missing_dataset_file_exit_3(self, tmp_path):
         assert (
@@ -560,6 +620,19 @@ class TestCli:
         script = out.with_suffix(".gp")
         assert script.exists()
         assert "sweep.csv" in script.read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mttf", "--topology", "bcube", "--n", "2", "--l", "1", "--failure", "link"],
+            CAPACITY_3K + ["--remove-richest", "cpu"],
+        ],
+        ids=["mttf", "capacity"],
+    )
+    def test_gnuplot_is_a_sweep_option(self, argv, tmp_path, capsys):
+        # Other reports have no FER column to plot against.
+        assert main(argv + ["--out", str(tmp_path / "r.csv"), "--gnuplot"]) == 2
+        assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
 
     def test_plan_file_round_trip(self, tmp_path):
         plan = ExperimentPlan(

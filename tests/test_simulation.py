@@ -10,6 +10,7 @@ import pytest
 
 from dcn_robust import reachability, simulation
 from dcn_robust.analytic import FailureType, normalized_time, normalized_time_table
+from dcn_robust.capacity import assign_capacities, builtin_dataset
 from dcn_robust.simulation import (
     ElementClass,
     ExperimentPlan,
@@ -32,6 +33,7 @@ from dcn_robust.topology import (
     GatewayPolicy,
     TopologyKind,
     TopologyParams,
+    build_bcube,
     build_topology,
 )
 
@@ -386,6 +388,34 @@ class TestSurvivalSweep:
             plan_for(BCUBE_2x2, FailureType.LINK, samples=0)
         with pytest.raises(UnsupportedPlanError):
             plan_for(BCUBE_2x2, FailureType.LINK, metrics=("asr", "latency"))
+        # An empty grid gives no grid point to run.
+        with pytest.raises(UnsupportedPlanError, match="at least one value"):
+            plan_for(BCUBE_2x2, FailureType.LINK, fer_grids=((),))
+        with pytest.raises(UnsupportedPlanError, match="at least one value"):
+            ExperimentPlan(
+                params=BCUBE_2x2,
+                failures=(FailureType.LINK, FailureType.SWITCH),
+                fer_grids=((0.0, 0.5), ()),
+            )
+
+    @pytest.mark.parametrize("sweep", [survival_sweep, survival_sweep_2d])
+    def test_capacity_assignment_of_another_topology_refused(self, sweep):
+        # BCube 4/1 and fat-tree 4 both have 16 servers.
+        bcube = assign_capacities(build_bcube(4, 1), builtin_dataset("google"), "unbalanced")
+        fat_tree = TopologyParams(kind=TopologyKind.FAT_TREE, n=4)
+        own = assign_capacities(build_topology(fat_tree), builtin_dataset("google"), "unbalanced")
+        failures = (FailureType.LINK, FailureType.SWITCH)[: 2 if sweep is survival_sweep_2d else 1]
+        plan = ExperimentPlan(
+            params=fat_tree,
+            failures=failures,
+            fer_grids=((0.0, 0.5),) * len(failures),
+            samples=3,
+            metrics=("asr", "rcr_cpu"),
+        )
+        with pytest.raises(UnsupportedPlanError, match="capacity assignment is for"):
+            sweep(plan, workers=1, capacity_assignment=bcube)
+        rows = sweep(plan, workers=1, capacity_assignment=own)
+        assert [r.metric for r in rows[:2]] == ["asr", "rcr_cpu"]
 
 
 class TestSweep2d:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -221,9 +222,25 @@ def test_parameter_errors(factory):
         factory()
 
 
+# One small instance of each kind with at least two top-level switches,
+# under each gateway policy.
+POLICY_GRID = tuple(
+    replace(params, gateway_policy=policy)
+    for params in (
+        TopologyParams(
+            kind=TopologyKind.THREE_LAYER, n_a=2, n_e=3, pairs=2, include_core_core_link=True
+        ),
+        TopologyParams(kind=TopologyKind.FAT_TREE, n=4),
+        TopologyParams(kind=TopologyKind.BCUBE, n=3, l=1),
+        TopologyParams(kind=TopologyKind.DCELL, n=3, l=1),
+    )
+    for policy in (GatewayPolicy.max_density(), GatewayPolicy.min_density(), GatewayPolicy.count(2))
+)
+
+
 def test_serialize_round_trip():
     for params in (PARAM_GRID[0], PARAM_GRID[-1],
-                   TopologyParams(kind=TopologyKind.BCUBE, n=2, l=0)):
+                   TopologyParams(kind=TopologyKind.BCUBE, n=2, l=0), *POLICY_GRID):
         topo = build_topology(params)
         again = parse_topology(serialize_topology(topo))
         assert again == topo
@@ -240,8 +257,33 @@ def test_parse_rejects_unknown_edge_endpoint():
 def test_parse_rejects_server_gateway():
     doc = serialize_topology(build_bcube(2, 0))
     bad = doc.replace('"gateways":[2]', '"gateways":[0]')
-    with pytest.raises(TopologyParseError, match="not a switch"):
+    with pytest.raises(TopologyParseError, match=r"gateways\[0\]: got 0, params build 2"):
         parse_topology(bad)
+
+
+def test_parse_refuses_a_document_with_an_edge_removed():
+    doc = json.loads(serialize_topology(build_fat_tree(4)))
+    doc["edges"].pop(17)
+    with pytest.raises(TopologyParseError, match="edges: got 47, params build 48 entries"):
+        parse_topology(json.dumps(doc))
+
+
+@pytest.mark.parametrize("policy", ["max", "min", "count=2"])
+def test_parse_refuses_gateways_that_contradict_the_policy(policy):
+    doc = json.loads(serialize_topology(build_fat_tree(4, GatewayPolicy.parse(policy))))
+    # fat-tree 4's top-level switches are 16 to 19.
+    doc["gateways"] = {"max": [16], "min": [17], "count=2": [16, 17, 18]}[policy]
+    with pytest.raises(TopologyParseError, match=r"^gateways"):
+        parse_topology(json.dumps(doc))
+
+
+def test_parse_refuses_a_renamed_switch_layer():
+    doc = json.loads(serialize_topology(build_fat_tree(4)))
+    doc["nodes"][20]["layer"] = "core"  # an aggregation switch
+    with pytest.raises(
+        TopologyParseError, match=r'nodes\[20\]: got .*"core"}, params build .*"aggregation"}'
+    ):
+        parse_topology(json.dumps(doc))
 
 
 def test_parse_rejects_garbage():
