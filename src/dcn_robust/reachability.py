@@ -109,14 +109,38 @@ class DegradedNetwork:
         object.__setattr__(self, "edge_alive", edge_alive)
 
 
-def _subgraph(topology: Topology, edge_alive: np.ndarray) -> sp.csr_matrix:
-    u = topology.edges_u[edge_alive]
-    v = topology.edges_v[edge_alive]
-    n = topology.n_nodes
-    data = np.ones(2 * len(u), dtype=np.int8)
-    return sp.csr_matrix(
-        (data, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
-    )
+_PATTERN_CACHE: dict = {}
+
+
+def _pattern(topology: Topology) -> sp.csr_matrix:
+    """The canonical CSR pattern of the links and of one edge from each
+    gateway to a super-root (node ``n_nodes``), both directions; a slot's
+    value is its edge's number (links, then gateway edges), counted from 1
+    so that no slot holds a zero a sparse operation could drop."""
+    pattern = _PATTERN_CACHE.get(topology.params)
+    if pattern is None:
+        n, gateways = topology.n_nodes, topology.gateways
+        u = np.concatenate([topology.edges_u, gateways])
+        v = np.concatenate([topology.edges_v, np.full(len(gateways), n)])
+        edge = np.tile(np.arange(1, len(u) + 1), 2)
+        pattern = sp.csr_matrix((edge, (np.r_[u, v], np.r_[v, u])), shape=(n + 1, n + 1))
+        _PATTERN_CACHE[topology.params] = pattern
+    return pattern
+
+
+def _subgraph(
+    topology: Topology, edge_alive: np.ndarray, gateway_alive: np.ndarray | None = None
+) -> sp.csr_matrix:
+    """The surviving links, both directions, as a float64 CSR graph sliced
+    from ``_pattern``; with *gateway_alive*, the root and the edges of the
+    surviving gateways too."""
+    pattern = _pattern(topology)
+    size = topology.n_nodes + (gateway_alive is not None)
+    if gateway_alive is None:
+        gateway_alive = np.zeros(len(topology.gateways), dtype=bool)
+    keep = np.concatenate([[False], edge_alive, gateway_alive])[pattern.data]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[pattern.indptr[: size + 1]]
+    return sp.csr_matrix((np.ones(indptr[-1]), pattern.indices[keep], indptr), (size, size))
 
 
 @dataclass(frozen=True)
@@ -194,12 +218,16 @@ def _partition_arrays(
 def _all_servers_reach_gateway(
     topology: Topology, node_alive: np.ndarray, edge_alive: np.ndarray
 ) -> bool:
-    """True iff every surviving server lies in a component with a surviving
-    gateway (the operational-network test applied after removals). It is
-    the probe of the certificate that checks each critical point the
-    simulation's bottleneck tree finds."""
-    part = _partition_arrays(topology, node_alive, edge_alive)
-    return part.accessible_server_total == int(node_alive[: topology.n_servers].sum())
+    """True iff every surviving server reaches a surviving gateway (the
+    operational-network test applied after removals). It is the probe of
+    the certificate that checks each critical point the simulation's
+    bottleneck tree finds: one breadth-first search from the super-root,
+    directed, since the graph holds both directions of every edge."""
+    root, servers = topology.n_nodes, topology.n_servers
+    graph = _subgraph(topology, edge_alive, node_alive[topology.gateways])
+    reached = np.zeros(root + 1, dtype=bool)
+    reached[csgraph.breadth_first_order(graph, root, True, return_predecessors=False)] = True
+    return bool((reached[:servers] | ~node_alive[:servers]).all())
 
 
 def partition(degraded: DegradedNetwork) -> SubnetworkPartition:

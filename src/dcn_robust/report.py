@@ -177,21 +177,19 @@ def to_json_text(report: Report) -> str:
 
 def gnuplot_script(csv_path: str, report: Report) -> str:
     """A pipeable gnuplot script plotting mean vs FER per metric series,
-    each from its own metric's rows of a sweep's CSV."""
-    metrics = []
-    for row in report.rows:
-        if row.metric not in metrics:
-            metrics.append(row.metric)
-    fer_col = CSV_COLUMNS.index("fer_link") + 1
-    for row in report.rows:
-        if row.fer_switch is not None:
-            fer_col = CSV_COLUMNS.index("fer_switch") + 1
-            break
-        if row.fer_server is not None:
-            fer_col = CSV_COLUMNS.index("fer_server") + 1
-            break
-        if row.fer_link is not None:
-            break
+    each from its own metric's rows of a sweep's CSV. A link x switch
+    sweep plots against ``fer_switch``, one curve per ``fer_link`` value."""
+    metrics = list(dict.fromkeys(row.metric for row in report.rows))
+    axes = [
+        axis
+        for axis in ("fer_switch", "fer_server", "fer_link")
+        if any(getattr(row, axis) is not None for row in report.rows)
+    ]
+    fer_col = CSV_COLUMNS.index(axes[0] if axes else "fer_link") + 1
+    links = [""]
+    if axes == ["fer_switch", "fer_link"]:
+        links = list(dict.fromkeys(_cell(row.fer_link) for row in report.rows))
+    link_col = CSV_COLUMNS.index("fer_link") + 1
     metric_col = CSV_COLUMNS.index("metric") + 1
     mean_col = CSV_COLUMNS.index("mean") + 1
     ci_col = CSV_COLUMNS.index("ci95_half") + 1
@@ -201,12 +199,18 @@ def gnuplot_script(csv_path: str, report: Report) -> str:
         "set xlabel 'failed elements ratio'",
     ]
     for metric in metrics:
-        # Rows of the other metrics read NaN, which gnuplot skips.
-        mean = f"(strcol({metric_col}) eq '{metric}' ? ${mean_col} : NaN)"
+        curves = []
+        for link in links:
+            # Rows of the other curves read NaN, which gnuplot skips.
+            test, title = f"strcol({metric_col}) eq '{metric}'", metric
+            if link:
+                test += f" && strcol({link_col}) eq '{link}'"
+                title += f" fer_link={link}"
+            curves.append(
+                f"'{csv_path}' skip 1 using {fer_col}:({test} ? ${mean_col} : NaN):{ci_col} "
+                f"with yerrorlines title '{title}'"
+            )
         lines.append(f"set ylabel '{metric}'")
-        lines.append(
-            f"plot '{csv_path}' skip 1 using {fer_col}:{mean}:{ci_col} "
-            f"with yerrorlines title '{metric}'"
-        )
+        lines.append("plot " + ", ".join(curves))
         lines.append("pause -1")
     return "\n".join(lines) + "\n"

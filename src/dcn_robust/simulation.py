@@ -22,9 +22,11 @@ gateway. A maximum spanning tree over those times keeps a maximin path
 between every pair of nodes (T. C. Hu, "The maximum capacity route
 problem", Oper. Res. 9, 1961), so the smallest time on a server's tree
 path to the root is the last removal count at which it still reaches a
-gateway, whichever maximum tree the solver returns. Two partition probes
-then certify the answer: every server reaches a gateway one removal
-before the critical point, and some server is stranded at it.
+gateway, whichever maximum tree the solver returns; a server with one
+link takes the earlier of its link's time and its neighbour's answer.
+Two probes, each one breadth-first search from the super-root, then
+certify the answer: every server reaches a gateway one removal before
+the critical point, and some server is stranded at it.
 """
 
 from __future__ import annotations
@@ -332,20 +334,28 @@ def _apply_removals(
     )
 
 
-_TREE_CACHE: dict[TopologyParams, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_TREE_CACHE: dict[TopologyParams, tuple[np.ndarray, ...]] = {}
 
 
-def _tree_graph(topo: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indices, indptr, slot_edge): the CSR pattern of the links plus one
-    edge from each gateway to a super-root (node ``n_nodes``), and the edge
-    each CSR slot holds (links first, then the gateway edges in order)."""
+def _tree_graph(topo: Topology) -> tuple[np.ndarray, ...]:
+    """(indices, indptr, slot_edge, server_node, pendant, pendant_edge): the
+    CSR pattern of each link and gateway edge once (``reachability._pattern``)
+    without the pendant servers of ``reachability._fold``, and the edge each
+    slot holds. The other nodes keep their order as nodes 0..k-1, and the
+    root is node k. ``server_node`` is each server's node, its anchor's for
+    a pendant, and ``pendant_edge`` each pendant's link.
+    """
     cached = _TREE_CACHE.get(topo.params)
     if cached is None:
-        u = np.concatenate([topo.edges_u, topo.gateways])
-        v = np.concatenate([topo.edges_v, np.full(len(topo.gateways), topo.n_nodes)])
-        size = topo.n_nodes + 1
-        pattern = sp.csr_matrix((np.arange(1, len(u) + 1), (u, v)), shape=(size, size))
-        cached = pattern.indices, pattern.indptr, pattern.data - 1
+        full = reachability._pattern(topo)
+        anchor, off = reachability._fold(full, np.arange(topo.n_servers))
+        pendant, kept = np.flatnonzero(off), off == 0
+        # The upper triangle holds each edge once: links have u < v, and the
+        # root is the last node.
+        tree = sp.triu(full, format="csr")[kept][:, kept]
+        server_node = (np.cumsum(kept) - 1)[anchor[: topo.n_servers]]
+        pendant_edge = full.data[full.indptr[pendant]] - 1
+        cached = tree.indices, tree.indptr, tree.data - 1, server_node, pendant, pendant_edge
         _TREE_CACHE[topo.params] = cached
     return cached
 
@@ -356,8 +366,9 @@ def _stranding_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> 
 
     A link's time is its own position in the removal order, or under node
     failures the earlier of its endpoints' positions; never-removed
-    elements take F. The bottleneck of a server's path to the super-root
-    in a maximum spanning tree over those times is its answer.
+    elements take F. The bottleneck of a node's path to the super-root in
+    a maximum spanning tree over those times is its answer; a pendant
+    server's is the earlier of its link's time and its anchor's answer.
     """
     ids, on_nodes = _element_pool(topo, failure)
     big_f = len(ids)
@@ -368,10 +379,11 @@ def _stranding_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> 
         edge_times = np.concatenate([link_times, times[topo.gateways]])
     else:
         edge_times = np.concatenate([times, np.full(len(topo.gateways), big_f)])
-    indices, indptr, slot_edge = _tree_graph(topo)
-    root = topo.n_nodes
+    indices, indptr, slot_edge, server_node, pendant, pendant_edge = _tree_graph(topo)
+    root = len(indptr) - 2
     # Weights F + 1 - t lie in [1, F + 1]: csgraph reads a 0 as no edge.
-    weights = big_f + 1 - edge_times[slot_edge]
+    # They are float64 already, so csgraph need not convert them.
+    weights = (big_f + 1.0) - edge_times[slot_edge]
     graph = sp.csr_matrix((weights, indices, indptr), shape=(root + 1, root + 1))
     tree = csgraph.minimum_spanning_tree(graph).tocoo()
     _, parent = csgraph.breadth_first_order(
@@ -386,12 +398,12 @@ def _stranding_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> 
     bottleneck[unreached] = -1
     bottleneck[root] = big_f
     parent[unreached] = root
-    while True:
-        grandparent = parent[parent]
-        if np.array_equal(grandparent, parent):
-            return bottleneck[: topo.n_servers]
+    while not np.array_equal(grandparent := parent[parent], parent):
         np.minimum(bottleneck, bottleneck[parent], out=bottleneck)
         parent = grandparent
+    strand = bottleneck[server_node]
+    strand[pendant] = np.minimum(strand[pendant], edge_times[pendant_edge])
+    return strand
 
 
 def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:
@@ -399,7 +411,7 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
     type's element pool) that disconnects a server.
 
     It is one past the earliest stranding time. Reachability only degrades
-    as the prefix grows, so two partition probes prove it: every server
+    as the prefix grows, so two breadth-first probes prove it: every server
     reaches a gateway one removal earlier, and some server does not at it.
     """
     critical = int(_stranding_times(topo, failure, perm).min()) + 1
@@ -412,7 +424,7 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
 
     if critical < 1 or not all_reach(critical - 1) or all_reach(critical):
         raise RuntimeError(
-            f"bottleneck tree gives critical point {critical}, which the partition probes refute"
+            f"bottleneck tree gives critical point {critical}, which the probes refute"
         )
     return critical
 

@@ -99,6 +99,8 @@ class GatewayPolicy:
 
     @classmethod
     def parse(cls, text: str) -> "GatewayPolicy":
+        if not isinstance(text, str):
+            raise TopologyParseError(f"gateway_policy: expected a string, got {text!r}")
         if text == "max":
             return cls.max_density()
         if text == "min":
@@ -465,7 +467,10 @@ def params_to_doc(params: TopologyParams) -> dict:
 
 
 def params_from_doc(doc: dict) -> TopologyParams:
-    """Inverse of :func:`params_to_doc`; refuses a field the kind does not take."""
+    """Inverse of :func:`params_to_doc`; refuses a field the kind does not
+    take, or a field value of the wrong JSON type."""
+    if not isinstance(doc, dict):
+        raise TopologyParseError(f"params: expected an object, got {_json(doc)}")
     try:
         kind = TopologyKind(doc["kind"])
     except (KeyError, ValueError) as exc:
@@ -473,6 +478,11 @@ def params_from_doc(doc: dict) -> TopologyParams:
     foreign = sorted(set(doc) - {"kind", "gateway_policy", *KIND_FIELDS[kind]})
     if foreign:
         raise TopologyParseError(f"params: {kind.value} takes no {', '.join(foreign)}")
+    for name, low in KIND_FIELDS[kind].items():
+        # bool is a subclass of int, so compare exact types.
+        if name in doc and type(doc[name]) is not (bool if low is None else int):
+            want = "true or false" if low is None else "an integer"
+            raise TopologyParseError(f"params: {name} must be {want}, got {_json(doc[name])}")
     return TopologyParams(
         kind=kind,
         gateway_policy=GatewayPolicy.parse(doc.get("gateway_policy", "max")),

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import integrate
 
 from dcn_robust.analytic import MinCutSpec, _mean_lifetime
@@ -52,6 +54,16 @@ def degraded_adjacency(topo, removed_links=(), removed_switches=(), removed_serv
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+def coo_subgraph(topo, edge_alive):
+    """The surviving links, both directions, built from COO triples: the
+    construction ``reachability._subgraph`` slices a cached pattern for."""
+    u = topo.edges_u[edge_alive]
+    v = topo.edges_v[edge_alive]
+    n = topo.n_nodes
+    data = np.ones(2 * len(u), dtype=np.int8)
+    return sp.csr_matrix((data, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n))
 
 
 def oracle_accessible_servers(topo, adj, removed_switches=()) -> set[int]:

@@ -24,7 +24,7 @@ from dcn_robust.reachability import (
 )
 from dcn_robust.topology import build_bcube, build_dcell, build_fat_tree, build_three_layer
 
-from conftest import bfs_distances, degraded_adjacency, oracle_accessible_servers
+from conftest import bfs_distances, coo_subgraph, degraded_adjacency, oracle_accessible_servers
 
 
 def switch_ids(topo):
@@ -516,6 +516,21 @@ class TestBfsDistances:
         graph = _subgraph(build_bcube(2, 0), np.ones(2, dtype=bool))
         none = np.array([], dtype=np.int64)
         assert _bfs_distances(graph, none, none).shape == (0,)
+
+
+class TestSubgraph:
+    def test_slice_equals_the_coo_build(self, tiny_topologies):
+        rng = np.random.default_rng(29)
+        for topo in tiny_topologies.values():
+            for share in (0.0, 0.3, 1.0):
+                edge_alive = rng.random(topo.n_links) >= share
+                graph = _subgraph(topo, edge_alive)
+                oracle = coo_subgraph(topo, edge_alive)
+                assert graph.shape == oracle.shape == (topo.n_nodes, topo.n_nodes)
+                assert np.array_equal(graph.indptr, oracle.indptr)
+                assert np.array_equal(graph.indices, oracle.indices)
+                assert graph.has_canonical_format
+                assert graph.dtype == np.float64 and (graph.data == 1.0).all()
 
 
 class TestRemainingCapacity:

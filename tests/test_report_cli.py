@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -24,6 +26,7 @@ from dcn_robust.simulation import (
     plan_to_doc,
     simulate_nmttf,
     survival_sweep,
+    survival_sweep_2d,
 )
 from dcn_robust.topology import TopologyKind, TopologyParams, build_topology, parse_topology
 
@@ -123,6 +126,36 @@ class TestReportFormats:
             for name in ("asr", "sc")
         ]
 
+    def test_gnuplot_script_draws_one_curve_per_fer_link(self):
+        plan = ExperimentPlan(
+            params=SMALL,
+            failures=(FailureType.LINK, FailureType.SWITCH),
+            fer_grids=((0.0, 0.5), (0.0, 0.5)),
+            samples=4,
+            metrics=("asr", "sc"),
+        )
+        report = Report(plan=plan_to_doc(plan), seed=0, rows=tuple(survival_sweep_2d(plan, 1)))
+        plots = [line for line in gnuplot_script("g.csv", report).splitlines() if "plot" in line]
+        metric, mean, ci, link, switch = (
+            CSV_COLUMNS.index(c) + 1
+            for c in ("metric", "mean", "ci95_half", "fer_link", "fer_switch")
+        )
+        # One plot per metric, against fer_switch, with one curve per fer_link.
+        assert plots == [
+            "plot " + ", ".join(
+                f"'g.csv' skip 1 using {switch}:(strcol({metric}) eq '{name}'"
+                f" && strcol({link}) eq '{fer}' ? ${mean} : NaN):{ci}"
+                f" with yerrorlines title '{name} fer_link={fer}'"
+                for fer in ("0.0", "0.5")
+            )
+            for name in ("asr", "sc")
+        ]
+        # Each curve's rows run forward along fer_switch.
+        cells = list(csv.reader(io.StringIO(to_csv_text(report))))[1:]
+        assert [(c[link - 1], c[switch - 1]) for c in cells if c[metric - 1] == "asr"] == [
+            ("0.0", "0.0"), ("0.0", "0.5"), ("0.5", "0.0"), ("0.5", "0.5")
+        ]
+
 
 class TestCli:
     def test_gen_summary(self, capsys):
@@ -181,6 +214,23 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["sweep", "--plan", str(path)]) == 3
         assert "FER grid must hold at least one value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"kind": "fat-tree", "n": 4, "gateway_policy": 5}, "gateway_policy: expected a string"),
+            ([], "params: expected an object, got []"),
+            ({"kind": "fat-tree", "n": "4"}, 'params: n must be an integer, got "4"'),
+        ],
+        ids=["gateway-policy-not-a-string", "params-not-an-object", "n-not-an-integer"],
+    )
+    def test_bad_params_in_a_plan_file_exit_3(self, params, message, tmp_path, capsys):
+        doc = plan_to_doc(ExperimentPlan(params=SMALL, failures=(FailureType.LINK,)))
+        doc["params"] = params
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mttf", "--plan", str(path)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_dataset_sweep_builds_its_topology_once(self, monkeypatch, capsys):
         # The capacity assignment is placed over the sweep's own topology.

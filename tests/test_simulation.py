@@ -129,17 +129,24 @@ def forward_critical_point(topo, failure, perm):
     return len(perm)
 
 
+def all_servers_accessible(topo, node_alive, edge_alive):
+    """Oracle of the certificate's probe: the partition counts every
+    surviving server as accessible."""
+    part = reachability._partition_arrays(topo, node_alive, edge_alive)
+    return part.accessible_server_total == int(node_alive[: topo.n_servers].sum())
+
+
 def bisect_critical_point(topo, failure, perm):
     """Oracle: bisection over the removal-prefix length, one partition
-    probe per step (valid because reachability only degrades as the
-    prefix grows)."""
+    per step (valid because reachability only degrades as the prefix
+    grows)."""
     ids, on_nodes = _element_pool(topo, failure)
     order = ids[perm]
     lo, hi = 0, len(order)  # invariants: connected at lo, disconnected at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         node_alive, edge_alive = _alive_after(topo, [(order[:mid], on_nodes)])
-        if reachability._all_servers_reach_gateway(topo, node_alive, edge_alive):
+        if all_servers_accessible(topo, node_alive, edge_alive):
             lo = mid
         else:
             hi = mid
@@ -209,15 +216,67 @@ class TestCriticalPoint:
                 topo, failure, perm
             )
 
-    def test_stranding_times_are_the_last_connected_prefix(self):
-        topo = build_topology(DCELL_SMALL)
-        perm = np.random.default_rng(3).permutation(topo.n_switches)
-        times = simulation._stranding_times(topo, FailureType.SWITCH, perm)
-        order = topo.n_servers + perm
-        for f in range(topo.n_switches + 1):
-            node_alive, edge_alive = _alive_after(topo, [(order[:f], True)])
-            part = reachability._partition_arrays(topo, node_alive, edge_alive)
-            assert np.array_equal(part.accessible_server_mask, times >= f)
+    @pytest.mark.parametrize(
+        "params,failure",
+        [
+            pytest.param(p, f, id=f"{param_id(p)}-{f.value}")
+            for p in (
+                TopologyParams(kind=TopologyKind.FAT_TREE, n=4),
+                THREE_LAYER_SMALL,
+                BCUBE_CELL,  # every server is pendant
+                DCELL_SMALL,
+            )
+            for f in (FailureType.LINK, FailureType.SWITCH)
+        ],
+    )
+    def test_stranding_times_are_the_last_connected_prefix(self, params, failure):
+        topo = build_topology(params)
+        ids, on_nodes = _element_pool(topo, failure)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            perm = rng.permutation(len(ids))
+            times = simulation._stranding_times(topo, failure, perm)
+            for f in range(len(ids) + 1):
+                node_alive, edge_alive = _alive_after(topo, [(ids[perm[:f]], on_nodes)])
+                part = reachability._partition_arrays(topo, node_alive, edge_alive)
+                assert np.array_equal(part.accessible_server_mask, times >= f)
+
+    def test_pendant_servers_fold_out_of_the_tree(self):
+        # fat-tree 4: 16 servers, 20 switches, one root; every server is pendant.
+        topo = build_topology(TopologyParams(kind=TopologyKind.FAT_TREE, n=4))
+        indices, indptr, slot_edge, server_node, pendant, pendant_edge = (
+            simulation._tree_graph(topo)
+        )
+        assert len(indptr) - 1 == topo.n_switches + 1
+        assert np.array_equal(pendant, np.arange(topo.n_servers))
+        assert np.array_equal(topo.edges_u[pendant_edge], pendant)
+        assert np.array_equal(server_node, topo.edges_v[pendant_edge] - topo.n_servers)
+        assert len(slot_edge) == topo.n_links - topo.n_servers + len(topo.gateways)
+
+    @pytest.mark.parametrize("params", _tree_cases())
+    def test_probe_equals_the_partition(self, params):
+        topo = build_topology(params)
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(60):
+            removals = []
+            if rng.random() < 0.6:
+                removals.append((rng.choice(topo.n_links, rng.integers(topo.n_links)), False))
+            if rng.random() < 0.5:  # gateways among the switches drawn
+                switches = np.arange(topo.n_servers, topo.n_nodes)
+                removals.append((rng.choice(switches, rng.integers(3)), True))
+            if rng.random() < 0.3:
+                removals.append((rng.choice(topo.n_servers, rng.integers(3)), True))
+            node_alive, edge_alive = _alive_after(topo, removals)
+            probe = reachability._all_servers_reach_gateway(topo, node_alive, edge_alive)
+            assert probe == all_servers_accessible(topo, node_alive, edge_alive)
+            seen.add((probe, bool(node_alive[topo.gateways].all())))
+        # Both answers, with and without a gateway down (True with one down
+        # needs a second gateway).
+        want = {(True, True), (False, True), (False, False)}
+        if len(topo.gateways) > 1:
+            want.add((True, False))
+        assert want <= seen
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_off_by_one_tree_is_refuted(self, monkeypatch, shift):

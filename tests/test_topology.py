@@ -293,6 +293,34 @@ def test_parse_rejects_garbage():
         parse_topology("{}")
 
 
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("params", [], r"params: expected an object, got \[\]"),
+        ("n", "4", 'params: n must be an integer, got "4"'),
+        ("n", 4.0, "params: n must be an integer, got 4.0"),
+        ("n", True, "params: n must be an integer, got true"),
+        ("gateway_policy", 5, "gateway_policy: expected a string, got 5"),
+    ],
+)
+def test_parse_refuses_params_of_the_wrong_json_type(field, value, message):
+    doc = json.loads(serialize_topology(build_fat_tree(4)))
+    if field == "params":
+        doc["params"] = value
+    else:
+        doc["params"][field] = value
+    with pytest.raises(TopologyParseError, match=message):
+        parse_topology(json.dumps(doc))
+
+
+def test_three_layer_core_link_flag_must_be_a_bool():
+    doc = params_to_doc(TopologyParams(kind=TopologyKind.THREE_LAYER, n_a=1, n_e=1, pairs=1))
+    doc["include_core_core_link"] = 1
+    with pytest.raises(TopologyParseError, match="include_core_core_link must be true or false"):
+        params_from_doc(doc)
+
+
 # The construction fields the paper gives each kind, and a valid instance.
 TAKES = {
     TopologyKind.THREE_LAYER: ("n_a", "n_e", "pairs", "include_core_core_link"),
