@@ -220,9 +220,10 @@ def _all_servers_reach_gateway(
 ) -> bool:
     """True iff every surviving server reaches a surviving gateway (the
     operational-network test applied after removals). It is the probe of
-    the certificate that checks each critical point the simulation's
-    bottleneck tree finds: one breadth-first search from the super-root,
-    directed, since the graph holds both directions of every edge."""
+    the certificate that checks each critical point the simulation's cut
+    bound or bottleneck tree gives: one breadth-first search from the
+    super-root, directed, since the graph holds both directions of every
+    edge."""
     root, servers = topology.n_nodes, topology.n_servers
     graph = _subgraph(topology, edge_alive, node_alive[topology.gateways])
     reached = np.zeros(root + 1, dtype=bool)

@@ -16,17 +16,23 @@ of its samples, in sample order, and the parent turns a point's records
 into one row per metric.
 
 Critical points (the minimal number of removals that disconnects a server)
-come from one maximum spanning tree per sample. Each element's removal
-time is its position in the sample's permutation; a super-root joins every
-gateway. A maximum spanning tree over those times keeps a maximin path
-between every pair of nodes (T. C. Hu, "The maximum capacity route
-problem", Oper. Res. 9, 1961), so the smallest time on a server's tree
-path to the root is the last removal count at which it still reaches a
-gateway, whichever maximum tree the solver returns; a server with one
+start from a cut bound. Each element's removal time is its position in the
+sample's permutation. Servers joined by links the failure type never
+removes form a cluster, and a cluster whose boundary links are all removed
+is stranded, so one past the earliest time some cluster loses its last
+boundary link bounds the critical point from above; these are the minimal
+cuts of the first-order model behind ``analytic.min_cut_catalog`` (Burtin
+and Pittel, Theory Probab. Appl. 17, 1972). Two probes, each one
+breadth-first search from a super-root that joins every gateway, certify
+it: every server reaches a gateway one removal before it, and some server
+is stranded at it. When the first probe refutes the bound, a larger cut
+stranded a server first, and a maximum spanning tree over the removal
+times gives the answer, which the same probes certify. The tree keeps a
+maximin path between every pair of nodes (T. C. Hu, "The maximum capacity
+route problem", Oper. Res. 9, 1961), so the smallest time on a server's
+tree path to the root is the last removal count at which it still reaches
+a gateway, whichever maximum tree the solver returns; a server with one
 link takes the earlier of its link's time and its neighbour's answer.
-Two probes, each one breadth-first search from the super-root, then
-certify the answer: every server reaches a gateway one removal before
-the critical point, and some server is stranded at it.
 """
 
 from __future__ import annotations
@@ -360,15 +366,14 @@ def _tree_graph(topo: Topology) -> tuple[np.ndarray, ...]:
     return cached
 
 
-def _stranding_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.ndarray:
-    """Per server, the largest removal-prefix length of *perm* after which
-    it still reaches a gateway (-1 if it never does).
+def _edge_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.ndarray:
+    """Removal time of each link, then of each gateway's edge to the
+    super-root (``reachability._pattern``'s edge order), under the removal
+    order *perm* of the failure type's element pool.
 
-    A link's time is its own position in the removal order, or under node
-    failures the earlier of its endpoints' positions; never-removed
-    elements take F. The bottleneck of a node's path to the super-root in
-    a maximum spanning tree over those times is its answer; a pendant
-    server's is the earlier of its link's time and its anchor's answer.
+    An element's time is its own position in *perm*, never-removed ones
+    take F; a link under node failures takes the earlier of its
+    endpoints' times, and a gateway edge its gateway's.
     """
     ids, on_nodes = _element_pool(topo, failure)
     big_f = len(ids)
@@ -376,9 +381,62 @@ def _stranding_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> 
     times[ids[perm]] = np.arange(big_f)
     if on_nodes:
         link_times = np.minimum(times[topo.edges_u], times[topo.edges_v])
-        edge_times = np.concatenate([link_times, times[topo.gateways]])
-    else:
-        edge_times = np.concatenate([times, np.full(len(topo.gateways), big_f)])
+        return np.concatenate([link_times, times[topo.gateways]])
+    return np.concatenate([times, np.full(len(topo.gateways), big_f)])
+
+
+_CUT_CACHE: dict[tuple[TopologyParams, FailureType], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _cut_catalog(topo: Topology, failure: FailureType) -> tuple[np.ndarray, np.ndarray]:
+    """(boundary, starts): the edges that leave each server cluster, one
+    cluster after the other from its ``starts`` offset.
+
+    A cluster is a set of servers joined by links *failure* never removes:
+    under switch failures the server-server links, under link failures
+    none, so each server is its own cluster. Once every edge leaving a
+    cluster is down, its servers are stranded: these are the cuts of the
+    Burtin-Pittel model behind ``analytic.min_cut_catalog``.
+    """
+    key = (topo.params, failure)
+    cached = _CUT_CACHE.get(key)
+    if cached is None:
+        servers = topo.n_servers
+        rows = reachability._pattern(topo)[:servers]
+        cluster = np.arange(servers)
+        if failure is FailureType.SWITCH:
+            _, cluster = csgraph.connected_components(rows[:, :servers], directed=False)
+        cluster_of = np.full(rows.shape[1], -1)
+        cluster_of[:servers] = cluster
+        owner = np.repeat(cluster, np.diff(rows.indptr))
+        outward = cluster_of[rows.indices] != owner
+        order = np.argsort(owner[outward], kind="stable")
+        owner = owner[outward][order]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        cached = rows.data[outward][order] - 1, starts
+        _CUT_CACHE[key] = cached
+    return cached
+
+
+def _cut_bound(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:
+    """The earliest time at which every edge leaving some server cluster
+    (``_cut_catalog``) is down: an upper bound on the earliest stranding
+    time, since that cluster's servers reach no gateway one removal later."""
+    boundary, starts = _cut_catalog(topo, failure)
+    return int(np.maximum.reduceat(_edge_times(topo, failure, perm)[boundary], starts).min())
+
+
+def _stranding_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.ndarray:
+    """Per server, the largest removal-prefix length of *perm* after which
+    it still reaches a gateway (-1 if it never does).
+
+    The bottleneck of a node's path to the super-root in a maximum
+    spanning tree over the edges' removal times (``_edge_times``) is its
+    answer; a pendant server's is the earlier of its link's time and its
+    anchor's answer.
+    """
+    big_f = len(perm)
+    edge_times = _edge_times(topo, failure, perm)
     indices, indptr, slot_edge, server_node, pendant, pendant_edge = _tree_graph(topo)
     root = len(indptr) - 2
     # Weights F + 1 - t lie in [1, F + 1]: csgraph reads a 0 as no edge.
@@ -410,11 +468,17 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
     """Minimal removal-prefix length of *perm* (indices into the failure
     type's element pool) that disconnects a server.
 
-    It is one past the earliest stranding time. Reachability only degrades
-    as the prefix grows, so two breadth-first probes prove it: every server
-    reaches a gateway one removal earlier, and some server does not at it.
+    The first candidate is one past the cluster-cut bound (``_cut_bound``):
+    a cluster whose boundary links are all removed is stranded, so the
+    critical point comes no later. Reachability only degrades as the
+    prefix grows, so two breadth-first probes prove a candidate: every
+    server reaches a gateway one removal earlier, and some server does not
+    at it. When the first probe refutes the bound, a larger cut stranded a
+    server earlier, and the candidate is one past the bottleneck tree's
+    earliest stranding time (``_stranding_times``) instead, proved by the
+    same two probes. A refuted bound costs one probe more than a proved
+    one; any other refutation raises RuntimeError.
     """
-    critical = int(_stranding_times(topo, failure, perm).min()) + 1
     ids, on_nodes = _element_pool(topo, failure)
     order = ids[perm]
 
@@ -422,10 +486,14 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
         node_alive, edge_alive = _alive_after(topo, [(order[:prefix], on_nodes)])
         return reachability._all_servers_reach_gateway(topo, node_alive, edge_alive)
 
-    if critical < 1 or not all_reach(critical - 1) or all_reach(critical):
-        raise RuntimeError(
-            f"bottleneck tree gives critical point {critical}, which the probes refute"
-        )
+    source, critical = "cut bound", _cut_bound(topo, failure, perm) + 1
+    refuted = critical < 1 or not all_reach(critical - 1)
+    if refuted:
+        source = "bottleneck tree"
+        critical = int(_stranding_times(topo, failure, perm).min()) + 1
+        refuted = critical < 1 or not all_reach(critical - 1)
+    if refuted or all_reach(critical):
+        raise RuntimeError(f"{source} gives critical point {critical}, which the probes refute")
     return critical
 
 
@@ -534,6 +602,7 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
         )
     topo = _cached_topology(plan.params)
     big_f = len(_element_pool(topo, failure)[0])
+    _cut_catalog(topo, failure)  # and reachability._pattern: forked workers inherit both
 
     workers = resolve_workers(workers)
     tasks = [
@@ -619,6 +688,7 @@ def _sweep(
     point's RNG stream index is its position in *points*.
     """
     capacities = _plan_capacities(plan, capacity_assignment)
+    reachability._pattern(_cached_topology(plan.params))  # forked workers inherit it
     workers = resolve_workers(workers)
     spans = _chunks(plan.samples, workers)
     tasks = [

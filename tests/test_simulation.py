@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from dcn_robust import reachability, simulation
-from dcn_robust.analytic import FailureType, normalized_time, normalized_time_table
+from dcn_robust.analytic import (
+    FailureType,
+    min_cut_catalog,
+    normalized_time,
+    normalized_time_table,
+)
 from dcn_robust.capacity import assign_capacities, builtin_dataset
 from dcn_robust.simulation import (
     ElementClass,
@@ -212,9 +217,23 @@ class TestCriticalPoint:
         big_f = len(_element_pool(topo, failure)[0])
         for k in range(30):
             perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
-            assert _critical_point(topo, failure, perm) == bisect_critical_point(
-                topo, failure, perm
-            )
+            critical = _critical_point(topo, failure, perm)
+            assert critical == bisect_critical_point(topo, failure, perm)
+            assert critical == int(simulation._stranding_times(topo, failure, perm).min()) + 1
+
+    def test_the_nmttf_stream_proves_some_bounds_and_refutes_others(self):
+        proved = refuted = 0
+        for params, failure in NMTTF_CONFIGS:
+            topo = build_topology(params)
+            big_f = len(_element_pool(topo, failure)[0])
+            for k in range(30):
+                perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
+                bound = simulation._cut_bound(topo, failure, perm) + 1
+                critical = _critical_point(topo, failure, perm)
+                assert critical <= bound
+                proved += critical == bound
+                refuted += critical < bound
+        assert proved > 0 and refuted > 0
 
     @pytest.mark.parametrize(
         "params,failure",
@@ -278,17 +297,116 @@ class TestCriticalPoint:
             want.add((True, False))
         assert want <= seen
 
+    @staticmethod
+    def _dcell_link_case(seed):
+        """DCell 4/1 under link failures: the cut bound is proved at seed 0
+        and refuted at seed 1, where two linked servers lose their switch
+        links before one server loses both of its own links."""
+        topo = build_topology(DCELL_SMALL)
+        perm = np.random.default_rng(seed).permutation(topo.n_links)
+        bound = simulation._cut_bound(topo, FailureType.LINK, perm) + 1
+        return topo, perm, bound, _critical_point(topo, FailureType.LINK, perm)
+
+    def test_bound_one_too_low_is_refuted(self, monkeypatch):
+        topo, perm, bound, true_point = self._dcell_link_case(0)
+        assert bound == true_point >= 2
+        cut = simulation._cut_bound
+        monkeypatch.setattr(simulation, "_cut_bound", lambda *args: cut(*args) - 1)
+        with pytest.raises(RuntimeError, match=f"cut bound gives critical point {true_point - 1},"):
+            _critical_point(topo, FailureType.LINK, perm)
+
+    def test_bound_one_too_high_falls_back_to_the_tree(self, monkeypatch):
+        topo, perm, bound, true_point = self._dcell_link_case(0)
+        assert bound == true_point
+        cut, tree, calls = simulation._cut_bound, simulation._stranding_times, []
+        monkeypatch.setattr(simulation, "_cut_bound", lambda *args: cut(*args) + 1)
+        monkeypatch.setattr(
+            simulation, "_stranding_times", lambda *args: calls.append(args) or tree(*args)
+        )
+        assert _critical_point(topo, FailureType.LINK, perm) == true_point
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_off_by_one_tree_is_refuted(self, monkeypatch, shift):
-        topo = build_topology(THREE_LAYER_SMALL)
-        perm = np.random.default_rng(7).permutation(topo.n_links)
-        true_point = _critical_point(topo, FailureType.LINK, perm)
+        topo, perm, bound, true_point = self._dcell_link_case(1)
+        assert 2 <= true_point < bound  # the bound is refuted: the tree decides
         tree = simulation._stranding_times
         monkeypatch.setattr(
             simulation, "_stranding_times", lambda *args: tree(*args) + shift
         )
-        with pytest.raises(RuntimeError, match=f"critical point {true_point + shift}"):
+        with pytest.raises(
+            RuntimeError, match=f"bottleneck tree gives critical point {true_point + shift},"
+        ):
             _critical_point(topo, FailureType.LINK, perm)
+
+
+# Every kind, with each failure type in the min-cut catalog's scope.
+CATALOG_CASES = [
+    TopologyParams(kind=TopologyKind.FAT_TREE, n=4),
+    TopologyParams(kind=TopologyKind.FAT_TREE, n=24),
+    TopologyParams(kind=TopologyKind.BCUBE, n=3, l=1),
+    TopologyParams(kind=TopologyKind.BCUBE, n=15, l=2),
+    DCELL_SMALL,
+    TopologyParams(kind=TopologyKind.DCELL, n=58, l=1),
+    TopologyParams(kind=TopologyKind.DCELL, n=3, l=2),
+    TopologyParams(kind=TopologyKind.DCELL, n=7, l=2),
+    TopologyParams(kind=TopologyKind.THREE_LAYER, n_a=12, n_e=48, pairs=6),
+]
+
+
+def cluster_cuts(topo, failure):
+    """Each server cluster's cut as the set of elements it removes: its
+    boundary links, or under switch failures the switches they lead to
+    (links run from the lower node id, and servers come first)."""
+    boundary, starts = simulation._cut_catalog(topo, failure)
+    elements = topo.edges_v[boundary] if failure is FailureType.SWITCH else boundary
+    return [frozenset(cut.tolist()) for cut in np.split(elements, starts[1:])]
+
+
+class TestCutCatalog:
+    @pytest.mark.parametrize(
+        "params,failure",
+        [
+            pytest.param(p, f, id=f"{param_id(p)}-{f.value}")
+            for p in CATALOG_CASES
+            for f in (FailureType.LINK, FailureType.SWITCH)
+        ],
+    )
+    def test_smallest_cluster_cut_has_the_catalog_size(self, params, failure):
+        cuts = cluster_cuts(build_topology(params), failure)
+        assert min(len(cut) for cut in cuts) == min_cut_catalog(params, failure).r
+
+    def test_dcell3_switch_census(self):
+        # Criterion 7's ring census: C(9, 4) = 126 cuts of 2 l^2 = 8 switches.
+        params = TopologyParams(kind=TopologyKind.DCELL, n=7, l=2)
+        spec = min_cut_catalog(params, FailureType.SWITCH)
+        cuts = cluster_cuts(build_topology(params), FailureType.SWITCH)
+        minimal = {cut for cut in cuts if len(cut) == spec.r}
+        assert (spec.r, len(minimal)) == (8, 126) == (spec.r, spec.c)
+
+    @pytest.mark.parametrize(
+        "params,failure",
+        [
+            pytest.param(p, f, id=f"{param_id(p)}-{f.value}")
+            for p in (
+                TopologyParams(kind=TopologyKind.FAT_TREE, n=4),
+                TopologyParams(kind=TopologyKind.BCUBE, n=3, l=1),
+                DCELL_SMALL,
+                TopologyParams(kind=TopologyKind.DCELL, n=3, l=2),
+                THREE_LAYER_SMALL,
+            )
+            for f in (FailureType.LINK, FailureType.SWITCH)
+        ],
+    )
+    def test_every_cluster_cut_strands_a_server(self, params, failure):
+        # What makes the bound an upper bound on the critical point.
+        topo = build_topology(params)
+        cuts = cluster_cuts(topo, failure)
+        assert len(cuts) <= topo.n_servers
+        for cut in cuts:
+            ids = np.array(sorted(cut))
+            node_alive, edge_alive = _alive_after(topo, [(ids, failure is FailureType.SWITCH)])
+            assert not all_servers_accessible(topo, node_alive, edge_alive)
 
 
 class TestSimulateNmttf:
