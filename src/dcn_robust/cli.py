@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -170,13 +171,18 @@ def _params_from_args(args: argparse.Namespace) -> TopologyParams:
 
 def _parse_float(text: str, option: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise UnsupportedPlanError(f"{option}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise UnsupportedPlanError(f"{option}: {text!r} is not a finite number")
+    return value
 
 
 def _parse_grid(text: str, option: str = "--fer") -> tuple[float, ...]:
-    """start:stop:step (inclusive of both ends within 1e-9), or a comma list."""
+    """start:stop:step (inclusive of both ends within 1e-9), or a comma list.
+    A range is refused before it is built if it makes more than the 2**24
+    values a plan may hold."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -184,6 +190,8 @@ def _parse_grid(text: str, option: str = "--fer") -> tuple[float, ...]:
         start, stop, step = (_parse_float(p, option) for p in parts)
         if step <= 0:
             raise UnsupportedPlanError(f"{option}: step must be positive")
+        if (stop + 1e-9 - start) / step >= 2**24:
+            raise UnsupportedPlanError(f"{option}: {text!r} makes more than 2**24 values")
         values = []
         k = 0
         while True:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .topology import Topology
+from .topology import Topology, derived
 
 __all__ = [
     "DegradedNetwork",
@@ -109,23 +109,17 @@ class DegradedNetwork:
         object.__setattr__(self, "edge_alive", edge_alive)
 
 
-_PATTERN_CACHE: dict = {}
-
-
+@derived
 def _pattern(topology: Topology) -> sp.csr_matrix:
     """The canonical CSR pattern of the links and of one edge from each
     gateway to a super-root (node ``n_nodes``), both directions; a slot's
     value is its edge's number (links, then gateway edges), counted from 1
     so that no slot holds a zero a sparse operation could drop."""
-    pattern = _PATTERN_CACHE.get(topology.params)
-    if pattern is None:
-        n, gateways = topology.n_nodes, topology.gateways
-        u = np.concatenate([topology.edges_u, gateways])
-        v = np.concatenate([topology.edges_v, np.full(len(gateways), n)])
-        edge = np.tile(np.arange(1, len(u) + 1), 2)
-        pattern = sp.csr_matrix((edge, (np.r_[u, v], np.r_[v, u])), shape=(n + 1, n + 1))
-        _PATTERN_CACHE[topology.params] = pattern
-    return pattern
+    n, gateways = topology.n_nodes, topology.gateways
+    u = np.concatenate([topology.edges_u, gateways])
+    v = np.concatenate([topology.edges_v, np.full(len(gateways), n)])
+    edge = np.tile(np.arange(1, len(u) + 1), 2)
+    return sp.csr_matrix((edge, (np.r_[u, v], np.r_[v, u])), shape=(n + 1, n + 1))
 
 
 def _subgraph(

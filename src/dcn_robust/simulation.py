@@ -9,11 +9,17 @@ at most 2**24 grid points and 2**32 samples.
 The three survival sweeps (one failure type, the link x switch grid, and
 per-class ratios on the three-layer fabric) share one driver over a list
 of grid points. A point says what each sample removes as ``(selector,
-count)`` draws from cached element pools, plus the fields that label its
-rows; every (point, chunk) task of one operation runs on a single process
-pool. A chunk returns the ``reachability.SurvivalMetrics`` record of each
-of its samples, in sample order, and the parent turns a point's records
-into one row per metric.
+count)`` draws from element pools, plus the fields that label its rows;
+every (point, chunk) task of one operation runs on a single process pool.
+A chunk returns the ``reachability.SurvivalMetrics`` record of each of
+its samples, in sample order, and the parent turns a point's records into
+one row per metric.
+
+``_TOPO_CACHE``, one topology per distinct params, is the one store that
+lasts for the whole process. What is derived from a topology (pools, CSR
+pattern, tree graph, cut catalog) is cached on it by ``topology.derived``,
+and each operation builds the costly parts before it starts a pool, so
+forked workers inherit them.
 
 Critical points (the minimal number of removals that disconnects a server)
 start from a cut bound. Each element's removal time is its position in the
@@ -65,7 +71,9 @@ from .topology import (
     Topology,
     TopologyKind,
     TopologyParams,
+    _json,
     build_topology,
+    derived,
     params_from_doc,
     params_to_doc,
 )
@@ -162,10 +170,10 @@ class ExperimentPlan:
         for grid in self.fer_grids:
             if not grid:
                 raise UnsupportedPlanError("FER grid must hold at least one value")
+            if not all(0.0 <= x <= 1.0 for x in grid):  # NaN fails both comparisons
+                raise UnsupportedPlanError("FER grid values must lie in [0, 1]")
             if list(grid) != sorted(grid):
                 raise UnsupportedPlanError("FER grid must be sorted ascending")
-            if grid[0] < 0.0 or grid[-1] > 1.0:
-                raise UnsupportedPlanError("FER grid values must lie in [0, 1]")
         if self.samples < 1:
             raise UnsupportedPlanError(f"samples must be >= 1, got {self.samples}")
         if self.samples > 2**32:
@@ -294,9 +302,7 @@ _CLASS_LAYERS = {
     ElementClass.CORE_LINK: (LAYER_AGGREGATION, LAYER_CORE),
 }
 
-_POOL_CACHE: dict[tuple[TopologyParams, FailureType | ElementClass], tuple[np.ndarray, bool]] = {}
-
-
+@derived
 def _element_pool(
     topo: Topology, selector: FailureType | ElementClass
 ) -> tuple[np.ndarray, bool]:
@@ -306,27 +312,19 @@ def _element_pool(
     Aggregation-pair and core-core interconnect links belong to no element
     class and are never candidates for class-based removal.
     """
-    key = (topo.params, selector)
-    cached = _POOL_CACHE.get(key)
-    if cached is not None:
-        return cached
     if selector is FailureType.LINK:
-        pool = np.arange(topo.n_links), False
-    elif selector is FailureType.SWITCH:
-        pool = np.arange(topo.n_servers, topo.n_nodes), True
-    elif selector is FailureType.SERVER:
-        pool = np.arange(topo.n_servers), True
-    else:
-        kinds = np.array(["server"] * topo.n_servers + list(topo.switch_layers))
-        tags = _CLASS_LAYERS[selector]
-        if selector.is_switch_class:
-            pool = np.flatnonzero(kinds == tags[0]), True
-        else:
-            a, b = kinds[topo.edges_u], kinds[topo.edges_v]
-            lo, hi = tags
-            pool = np.flatnonzero(((a == lo) & (b == hi)) | ((a == hi) & (b == lo))), False
-    _POOL_CACHE[key] = pool
-    return pool
+        return np.arange(topo.n_links), False
+    if selector is FailureType.SWITCH:
+        return np.arange(topo.n_servers, topo.n_nodes), True
+    if selector is FailureType.SERVER:
+        return np.arange(topo.n_servers), True
+    kinds = np.array(["server"] * topo.n_servers + list(topo.switch_layers))
+    tags = _CLASS_LAYERS[selector]
+    if selector.is_switch_class:
+        return np.flatnonzero(kinds == tags[0]), True
+    a, b = kinds[topo.edges_u], kinds[topo.edges_v]
+    lo, hi = tags
+    return np.flatnonzero(((a == lo) & (b == hi)) | ((a == hi) & (b == lo))), False
 
 
 def _apply_removals(
@@ -340,9 +338,7 @@ def _apply_removals(
     )
 
 
-_TREE_CACHE: dict[TopologyParams, tuple[np.ndarray, ...]] = {}
-
-
+@derived
 def _tree_graph(topo: Topology) -> tuple[np.ndarray, ...]:
     """(indices, indptr, slot_edge, server_node, pendant, pendant_edge): the
     CSR pattern of each link and gateway edge once (``reachability._pattern``)
@@ -351,19 +347,15 @@ def _tree_graph(topo: Topology) -> tuple[np.ndarray, ...]:
     root is node k. ``server_node`` is each server's node, its anchor's for
     a pendant, and ``pendant_edge`` each pendant's link.
     """
-    cached = _TREE_CACHE.get(topo.params)
-    if cached is None:
-        full = reachability._pattern(topo)
-        anchor, off = reachability._fold(full, np.arange(topo.n_servers))
-        pendant, kept = np.flatnonzero(off), off == 0
-        # The upper triangle holds each edge once: links have u < v, and the
-        # root is the last node.
-        tree = sp.triu(full, format="csr")[kept][:, kept]
-        server_node = (np.cumsum(kept) - 1)[anchor[: topo.n_servers]]
-        pendant_edge = full.data[full.indptr[pendant]] - 1
-        cached = tree.indices, tree.indptr, tree.data - 1, server_node, pendant, pendant_edge
-        _TREE_CACHE[topo.params] = cached
-    return cached
+    full = reachability._pattern(topo)
+    anchor, off = reachability._fold(full, np.arange(topo.n_servers))
+    pendant, kept = np.flatnonzero(off), off == 0
+    # The upper triangle holds each edge once: links have u < v, and the
+    # root is the last node.
+    tree = sp.triu(full, format="csr")[kept][:, kept]
+    server_node = (np.cumsum(kept) - 1)[anchor[: topo.n_servers]]
+    pendant_edge = full.data[full.indptr[pendant]] - 1
+    return tree.indices, tree.indptr, tree.data - 1, server_node, pendant, pendant_edge
 
 
 def _edge_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.ndarray:
@@ -385,9 +377,7 @@ def _edge_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.nd
     return np.concatenate([times, np.full(len(topo.gateways), big_f)])
 
 
-_CUT_CACHE: dict[tuple[TopologyParams, FailureType], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@derived
 def _cut_catalog(topo: Topology, failure: FailureType) -> tuple[np.ndarray, np.ndarray]:
     """(boundary, starts): the edges that leave each server cluster, one
     cluster after the other from its ``starts`` offset.
@@ -398,24 +388,19 @@ def _cut_catalog(topo: Topology, failure: FailureType) -> tuple[np.ndarray, np.n
     cluster is down, its servers are stranded: these are the cuts of the
     Burtin-Pittel model behind ``analytic.min_cut_catalog``.
     """
-    key = (topo.params, failure)
-    cached = _CUT_CACHE.get(key)
-    if cached is None:
-        servers = topo.n_servers
-        rows = reachability._pattern(topo)[:servers]
-        cluster = np.arange(servers)
-        if failure is FailureType.SWITCH:
-            _, cluster = csgraph.connected_components(rows[:, :servers], directed=False)
-        cluster_of = np.full(rows.shape[1], -1)
-        cluster_of[:servers] = cluster
-        owner = np.repeat(cluster, np.diff(rows.indptr))
-        outward = cluster_of[rows.indices] != owner
-        order = np.argsort(owner[outward], kind="stable")
-        owner = owner[outward][order]
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        cached = rows.data[outward][order] - 1, starts
-        _CUT_CACHE[key] = cached
-    return cached
+    servers = topo.n_servers
+    rows = reachability._pattern(topo)[:servers]
+    cluster = np.arange(servers)
+    if failure is FailureType.SWITCH:
+        _, cluster = csgraph.connected_components(rows[:, :servers], directed=False)
+    cluster_of = np.full(rows.shape[1], -1)
+    cluster_of[:servers] = cluster
+    owner = np.repeat(cluster, np.diff(rows.indptr))
+    outward = cluster_of[rows.indices] != owner
+    order = np.argsort(owner[outward], kind="stable")
+    owner = owner[outward][order]
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    return rows.data[outward][order] - 1, starts
 
 
 def _cut_bound(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:
@@ -835,14 +820,43 @@ def plan_to_doc(plan: ExperimentPlan) -> dict:
     return doc
 
 
+def _check_plan_types(doc: dict) -> None:
+    """Refuse a sample count or seed that is no JSON integer, and a FER
+    value or fixed class ratio that is no JSON number: ``int(2.9)``,
+    ``int("7")`` and ``float(True)`` would run another plan."""
+    for name in ("samples", "master_seed"):
+        # bool is a subclass of int, so compare exact types.
+        if name in doc and type(doc[name]) is not int:
+            raise UnsupportedPlanError(f"plan: {name} must be an integer, got {_json(doc[name])}")
+    grids = doc.get("fer_grids", [])
+    if type(grids) is not list or any(type(g) is not list for g in grids):
+        raise UnsupportedPlanError(f"plan: fer_grids must be a list of lists, got {_json(grids)}")
+    for value in (x for g in grids for x in g):
+        if type(value) not in (int, float):
+            raise UnsupportedPlanError(f"plan: FER values must be numbers, got {_json(value)}")
+    ratios = doc.get("class_ratios", {})
+    if type(ratios) is not dict:
+        raise UnsupportedPlanError(f"plan: class_ratios must be an object, got {_json(ratios)}")
+    for name, ratio in ratios.items():
+        if ratio is not None and type(ratio) not in (int, float):
+            raise UnsupportedPlanError(
+                f"plan: class ratio {name} must be a number or null, got {_json(ratio)}"
+            )
+
+
 def plan_from_doc(doc: dict) -> ExperimentPlan:
+    """Inverse of :func:`plan_to_doc`; refuses a field value of the wrong
+    JSON type (``_check_plan_types``)."""
+    if not isinstance(doc, dict):
+        raise UnsupportedPlanError(f"plan: expected an object, got {_json(doc)}")
+    _check_plan_types(doc)
     try:
         return ExperimentPlan(
             params=params_from_doc(doc["params"]),
             failures=tuple(FailureType(f) for f in doc["failures"]),
             fer_grids=tuple(tuple(g) for g in doc.get("fer_grids", ())),
-            samples=int(doc.get("samples", DEFAULT_SWEEP_SAMPLES)),
-            master_seed=int(doc.get("master_seed", 0)),
+            samples=doc.get("samples", DEFAULT_SWEEP_SAMPLES),
+            master_seed=doc.get("master_seed", 0),
             metrics=tuple(doc.get("metrics", ("asr", "sc"))),
             class_ratios=doc.get("class_ratios", ()),
         )

@@ -6,11 +6,13 @@ traversal order), a canonical sorted edge list, and a default gateway set
 (all top-level switches). Identical parameters always produce identical
 topologies, bit-for-bit in serialized form, and a topology document
 parses only as the topology its params build: a topology is a function
-of its :class:`TopologyParams`, which the engine's caches key on.
+of its :class:`TopologyParams`. What the engine derives from a topology
+lives on that object (:func:`derived`), not in a cache keyed by params.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -195,7 +197,8 @@ class Topology:
 
     Servers occupy node ids ``[0, n_servers)``; switches occupy
     ``[n_servers, n_servers + n_switches)`` and carry a layer tag. Edges are
-    stored canonically (u < v, lexicographically sorted).
+    stored canonically (u < v, lexicographically sorted). ``memo`` (see
+    :func:`derived`) takes no part in equality, ``repr`` or serialization.
     """
 
     params: TopologyParams
@@ -204,6 +207,7 @@ class Topology:
     edges_u: np.ndarray
     edges_v: np.ndarray
     gateways: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_switches(self) -> int:
@@ -236,6 +240,20 @@ class Topology:
             and np.array_equal(self.edges_v, other.edges_v)
             and np.array_equal(self.gateways, other.gateways)
         )
+
+
+def derived(fn):
+    """Cache ``fn(topology, *keys)`` in ``topology.memo``, so that what
+    depends only on the fabric is built once per topology and key."""
+
+    @functools.wraps(fn)
+    def cached(topology: Topology, *keys):
+        memo, key = topology.memo, (fn, *keys)
+        if key not in memo:
+            memo[key] = fn(topology, *keys)
+        return memo[key]
+
+    return cached
 
 
 def _top_layer_tag(params: TopologyParams) -> str:

@@ -216,6 +216,47 @@ class TestCli:
         assert "FER grid must hold at least one value" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "grid",
+        [[0.0, float("nan")], [float("nan")], [0.0, float("nan"), 0.5]],
+        ids=["nan-last", "nan-only", "nan-inside"],
+    )
+    def test_nan_grid_in_a_plan_file_exit_3(self, grid, tmp_path, capsys):
+        # json writes and reads NaN, which fails every comparison, so every
+        # value is range-checked, not only the ends.
+        doc = plan_to_doc(ExperimentPlan(params=SMALL, failures=(FailureType.LINK,)))
+        doc["fer_grids"] = [grid]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--plan", str(path)]) == 3
+        assert "FER grid values must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("samples", 2.9, "plan: samples must be an integer, got 2.9"),
+            ("samples", "2", 'plan: samples must be an integer, got "2"'),
+            ("samples", True, "plan: samples must be an integer, got true"),
+            ("master_seed", "7", 'plan: master_seed must be an integer, got "7"'),
+            ("master_seed", 7.0, "plan: master_seed must be an integer, got 7.0"),
+            ("fer_grids", [["0.5"]], 'plan: FER values must be numbers, got "0.5"'),
+            ("fer_grids", [[0.0, True]], "plan: FER values must be numbers, got true"),
+            ("fer_grids", [0.5], "plan: fer_grids must be a list of lists, got [0.5]"),
+            ("fer_grids", "0.5", 'plan: fer_grids must be a list of lists, got "0.5"'),
+        ],
+    )
+    def test_plan_field_of_the_wrong_json_type_exit_3(
+        self, field, value, message, tmp_path, capsys
+    ):
+        # int(2.9) and int("7") would run another plan than the document says.
+        plan = ExperimentPlan(params=SMALL, failures=(FailureType.LINK,), fer_grids=((0.5,),))
+        doc = plan_to_doc(plan)
+        doc[field] = value
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--plan", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "params, message",
         [
             ({"kind": "fat-tree", "n": 4, "gateway_policy": 5}, "gateway_policy: expected a string"),
@@ -276,6 +317,21 @@ class TestCli:
               "--fixed", "agg-link=abc"], "'abc'"),
             (["classed-sweep", "--sweep-class", "edge-link", "--fer", "0.1",
               "--fixed", "bogus=0.1"], "'bogus'"),
+            # Refused before a grid is built: a range with no finite bound,
+            # or with more values than a plan may hold, never returned.
+            (["sweep", "--failure", "link", "--fer", "nan"], "--fer: 'nan' is not a finite"),
+            (["sweep", "--failure", "link", "--fer", "0.1,inf"], "--fer: 'inf' is not a finite"),
+            (["sweep", "--failure", "link", "--fer", "0:1:nan"], "--fer: 'nan' is not a finite"),
+            (["sweep", "--failure", "link", "--fer", "0:inf:0.1"], "--fer: 'inf' is not a finite"),
+            (["sweep", "--failure", "link", "--fer", "0:1:-inf"], "--fer: '-inf' is not a finite"),
+            (["sweep", "--failure", "link", "--fer", "0:1:1e-300"],
+             "--fer: '0:1:1e-300' makes more than 2**24 values"),
+            (["sweep", "--failure", "link", "--fer", "0:0:1e-300"],
+             "--fer: '0:0:1e-300' makes more than 2**24 values"),
+            (["sweep", "--failure", "link", "--fer", f"0:1:{2**-24!r}"],  # 2**24 + 1 values
+             "makes more than 2**24 values"),
+            (["sweep2d", "--fer-link", "0:1:1e-12", "--fer-switch", "0"],
+             "--fer-link: '0:1:1e-12' makes more than 2**24 values"),
         ],
     )
     def test_malformed_grid_or_ratio_exit_3(self, command, bad, capsys):

@@ -40,6 +40,8 @@ from dcn_robust.topology import (
     TopologyParams,
     build_bcube,
     build_topology,
+    derived,
+    serialize_topology,
 )
 
 from conftest import degraded_adjacency, oracle_accessible_servers
@@ -918,6 +920,57 @@ class TestRngStreamBounds:
             plan_2d(2**12 + 1, 2**12)
 
 
+class TestDerivedMemo:
+    def test_derived_builds_once_per_topology_and_key(self):
+        calls = []
+
+        @derived
+        def probe(topology, key):
+            calls.append(key)
+            return object()
+
+        topo = build_topology(DCELL_SMALL)
+        assert probe(topo, 1) is probe(topo, 1)
+        assert probe(topo, 2) is not probe(topo, 1)
+        assert calls == [1, 2]
+
+    def test_each_engine_function_builds_once(self):
+        topo = build_topology(THREE_LAYER_SMALL)
+        assert reachability._pattern(topo) is reachability._pattern(topo)
+        assert simulation._tree_graph(topo) is simulation._tree_graph(topo)
+        link, switch = FailureType.LINK, FailureType.SWITCH
+        assert simulation._cut_catalog(topo, link) is simulation._cut_catalog(topo, link)
+        assert simulation._cut_catalog(topo, switch) is not simulation._cut_catalog(topo, link)
+        edge = ElementClass.EDGE_LINK
+        assert _element_pool(topo, edge) is _element_pool(topo, edge)
+        # One entry per function and key; the catalog and tree built the
+        # pattern they read, once.
+        assert len(topo.memo) == 5
+
+    def test_a_filled_memo_changes_no_equality_repr_or_document(self):
+        topo = build_topology(DCELL_SMALL)
+        before = repr(topo), serialize_topology(topo)
+        simulation._cut_catalog(topo, FailureType.SWITCH)
+        simulation._tree_graph(topo)
+        _element_pool(topo, FailureType.LINK)
+        assert topo.memo
+        fresh = build_topology(DCELL_SMALL)
+        assert topo == fresh and fresh == topo
+        assert (repr(topo), serialize_topology(topo)) == before
+        assert (repr(fresh), serialize_topology(fresh)) == before
+
+    def test_a_rebuilt_topology_starts_with_an_empty_memo(self):
+        # Derived data lives on the object, not under its params.
+        topo = build_topology(DCELL_SMALL)
+        pattern = reachability._pattern(topo)
+        rebuilt = build_topology(DCELL_SMALL)
+        assert rebuilt.memo == {}
+        again = reachability._pattern(rebuilt)
+        assert again is not pattern
+        assert (again != pattern).nnz == 0
+        assert replace(topo).memo == {}
+
+
 class TestPlanDocuments:
     def test_round_trip(self):
         plan = ExperimentPlan(
@@ -956,6 +1009,36 @@ class TestPlanDocuments:
     def test_repeated_metric_rejected(self):
         with pytest.raises(UnsupportedPlanError, match="repeat"):
             plan_for(BCUBE_2x2, FailureType.LINK, metrics=("asr", "sc", "asr"))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(float("nan"),), (0.0, float("nan")), (float("nan"), 0.5), (0.5, float("inf"))],
+        ids=["nan-only", "nan-last", "nan-first", "inf"],
+    )
+    def test_every_grid_value_is_range_checked(self, grid):
+        with pytest.raises(UnsupportedPlanError, match=r"must lie in \[0, 1\]"):
+            plan_for(BCUBE_2x2, FailureType.LINK, fer_grids=(grid,))
+
+    @pytest.mark.parametrize(
+        "ratio, message",
+        [("0.25", 'got "0.25"'), (True, "got true")],
+        ids=["string", "bool"],
+    )
+    def test_class_ratio_must_be_a_json_number(self, ratio, message):
+        plan = plan_for(
+            THREE_LAYER_SMALL,
+            FailureType.LINK,
+            fer_grids=((0.0, 0.2),),
+            class_ratios={ElementClass.EDGE_LINK: None, ElementClass.AGG_LINK: 0.25},
+        )
+        doc = plan_to_doc(plan)
+        doc["class_ratios"]["agg-link"] = ratio
+        must = "class ratio agg-link must be a number or null"
+        with pytest.raises(UnsupportedPlanError, match=f"{must}, {message}"):
+            plan_from_doc(doc)
+        doc["class_ratios"] = [["agg-link", 0.25]]
+        with pytest.raises(UnsupportedPlanError, match="class_ratios must be an object"):
+            plan_from_doc(doc)
 
     def test_bad_documents(self):
         with pytest.raises(UnsupportedPlanError):
