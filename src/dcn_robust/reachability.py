@@ -215,7 +215,7 @@ def _all_servers_reach_gateway(
     """True iff every surviving server reaches a surviving gateway (the
     operational-network test applied after removals). It is the probe of
     the certificate that checks each critical point the simulation's cut
-    bound or bottleneck tree gives: one breadth-first search from the
+    bound or widest paths give: one breadth-first search from the
     super-root, directed, since the graph holds both directions of every
     edge."""
     root, servers = topology.n_nodes, topology.n_servers

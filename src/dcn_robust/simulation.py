@@ -15,11 +15,11 @@ A chunk returns the ``reachability.SurvivalMetrics`` record of each of
 its samples, in sample order, and the parent turns a point's records into
 one row per metric.
 
-``_TOPO_CACHE``, one topology per distinct params, is the one store that
-lasts for the whole process. What is derived from a topology (pools, CSR
-pattern, tree graph, cut catalog) is cached on it by ``topology.derived``,
-and each operation builds the costly parts before it starts a pool, so
-forked workers inherit them.
+``_TOPO_CACHE``, the topologies of the last few params asked for, is the
+one store that lasts for the whole process. What is derived from a
+topology (pools, CSR pattern, cluster graph) is cached on it by
+``topology.derived``, and each operation builds the costly parts before it
+starts a pool, so forked workers inherit them.
 
 Critical points (the minimal number of removals that disconnects a server)
 start from a cut bound. Each element's removal time is its position in the
@@ -32,13 +32,15 @@ and Pittel, Theory Probab. Appl. 17, 1972). Two probes, each one
 breadth-first search from a super-root that joins every gateway, certify
 it: every server reaches a gateway one removal before it, and some server
 is stranded at it. When the first probe refutes the bound, a larger cut
-stranded a server first, and a maximum spanning tree over the removal
-times gives the answer, which the same probes certify. The tree keeps a
-maximin path between every pair of nodes (T. C. Hu, "The maximum capacity
-route problem", Oper. Res. 9, 1961), so the smallest time on a server's
-tree path to the root is the last removal count at which it still reaches
-a gateway, whichever maximum tree the solver returns; a server with one
-link takes the earlier of its link's time and its neighbour's answer.
+stranded a server first, and the widest paths to the root give the answer,
+which the same probes certify. The last removal count at which a server
+still reaches a gateway is the largest, over its paths to the root, of the
+smallest removal time on the path: the fixpoint of ``b[v] = max over edges
+(u, v) of min(b[u], t_uv)`` with ``b[root] = F``, which Bellman-Ford rounds
+over the (max, min) semiring reach (M. Pollack, "The maximum capacity
+through a network", Oper. Res. 8, 1960; T. C. Hu, "The maximum capacity
+route problem", Oper. Res. 9, 1961). The bound and the rounds read one
+graph, in which each cluster is a single node.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from . import reachability
@@ -338,26 +339,6 @@ def _apply_removals(
     )
 
 
-@derived
-def _tree_graph(topo: Topology) -> tuple[np.ndarray, ...]:
-    """(indices, indptr, slot_edge, server_node, pendant, pendant_edge): the
-    CSR pattern of each link and gateway edge once (``reachability._pattern``)
-    without the pendant servers of ``reachability._fold``, and the edge each
-    slot holds. The other nodes keep their order as nodes 0..k-1, and the
-    root is node k. ``server_node`` is each server's node, its anchor's for
-    a pendant, and ``pendant_edge`` each pendant's link.
-    """
-    full = reachability._pattern(topo)
-    anchor, off = reachability._fold(full, np.arange(topo.n_servers))
-    pendant, kept = np.flatnonzero(off), off == 0
-    # The upper triangle holds each edge once: links have u < v, and the
-    # root is the last node.
-    tree = sp.triu(full, format="csr")[kept][:, kept]
-    server_node = (np.cumsum(kept) - 1)[anchor[: topo.n_servers]]
-    pendant_edge = full.data[full.indptr[pendant]] - 1
-    return tree.indices, tree.indptr, tree.data - 1, server_node, pendant, pendant_edge
-
-
 def _edge_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.ndarray:
     """Removal time of each link, then of each gateway's edge to the
     super-root (``reachability._pattern``'s edge order), under the removal
@@ -378,75 +359,68 @@ def _edge_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.nd
 
 
 @derived
-def _cut_catalog(topo: Topology, failure: FailureType) -> tuple[np.ndarray, np.ndarray]:
-    """(boundary, starts): the edges that leave each server cluster, one
-    cluster after the other from its ``starts`` offset.
+def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ...]:
+    """(indices, indptr, slot_edge, cluster): the CSR pattern of
+    ``reachability._pattern`` with each server cluster contracted to one
+    node, the edge each slot holds, and each server's cluster.
 
     A cluster is a set of servers joined by links *failure* never removes:
     under switch failures the server-server links, under link failures
-    none, so each server is its own cluster. Once every edge leaving a
-    cluster is down, its servers are stranded: these are the cuts of the
-    Burtin-Pittel model behind ``analytic.min_cut_catalog``.
+    none, so each server is its own cluster. The k clusters are nodes
+    0..k-1, the switches follow in their order, and the root comes last.
+    The links inside a cluster are dropped, so a cluster's row holds the
+    edges that leave it: once every one is down, its servers are stranded,
+    and these are the cuts of the Burtin-Pittel model behind
+    ``analytic.min_cut_catalog``. Every node of a generated fabric keeps an
+    edge, so no row is empty, as ``reduceat`` over the rows needs.
     """
+    pattern = reachability._pattern(topo)
     servers = topo.n_servers
-    rows = reachability._pattern(topo)[:servers]
     cluster = np.arange(servers)
     if failure is FailureType.SWITCH:
-        _, cluster = csgraph.connected_components(rows[:, :servers], directed=False)
-    cluster_of = np.full(rows.shape[1], -1)
-    cluster_of[:servers] = cluster
-    owner = np.repeat(cluster, np.diff(rows.indptr))
-    outward = cluster_of[rows.indices] != owner
-    order = np.argsort(owner[outward], kind="stable")
-    owner = owner[outward][order]
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    return rows.data[outward][order] - 1, starts
+        _, cluster = csgraph.connected_components(pattern[:servers, :servers], directed=False)
+    node = np.concatenate([cluster, cluster.max() + 1 + np.arange(topo.n_switches + 1)])
+    row = np.repeat(node, np.diff(pattern.indptr))
+    col = node[pattern.indices].astype(np.int32)  # half the memory the memo keeps
+    order = np.argsort(row, kind="stable")
+    keep = order[row[order] != col[order]]
+    indptr = np.searchsorted(row[keep], np.arange(node[-1] + 2))
+    return col[keep], indptr, (pattern.data[keep] - 1).astype(np.int32), cluster
 
 
 def _cut_bound(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:
     """The earliest time at which every edge leaving some server cluster
-    (``_cut_catalog``) is down: an upper bound on the earliest stranding
-    time, since that cluster's servers reach no gateway one removal later."""
-    boundary, starts = _cut_catalog(topo, failure)
-    return int(np.maximum.reduceat(_edge_times(topo, failure, perm)[boundary], starts).min())
+    (its row of ``_cluster_graph``) is down: an upper bound on the earliest
+    stranding time, since that cluster's servers reach no gateway one
+    removal later."""
+    _, indptr, slot_edge, _ = _cluster_graph(topo, failure)
+    starts = indptr[: len(indptr) - topo.n_switches - 2]  # the cluster rows
+    times = _edge_times(topo, failure, perm)[slot_edge[: indptr[len(starts)]]]
+    return int(np.maximum.reduceat(times, starts).min())
 
 
 def _stranding_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.ndarray:
     """Per server, the largest removal-prefix length of *perm* after which
     it still reaches a gateway (-1 if it never does).
 
-    The bottleneck of a node's path to the super-root in a maximum
-    spanning tree over the edges' removal times (``_edge_times``) is its
-    answer; a pendant server's is the earlier of its link's time and its
-    anchor's answer.
+    That is the value of the widest path from its cluster to the root of
+    ``_cluster_graph``: the largest, over paths, of the smallest removal
+    time (``_edge_times``) on the path. The root holds F and every other
+    node starts at -1; each round sets b[v] to the largest, over v's edges
+    (u, v), of min(b[u], t_uv). After r rounds b[v] is the best over paths
+    of at most r edges, so the rounds settle within one per node.
     """
-    big_f = len(perm)
-    edge_times = _edge_times(topo, failure, perm)
-    indices, indptr, slot_edge, server_node, pendant, pendant_edge = _tree_graph(topo)
-    root = len(indptr) - 2
-    # Weights F + 1 - t lie in [1, F + 1]: csgraph reads a 0 as no edge.
-    # They are float64 already, so csgraph need not convert them.
-    weights = (big_f + 1.0) - edge_times[slot_edge]
-    graph = sp.csr_matrix((weights, indices, indptr), shape=(root + 1, root + 1))
-    tree = csgraph.minimum_spanning_tree(graph).tocoo()
-    _, parent = csgraph.breadth_first_order(
-        tree, root, directed=False, return_predecessors=True
-    )
-    # Each node's time is first that of the tree edge to its parent; pointer
-    # jumping then folds in every edge on the way to the root.
-    child = np.where(parent[tree.col] == tree.row, tree.col, tree.row)
-    bottleneck = np.empty(root + 1, dtype=np.int64)
-    bottleneck[child] = big_f + 1 - tree.data.astype(np.int64)
-    unreached = parent < 0
-    bottleneck[unreached] = -1
-    bottleneck[root] = big_f
-    parent[unreached] = root
-    while not np.array_equal(grandparent := parent[parent], parent):
-        np.minimum(bottleneck, bottleneck[parent], out=bottleneck)
-        parent = grandparent
-    strand = bottleneck[server_node]
-    strand[pendant] = np.minimum(strand[pendant], edge_times[pendant_edge])
-    return strand
+    indices, indptr, slot_edge, cluster = _cluster_graph(topo, failure)
+    slot_time = _edge_times(topo, failure, perm)[slot_edge]
+    best = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    best[-1] = len(perm)
+    for _ in range(len(best)):
+        reach = np.maximum.reduceat(np.minimum(best[indices], slot_time), indptr[:-1])
+        reach[-1] = len(perm)
+        if np.array_equal(reach, best):
+            return best[cluster]
+        best = reach
+    raise RuntimeError(f"widest paths did not settle in {len(best)} rounds")
 
 
 def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:
@@ -459,8 +433,8 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
     prefix grows, so two breadth-first probes prove a candidate: every
     server reaches a gateway one removal earlier, and some server does not
     at it. When the first probe refutes the bound, a larger cut stranded a
-    server earlier, and the candidate is one past the bottleneck tree's
-    earliest stranding time (``_stranding_times``) instead, proved by the
+    server earlier, and the candidate is one past the earliest stranding
+    time of the widest paths (``_stranding_times``) instead, proved by the
     same two probes. A refuted bound costs one probe more than a proved
     one; any other refutation raises RuntimeError.
     """
@@ -474,7 +448,7 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
     source, critical = "cut bound", _cut_bound(topo, failure, perm) + 1
     refuted = critical < 1 or not all_reach(critical - 1)
     if refuted:
-        source = "bottleneck tree"
+        source = "widest path"
         critical = int(_stranding_times(topo, failure, perm).min()) + 1
         refuted = critical < 1 or not all_reach(critical - 1)
     if refuted or all_reach(critical):
@@ -484,14 +458,21 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
 
 # --- worker-side execution ---------------------------------------------------
 
+# perfbench/passrun.py builds every topology of a pass (four in each of its
+# workloads) before it times the pass, so the cache must hold them all.
+_TOPO_CACHE_SIZE = 8
 _TOPO_CACHE: dict[TopologyParams, Topology] = {}
 
 
 def _cached_topology(params: TopologyParams) -> Topology:
-    topo = _TOPO_CACHE.get(params)
+    """The topology of *params*, built once while it stays among the
+    ``_TOPO_CACHE_SIZE`` params asked for last; the least recent goes."""
+    topo = _TOPO_CACHE.pop(params, None)
     if topo is None:
         topo = build_topology(params)
-        _TOPO_CACHE[params] = topo
+    _TOPO_CACHE[params] = topo  # dicts keep insertion order: newest last
+    if len(_TOPO_CACHE) > _TOPO_CACHE_SIZE:
+        del _TOPO_CACHE[next(iter(_TOPO_CACHE))]
     return topo
 
 
@@ -587,7 +568,7 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
         )
     topo = _cached_topology(plan.params)
     big_f = len(_element_pool(topo, failure)[0])
-    _cut_catalog(topo, failure)  # and reachability._pattern: forked workers inherit both
+    _cluster_graph(topo, failure)  # and reachability._pattern: forked workers inherit both
 
     workers = resolve_workers(workers)
     tasks = [
@@ -821,13 +802,21 @@ def plan_to_doc(plan: ExperimentPlan) -> dict:
 
 
 def _check_plan_types(doc: dict) -> None:
-    """Refuse a sample count or seed that is no JSON integer, and a FER
-    value or fixed class ratio that is no JSON number: ``int(2.9)``,
-    ``int("7")`` and ``float(True)`` would run another plan."""
+    """Refuse a sample count or seed that is no JSON integer, a FER value or
+    fixed class ratio that is no JSON number, and failures or metrics that
+    are no list of strings: ``int(2.9)``, ``int("7")`` and ``float(True)``
+    would run another plan, and a string would be read one character at a
+    time."""
     for name in ("samples", "master_seed"):
         # bool is a subclass of int, so compare exact types.
         if name in doc and type(doc[name]) is not int:
             raise UnsupportedPlanError(f"plan: {name} must be an integer, got {_json(doc[name])}")
+    for name in ("failures", "metrics"):
+        value = doc.get(name, [])
+        if type(value) is not list or any(type(x) is not str for x in value):
+            raise UnsupportedPlanError(
+                f"plan: {name} must be a list of strings, got {_json(value)}"
+            )
     grids = doc.get("fer_grids", [])
     if type(grids) is not list or any(type(g) is not list for g in grids):
         raise UnsupportedPlanError(f"plan: fer_grids must be a list of lists, got {_json(grids)}")

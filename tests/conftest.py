@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy import integrate
+from scipy.sparse import csgraph
 
+from dcn_robust import reachability, simulation
 from dcn_robust.analytic import MinCutSpec, _mean_lifetime
 from dcn_robust.topology import (
     build_bcube,
@@ -78,6 +80,35 @@ def oracle_accessible_servers(topo, adj, removed_switches=()) -> set[int]:
                 seen.add(v)
                 queue.append(v)
     return {n for n in seen if n < topo.n_servers}
+
+
+def tree_stranding_times(topo, failure, perm) -> np.ndarray:
+    """Oracle for ``simulation._stranding_times``: per server, the smallest
+    removal time on its path to the super-root in a maximum spanning tree
+    over the edges' removal times, -1 where it has no path.
+
+    A maximum spanning tree keeps a maximin path between every pair of
+    nodes (T. C. Hu, Oper. Res. 9, 1961), whichever one the solver
+    returns. It runs on the full pattern, without clusters.
+    """
+    big_f = len(perm)
+    upper = sp.triu(reachability._pattern(topo), format="csr")  # each edge once
+    times = simulation._edge_times(topo, failure, perm)[upper.data - 1]
+    # Weights F + 1 - t lie in [1, F + 1]: csgraph reads a 0 as no edge.
+    graph = sp.csr_matrix(((big_f + 1.0) - times, upper.indices, upper.indptr), upper.shape)
+    tree = csgraph.minimum_spanning_tree(graph).tocoo()
+    root = topo.n_nodes
+    order, parent = csgraph.breadth_first_order(
+        tree, root, directed=False, return_predecessors=True
+    )
+    child = np.where(parent[tree.col] == tree.row, tree.col, tree.row)
+    up_time = np.empty(root + 1, dtype=np.int64)
+    up_time[child] = big_f + 1 - tree.data.astype(np.int64)
+    best = np.full(root + 1, -1, dtype=np.int64)
+    best[root] = big_f
+    for node in order[1:].tolist():  # each parent comes before its children
+        best[node] = min(best[parent[node]], up_time[node])
+    return best[: topo.n_servers]
 
 
 def oracle_server_rings(topo):

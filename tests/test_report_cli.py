@@ -242,12 +242,16 @@ class TestCli:
             ("fer_grids", [[0.0, True]], "plan: FER values must be numbers, got true"),
             ("fer_grids", [0.5], "plan: fer_grids must be a list of lists, got [0.5]"),
             ("fer_grids", "0.5", 'plan: fer_grids must be a list of lists, got "0.5"'),
+            ("metrics", "asr", 'plan: metrics must be a list of strings, got "asr"'),
+            ("metrics", ["asr", 1], 'plan: metrics must be a list of strings, got ["asr", 1]'),
+            ("failures", "link", 'plan: failures must be a list of strings, got "link"'),
         ],
     )
     def test_plan_field_of_the_wrong_json_type_exit_3(
         self, field, value, message, tmp_path, capsys
     ):
-        # int(2.9) and int("7") would run another plan than the document says.
+        # int(2.9) and int("7") would run another plan than the document
+        # says, and a string of metrics or failures is no list of names.
         plan = ExperimentPlan(params=SMALL, failures=(FailureType.LINK,), fer_grids=((0.5,),))
         doc = plan_to_doc(plan)
         doc[field] = value

@@ -44,7 +44,7 @@ from dcn_robust.topology import (
     serialize_topology,
 )
 
-from conftest import degraded_adjacency, oracle_accessible_servers
+from conftest import degraded_adjacency, oracle_accessible_servers, tree_stranding_times
 
 
 def plan_for(params, failure, **kw):
@@ -244,7 +244,7 @@ class TestCriticalPoint:
             for p in (
                 TopologyParams(kind=TopologyKind.FAT_TREE, n=4),
                 THREE_LAYER_SMALL,
-                BCUBE_CELL,  # every server is pendant
+                BCUBE_CELL,  # every server has one link
                 DCELL_SMALL,
             )
             for f in (FailureType.LINK, FailureType.SWITCH)
@@ -262,17 +262,34 @@ class TestCriticalPoint:
                 part = reachability._partition_arrays(topo, node_alive, edge_alive)
                 assert np.array_equal(part.accessible_server_mask, times >= f)
 
-    def test_pendant_servers_fold_out_of_the_tree(self):
-        # fat-tree 4: 16 servers, 20 switches, one root; every server is pendant.
-        topo = build_topology(TopologyParams(kind=TopologyKind.FAT_TREE, n=4))
-        indices, indptr, slot_edge, server_node, pendant, pendant_edge = (
-            simulation._tree_graph(topo)
-        )
-        assert len(indptr) - 1 == topo.n_switches + 1
-        assert np.array_equal(pendant, np.arange(topo.n_servers))
-        assert np.array_equal(topo.edges_u[pendant_edge], pendant)
-        assert np.array_equal(server_node, topo.edges_v[pendant_edge] - topo.n_servers)
-        assert len(slot_edge) == topo.n_links - topo.n_servers + len(topo.gateways)
+    @pytest.mark.parametrize(
+        "params,failure",
+        [pytest.param(p, f, id=f"{param_id(p)}-{f.value}") for p, f in NMTTF_CONFIGS],
+    )
+    def test_widest_paths_equal_the_spanning_tree_on_the_nmttf_stream(self, params, failure):
+        topo = build_topology(params)
+        big_f = len(_element_pool(topo, failure)[0])
+        for k in range(10):
+            perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
+            assert np.array_equal(
+                simulation._stranding_times(topo, failure, perm),
+                tree_stranding_times(topo, failure, perm),
+            )
+
+    def test_clusters_contract_to_one_node_each(self):
+        # DCell 7/2: 3192 servers, 456 switches and the root; under switch
+        # failures its server-server links join the servers into 136 clusters.
+        topo = build_topology(TopologyParams(kind=TopologyKind.DCELL, n=7, l=2))
+        indices, indptr, slot_edge, cluster = simulation._cluster_graph(topo, FailureType.SWITCH)
+        assert len(indptr) - 1 == 593 == cluster.max() + 1 + topo.n_switches + 1
+        row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        assert not (row == indices).any()
+        inner = (topo.edges_u < topo.n_servers) & (topo.edges_v < topo.n_servers)
+        assert len(slot_edge) == 2 * (topo.n_links - inner.sum() + len(topo.gateways))
+        indices, indptr, slot_edge, cluster = simulation._cluster_graph(topo, FailureType.LINK)
+        assert len(indptr) - 1 == topo.n_nodes + 1
+        assert np.array_equal(cluster, np.arange(topo.n_servers))
+        assert len(slot_edge) == 2 * (topo.n_links + len(topo.gateways))
 
     @pytest.mark.parametrize("params", _tree_cases())
     def test_probe_equals_the_partition(self, params):
@@ -331,13 +348,13 @@ class TestCriticalPoint:
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_off_by_one_tree_is_refuted(self, monkeypatch, shift):
         topo, perm, bound, true_point = self._dcell_link_case(1)
-        assert 2 <= true_point < bound  # the bound is refuted: the tree decides
+        assert 2 <= true_point < bound  # the bound is refuted: the widest paths decide
         tree = simulation._stranding_times
         monkeypatch.setattr(
             simulation, "_stranding_times", lambda *args: tree(*args) + shift
         )
         with pytest.raises(
-            RuntimeError, match=f"bottleneck tree gives critical point {true_point + shift},"
+            RuntimeError, match=f"widest path gives critical point {true_point + shift},"
         ):
             _critical_point(topo, FailureType.LINK, perm)
 
@@ -360,9 +377,11 @@ def cluster_cuts(topo, failure):
     """Each server cluster's cut as the set of elements it removes: its
     boundary links, or under switch failures the switches they lead to
     (links run from the lower node id, and servers come first)."""
-    boundary, starts = simulation._cut_catalog(topo, failure)
+    _, indptr, slot_edge, cluster = simulation._cluster_graph(topo, failure)
+    starts = indptr[: cluster.max() + 2]
+    boundary = slot_edge[: starts[-1]]
     elements = topo.edges_v[boundary] if failure is FailureType.SWITCH else boundary
-    return [frozenset(cut.tolist()) for cut in np.split(elements, starts[1:])]
+    return [frozenset(cut.tolist()) for cut in np.split(elements, starts[1:-1])]
 
 
 class TestCutCatalog:
@@ -937,21 +956,19 @@ class TestDerivedMemo:
     def test_each_engine_function_builds_once(self):
         topo = build_topology(THREE_LAYER_SMALL)
         assert reachability._pattern(topo) is reachability._pattern(topo)
-        assert simulation._tree_graph(topo) is simulation._tree_graph(topo)
         link, switch = FailureType.LINK, FailureType.SWITCH
-        assert simulation._cut_catalog(topo, link) is simulation._cut_catalog(topo, link)
-        assert simulation._cut_catalog(topo, switch) is not simulation._cut_catalog(topo, link)
+        assert simulation._cluster_graph(topo, link) is simulation._cluster_graph(topo, link)
+        assert simulation._cluster_graph(topo, switch) is not simulation._cluster_graph(topo, link)
         edge = ElementClass.EDGE_LINK
         assert _element_pool(topo, edge) is _element_pool(topo, edge)
-        # One entry per function and key; the catalog and tree built the
-        # pattern they read, once.
-        assert len(topo.memo) == 5
+        # One entry per function and key; both cluster graphs read the
+        # pattern, built once.
+        assert len(topo.memo) == 4
 
     def test_a_filled_memo_changes_no_equality_repr_or_document(self):
         topo = build_topology(DCELL_SMALL)
         before = repr(topo), serialize_topology(topo)
-        simulation._cut_catalog(topo, FailureType.SWITCH)
-        simulation._tree_graph(topo)
+        simulation._cluster_graph(topo, FailureType.SWITCH)
         _element_pool(topo, FailureType.LINK)
         assert topo.memo
         fresh = build_topology(DCELL_SMALL)
@@ -969,6 +986,20 @@ class TestDerivedMemo:
         assert again is not pattern
         assert (again != pattern).nnz == 0
         assert replace(topo).memo == {}
+
+    def test_the_topology_cache_drops_the_least_recent_params_past_its_bound(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(simulation, "_TOPO_CACHE", {})
+        size = simulation._TOPO_CACHE_SIZE
+        params = [TopologyParams(kind=TopologyKind.BCUBE, n=n, l=0) for n in range(2, size + 3)]
+        first, second = (simulation._cached_topology(p) for p in params[:2])
+        for p in params[2:-1]:
+            simulation._cached_topology(p)
+        assert simulation._cached_topology(params[0]) is first  # size entries: all kept
+        simulation._cached_topology(params[-1])
+        assert list(simulation._TOPO_CACHE) == [*params[2:-1], params[0], params[-1]]
+        assert simulation._cached_topology(params[1]) is not second
 
 
 class TestPlanDocuments:
