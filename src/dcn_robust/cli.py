@@ -49,6 +49,7 @@ from .topology import (
     TopologyParameterError,
     TopologyParams,
     TopologyParseError,
+    _json,
     build_topology,
     params_to_doc,
     serialize_topology,
@@ -376,33 +377,49 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _measured_config(pos: int, entry) -> MeasuredConfig:
+    """Entry *pos* of a classify document. interfaces must be a JSON
+    integer >= 1, and each series' asr and aspl (aspl may be null) a
+    finite JSON number: ``int(3.9)`` would pair the entry with another
+    family's reference, and ``float("0.95")`` or ``float(True)`` would
+    grade what was never measured."""
+
+    def number(values: dict, failure: str, name: str) -> float | None:
+        value = values.get(name)
+        if name == "aspl" and value is None:
+            return None
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ClassifierInputError(
+                f"configs[{pos}].series.{failure}.{name} must be a finite number"
+                f"{' or null' * (name == 'aspl')}, got {_json(value)}"
+            )
+        return float(value)
+
+    try:
+        series, interfaces = entry["series"], entry["interfaces"]
+        if type(interfaces) is not int or interfaces < 1:
+            raise ClassifierInputError(
+                f"configs[{pos}].interfaces must be an integer >= 1, got {_json(interfaces)}"
+            )
+        return MeasuredConfig(
+            family=TopologyKind(entry["family"]),
+            label=str(entry.get("label", f"config[{pos}]")),
+            interfaces=interfaces,
+            asr={FailureType(k): number(v, k, "asr") for k, v in series.items() if "asr" in v},
+            aspl={FailureType(k): number(v, k, "aspl") for k, v in series.items()},
+        )
+    except ClassifierInputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ClassifierInputError(f"configs[{pos}]: {exc}") from exc
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     doc = _read_json(args.input)
     entries = doc.get("configs", []) if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ClassifierInputError(f"{args.input}: expected an object whose 'configs' is a list")
-    configs = []
-    for pos, entry in enumerate(entries):
-        try:
-            series = entry["series"]
-            configs.append(
-                MeasuredConfig(
-                    family=TopologyKind(entry["family"]),
-                    label=str(entry.get("label", f"config[{pos}]")),
-                    interfaces=int(entry["interfaces"]),
-                    asr={
-                        FailureType(k): float(v["asr"])
-                        for k, v in series.items()
-                        if "asr" in v
-                    },
-                    aspl={
-                        FailureType(k): (None if v.get("aspl") is None else float(v["aspl"]))
-                        for k, v in series.items()
-                    },
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ClassifierInputError(f"configs[{pos}]: {exc}") from exc
+    configs = [_measured_config(pos, entry) for pos, entry in enumerate(entries)]
     records = classify(configs)
     out_doc = {
         "grades": [

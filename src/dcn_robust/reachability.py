@@ -110,31 +110,33 @@ class DegradedNetwork:
 
 
 @derived
-def _pattern(topology: Topology) -> sp.csr_matrix:
-    """The canonical CSR pattern of the links and of one edge from each
-    gateway to a super-root (node ``n_nodes``), both directions; a slot's
-    value is its edge's number (links, then gateway edges), counted from 1
-    so that no slot holds a zero a sparse operation could drop."""
+def _pattern(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indices, indptr, slot_edge): the canonical CSR pattern, columns
+    ascending in each row, of the links and of one edge from each gateway
+    to a super-root (node ``n_nodes``), both directions, and the edge each
+    slot holds, numbered from 0: links first, then gateway edges."""
     n, gateways = topology.n_nodes, topology.gateways
     u = np.concatenate([topology.edges_u, gateways])
     v = np.concatenate([topology.edges_v, np.full(len(gateways), n)])
-    edge = np.tile(np.arange(1, len(u) + 1), 2)
-    return sp.csr_matrix((edge, (np.r_[u, v], np.r_[v, u])), shape=(n + 1, n + 1))
+    row, col = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((col, row))
+    indptr = np.searchsorted(row[order], np.arange(n + 2))
+    return col[order].astype(np.int32), indptr, order % len(u)
 
 
 def _subgraph(
     topology: Topology, edge_alive: np.ndarray, gateway_alive: np.ndarray | None = None
 ) -> sp.csr_matrix:
     """The surviving links, both directions, as a float64 CSR graph sliced
-    from ``_pattern``; with *gateway_alive*, the root and the edges of the
-    surviving gateways too."""
-    pattern = _pattern(topology)
+    from ``_pattern`` by each slot's edge; with *gateway_alive*, the root
+    and the edges of the surviving gateways too."""
+    indices, indptr, slot_edge = _pattern(topology)
     size = topology.n_nodes + (gateway_alive is not None)
     if gateway_alive is None:
         gateway_alive = np.zeros(len(topology.gateways), dtype=bool)
-    keep = np.concatenate([[False], edge_alive, gateway_alive])[pattern.data]
-    indptr = np.concatenate([[0], np.cumsum(keep)])[pattern.indptr[: size + 1]]
-    return sp.csr_matrix((np.ones(indptr[-1]), pattern.indices[keep], indptr), (size, size))
+    keep = np.concatenate([edge_alive, gateway_alive])[slot_edge]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[indptr[: size + 1]]
+    return sp.csr_matrix((np.ones(indptr[-1]), indices[keep], indptr), (size, size))
 
 
 @dataclass(frozen=True)

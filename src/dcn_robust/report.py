@@ -61,43 +61,19 @@ def reliability_rows(result: ReliabilityResult) -> list[MetricSample]:
         failure_type=result.failure.value,
     )
     fer_mean, fer_half = confidence_interval(result.critical_points / result.universe)
-    rows = [
-        MetricSample(
-            metric="nmttf_sim",
-            mean=result.nmttf_sim,
-            ci95_half_width=result.ci95_half_width,
-            samples=result.samples,
-            **base,
-        ),
-        MetricSample(
-            metric="critical_fer",
-            mean=fer_mean,
-            ci95_half_width=fer_half,
-            samples=result.samples,
-            **base,
-        ),
+    # (metric, mean, ci95 half-width, samples, extra) per row.
+    values = [
+        ("nmttf_sim", result.nmttf_sim, result.ci95_half_width, result.samples, {}),
+        ("critical_fer", fer_mean, fer_half, result.samples, {}),
     ]
     if result.nmttf_theoretical is not None:
-        rows.append(
-            MetricSample(
-                metric="nmttf_theo",
-                mean=result.nmttf_theoretical,
-                ci95_half_width=None,
-                samples=0,
-                extra={"quality": result.theoretical_quality.value},
-                **base,
-            )
-        )
-        rows.append(
-            MetricSample(
-                metric="relative_error",
-                mean=result.relative_error,
-                ci95_half_width=None,
-                samples=0,
-                **base,
-            )
-        )
-    return rows
+        quality = {"quality": result.theoretical_quality.value}
+        values.append(("nmttf_theo", result.nmttf_theoretical, None, 0, quality))
+        values.append(("relative_error", result.relative_error, None, 0, {}))
+    return [
+        MetricSample(metric=m, mean=mean, ci95_half_width=half, samples=k, extra=extra, **base)
+        for m, mean, half, k, extra in values
+    ]
 
 
 def _cell(value) -> str:
@@ -178,7 +154,8 @@ def to_json_text(report: Report) -> str:
 def gnuplot_script(csv_path: str, report: Report) -> str:
     """A pipeable gnuplot script plotting mean vs FER per metric series,
     each from its own metric's rows of a sweep's CSV. A link x switch
-    sweep plots against ``fer_switch``, one curve per ``fer_link`` value."""
+    sweep plots against ``fer_switch``, one curve per ``fer_link`` value.
+    A quote in *csv_path* is doubled, as gnuplot reads it in single quotes."""
     metrics = list(dict.fromkeys(row.metric for row in report.rows))
     axes = [
         axis
@@ -193,6 +170,7 @@ def gnuplot_script(csv_path: str, report: Report) -> str:
     metric_col = CSV_COLUMNS.index("metric") + 1
     mean_col = CSV_COLUMNS.index("mean") + 1
     ci_col = CSV_COLUMNS.index("ci95_half") + 1
+    quoted = csv_path.replace("'", "''")
     lines = [
         "set datafile separator ','",
         "set key outside",
@@ -207,7 +185,7 @@ def gnuplot_script(csv_path: str, report: Report) -> str:
                 test += f" && strcol({link_col}) eq '{link}'"
                 title += f" fer_link={link}"
             curves.append(
-                f"'{csv_path}' skip 1 using {fer_col}:({test} ? ${mean_col} : NaN):{ci_col} "
+                f"'{quoted}' skip 1 using {fer_col}:({test} ? ${mean_col} : NaN):{ci_col} "
                 f"with yerrorlines title '{title}'"
             )
         lines.append(f"set ylabel '{metric}'")

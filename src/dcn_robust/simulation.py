@@ -17,9 +17,9 @@ one row per metric.
 
 ``_TOPO_CACHE``, the topologies of the last few params asked for, is the
 one store that lasts for the whole process. What is derived from a
-topology (pools, CSR pattern, cluster graph) is cached on it by
-``topology.derived``, and each operation builds the costly parts before it
-starts a pool, so forked workers inherit them.
+topology (pools, the CSR pattern, the switch-failure cluster graph) is
+cached on it by ``topology.derived``, and each operation builds the costly
+parts before it starts a pool, so forked workers inherit them.
 
 Critical points (the minimal number of removals that disconnects a server)
 start from a cut bound. Each element's removal time is its position in the
@@ -40,7 +40,8 @@ smallest removal time on the path: the fixpoint of ``b[v] = max over edges
 over the (max, min) semiring reach (M. Pollack, "The maximum capacity
 through a network", Oper. Res. 8, 1960; T. C. Hu, "The maximum capacity
 route problem", Oper. Res. 9, 1961). The bound and the rounds read one
-graph, in which each cluster is a single node.
+graph, in which each cluster is a single node: under link failures it is
+``reachability._pattern`` itself, plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from . import reachability
 from .analytic import (
@@ -365,27 +365,30 @@ def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ..
     node, the edge each slot holds, and each server's cluster.
 
     A cluster is a set of servers joined by links *failure* never removes:
-    under switch failures the server-server links, under link failures
-    none, so each server is its own cluster. The k clusters are nodes
-    0..k-1, the switches follow in their order, and the root comes last.
-    The links inside a cluster are dropped, so a cluster's row holds the
-    edges that leave it: once every one is down, its servers are stranded,
-    and these are the cuts of the Burtin-Pittel model behind
-    ``analytic.min_cut_catalog``. Every node of a generated fabric keeps an
-    edge, so no row is empty, as ``reduceat`` over the rows needs.
+    under switch failures the server-server links, whose components the
+    engine's own partition labels; under link failures none, so each
+    server is its own cluster and the pattern's own arrays are returned.
+    The k clusters are nodes 0..k-1, the switches follow in their order,
+    and the root comes last. The links inside a cluster are dropped, so a
+    cluster's row holds the edges that leave it: once every one is down,
+    its servers are stranded (the cuts of the Burtin-Pittel model behind
+    ``analytic.min_cut_catalog``). Every node of a generated fabric keeps
+    an edge, so no row is empty, as ``reduceat`` over the rows needs.
     """
-    pattern = reachability._pattern(topo)
+    indices, indptr, slot_edge = reachability._pattern(topo)
     servers = topo.n_servers
-    cluster = np.arange(servers)
-    if failure is FailureType.SWITCH:
-        _, cluster = csgraph.connected_components(pattern[:servers, :servers], directed=False)
+    if failure is not FailureType.SWITCH:
+        return indices, indptr, slot_edge, np.arange(servers)
+    node_alive = np.ones(topo.n_nodes, dtype=bool)
+    labels = reachability._partition_arrays(topo, node_alive, topo.edges_v < servers).labels
+    _, cluster = np.unique(labels[:servers], return_inverse=True)
     node = np.concatenate([cluster, cluster.max() + 1 + np.arange(topo.n_switches + 1)])
-    row = np.repeat(node, np.diff(pattern.indptr))
-    col = node[pattern.indices].astype(np.int32)  # half the memory the memo keeps
+    row = np.repeat(node, np.diff(indptr))
+    col = node[indices].astype(np.int32)  # half the memory the memo keeps
     order = np.argsort(row, kind="stable")
     keep = order[row[order] != col[order]]
     indptr = np.searchsorted(row[keep], np.arange(node[-1] + 2))
-    return col[keep], indptr, (pattern.data[keep] - 1).astype(np.int32), cluster
+    return col[keep], indptr, slot_edge[keep].astype(np.int32), cluster
 
 
 def _cut_bound(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:

@@ -92,12 +92,16 @@ def tree_stranding_times(topo, failure, perm) -> np.ndarray:
     returns. It runs on the full pattern, without clusters.
     """
     big_f = len(perm)
-    upper = sp.triu(reachability._pattern(topo), format="csr")  # each edge once
-    times = simulation._edge_times(topo, failure, perm)[upper.data - 1]
-    # Weights F + 1 - t lie in [1, F + 1]: csgraph reads a 0 as no edge.
-    graph = sp.csr_matrix(((big_f + 1.0) - times, upper.indices, upper.indptr), upper.shape)
-    tree = csgraph.minimum_spanning_tree(graph).tocoo()
     root = topo.n_nodes
+    indices, indptr, slot_edge = reachability._pattern(topo)
+    row = np.repeat(np.arange(root + 1), np.diff(indptr))
+    upper = row < indices  # each edge once
+    times = simulation._edge_times(topo, failure, perm)[slot_edge[upper]]
+    # Weights F + 1 - t lie in [1, F + 1]: csgraph reads a 0 as no edge.
+    graph = sp.csr_matrix(
+        ((big_f + 1.0) - times, (row[upper], indices[upper])), shape=(root + 1, root + 1)
+    )
+    tree = csgraph.minimum_spanning_tree(graph).tocoo()
     order, parent = csgraph.breadth_first_order(
         tree, root, directed=False, return_predecessors=True
     )

@@ -519,6 +519,19 @@ class TestBfsDistances:
 
 
 class TestSubgraph:
+    def test_pattern_numbers_each_slot_by_its_edge_from_zero(self, tiny_topologies):
+        for topo in tiny_topologies.values():
+            indices, indptr, slot_edge = reachability._pattern(topo)
+            root = topo.n_nodes
+            u = np.concatenate([topo.edges_u, topo.gateways])  # links, then gateway edges
+            v = np.concatenate([topo.edges_v, np.full(len(topo.gateways), root)])
+            row = np.repeat(np.arange(root + 1), np.diff(indptr))
+            assert indices.dtype == np.int32 and slot_edge.dtype == np.int64
+            assert np.array_equal(np.sort(slot_edge), np.repeat(np.arange(len(u)), 2))
+            assert np.array_equal(np.minimum(row, indices), u[slot_edge])
+            assert np.array_equal(np.maximum(row, indices), v[slot_edge])
+            assert (np.diff(row * (root + 1) + indices) > 0).all()  # columns ascend per row
+
     def test_slice_equals_the_coo_build(self, tiny_topologies):
         rng = np.random.default_rng(29)
         for topo in tiny_topologies.values():

@@ -126,6 +126,15 @@ class TestReportFormats:
             for name in ("asr", "sc")
         ]
 
+    def test_gnuplot_script_doubles_a_quote_in_the_csv_name(self):
+        # gnuplot reads '' as one quote inside a single-quoted string.
+        plots = [
+            line
+            for line in gnuplot_script("it's.csv", small_sweep_report()).splitlines()
+            if line.startswith("plot")
+        ]
+        assert plots and all(line.startswith("plot 'it''s.csv' skip 1 ") for line in plots)
+
     def test_gnuplot_script_draws_one_curve_per_fer_link(self):
         plan = ExperimentPlan(
             params=SMALL,
@@ -155,6 +164,22 @@ class TestReportFormats:
         assert [(c[link - 1], c[switch - 1]) for c in cells if c[metric - 1] == "asr"] == [
             ("0.0", "0.0"), ("0.0", "0.5"), ("0.5", "0.0"), ("0.5", "0.5")
         ]
+
+
+# The fields of a fat-tree entry of a classify document, as JSON text.
+CLASSIFY_FIELDS = {"interfaces": "1", "asr": "0.6", "aspl": "5.9"}
+
+
+def classify_text(**bad) -> str:
+    """A classify document of two fat-tree entries; the second takes the
+    fields in *bad*, JSON text put in as written."""
+
+    def entry(interfaces, asr, aspl):
+        values = f'{{"asr": {asr}, "aspl": {aspl}}}'
+        series = ", ".join(f'"{failure}": {values}' for failure in ("link", "switch", "server"))
+        return f'{{"family": "fat-tree", "interfaces": {interfaces}, "series": {{{series}}}}}'
+
+    return f'{{"configs": [{entry(**CLASSIFY_FIELDS)}, {entry(**{**CLASSIFY_FIELDS, **bad})}]}}'
 
 
 class TestCli:
@@ -714,6 +739,44 @@ class TestCli:
         src.write_text(text)
         assert main(["classify", "--input", str(src)]) == 3
         assert "'configs' is a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            ("interfaces", "3.9", "configs[1].interfaces must be an integer >= 1, got 3.9"),
+            ("interfaces", '"3"', 'configs[1].interfaces must be an integer >= 1, got "3"'),
+            ("interfaces", "true", "configs[1].interfaces must be an integer >= 1, got true"),
+            ("interfaces", "0", "configs[1].interfaces must be an integer >= 1, got 0"),
+            ("asr", '"0.95"', 'configs[1].series.link.asr must be a finite number, got "0.95"'),
+            ("asr", "true", "configs[1].series.link.asr must be a finite number, got true"),
+            ("asr", "NaN", "configs[1].series.link.asr must be a finite number, got NaN"),
+            ("asr", "null", "configs[1].series.link.asr must be a finite number, got null"),
+            ("aspl", '"5.9"', 'series.link.aspl must be a finite number or null, got "5.9"'),
+            ("aspl", "-Infinity", "series.link.aspl must be a finite number or null, got -Infinity"),
+        ],
+    )
+    def test_classify_mistyped_field_exit_3(self, field, text, message, tmp_path, capsys):
+        # int(3.9) would pair the entry with another family's reference,
+        # and float() would read a string, a bool or NaN as a measurement.
+        src = tmp_path / "measured.json"
+        src.write_text(classify_text(**{field: text}))
+        assert main(["classify", "--input", str(src)]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("aspl", ["4", "5.5"])
+    def test_classify_takes_integral_values(self, aspl, tmp_path):
+        src = tmp_path / "measured.json"
+        src.write_text(classify_text(interfaces="2", asr="1", aspl=aspl))
+        out = tmp_path / "grades.json"
+        assert main(["classify", "--input", str(src), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["grades"]
+
+    def test_classify_reads_a_null_aspl_as_not_measured(self, tmp_path, capsys):
+        # The type check admits null; grading then finds the value missing.
+        src = tmp_path / "measured.json"
+        src.write_text(classify_text(aspl="null"))
+        assert main(["classify", "--input", str(src)]) == 3
+        assert "error: missing aspl[link] for config[1]\n" == capsys.readouterr().err
 
     def test_gnuplot_emission(self, tmp_path):
         out = tmp_path / "sweep.csv"

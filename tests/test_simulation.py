@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from dcn_robust import reachability, simulation
 from dcn_robust.analytic import (
@@ -396,6 +398,29 @@ class TestCutCatalog:
     def test_smallest_cluster_cut_has_the_catalog_size(self, params, failure):
         cuts = cluster_cuts(build_topology(params), failure)
         assert min(len(cut) for cut in cuts) == min_cut_catalog(params, failure).r
+
+    @pytest.mark.parametrize("params", CATALOG_CASES, ids=param_id)
+    def test_switch_clusters_equal_the_server_link_components(self, params):
+        # csgraph over the server-server links is the oracle for the
+        # engine's own partition, and each cluster's row holds exactly the
+        # links from its servers to switches.
+        topo = build_topology(params)
+        servers = topo.n_servers
+        inner = topo.edges_v < servers  # links run from the lower node id
+        graph = sp.csr_matrix(
+            (np.ones(inner.sum()), (topo.edges_u[inner], topo.edges_v[inner])),
+            shape=(servers, servers),
+        )
+        k, labels = csgraph.connected_components(graph, directed=False)
+        _, indptr, slot_edge, cluster = simulation._cluster_graph(topo, FailureType.SWITCH)
+        assert np.array_equal(cluster, labels)
+        outer = np.flatnonzero((topo.edges_u < servers) & ~inner)
+        expected = [set() for _ in range(k)]
+        for edge, server in zip(outer.tolist(), topo.edges_u[outer].tolist()):
+            expected[labels[server]].add(edge)
+        starts = indptr[: k + 1]
+        rows = np.split(slot_edge[: starts[-1]], starts[1:-1])
+        assert [set(row.tolist()) for row in rows] == expected
 
     def test_dcell3_switch_census(self):
         # Criterion 7's ring census: C(9, 4) = 126 cuts of 2 l^2 = 8 switches.
@@ -965,6 +990,12 @@ class TestDerivedMemo:
         # pattern, built once.
         assert len(topo.memo) == 4
 
+    def test_the_link_cluster_graph_is_the_pattern_itself(self):
+        topo = build_topology(DCELL_SMALL)
+        graph = simulation._cluster_graph(topo, FailureType.LINK)
+        pattern = reachability._pattern(topo)
+        assert len(pattern) == 3 and all(a is b for a, b in zip(graph[:3], pattern))
+
     def test_a_filled_memo_changes_no_equality_repr_or_document(self):
         topo = build_topology(DCELL_SMALL)
         before = repr(topo), serialize_topology(topo)
@@ -984,7 +1015,7 @@ class TestDerivedMemo:
         assert rebuilt.memo == {}
         again = reachability._pattern(rebuilt)
         assert again is not pattern
-        assert (again != pattern).nnz == 0
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(again, pattern))
         assert replace(topo).memo == {}
 
     def test_the_topology_cache_drops_the_least_recent_params_past_its_bound(
