@@ -416,7 +416,7 @@ def _measured_config(pos: int, entry) -> MeasuredConfig:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     doc = _read_json(args.input)
-    entries = doc.get("configs", []) if isinstance(doc, dict) else None
+    entries = doc.get("configs") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ClassifierInputError(f"{args.input}: expected an object whose 'configs' is a list")
     configs = [_measured_config(pos, entry) for pos, entry in enumerate(entries)]

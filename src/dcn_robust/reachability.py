@@ -10,6 +10,11 @@ set of removals, ``_partition_arrays`` turns them into a
 ``SubnetworkPartition`` that keeps the graph it labelled, and each metric
 has one formula over it that ``evaluate`` (the simulation hot path) and
 the object-level functions share.
+
+Graphs are plain CSR arrays (``CsrGraph``) sliced from one cached pattern
+per topology, and every traversal is numpy: components by min-label
+propagation, the probe by a frontier search, ASPL by a bit-parallel BFS.
+The module imports no scipy.
 """
 
 from __future__ import annotations
@@ -19,12 +24,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .topology import Topology, derived
 
 __all__ = [
+    "CsrGraph",
     "DegradedNetwork",
     "SubnetworkPartition",
     "SurvivalMetrics",
@@ -124,19 +128,36 @@ def _pattern(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return col[order].astype(np.int32), indptr, order % len(u)
 
 
-def _subgraph(
-    topology: Topology, edge_alive: np.ndarray, gateway_alive: np.ndarray | None = None
-) -> sp.csr_matrix:
-    """The surviving links, both directions, as a float64 CSR graph sliced
-    from ``_pattern`` by each slot's edge; with *gateway_alive*, the root
-    and the edges of the surviving gateways too."""
+class CsrGraph(NamedTuple):
+    """An unweighted graph as plain CSR arrays: node v's neighbours are
+    ``indices[indptr[v]:indptr[v + 1]]``."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.indptr) - 1
+        return n, n
+
+
+def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, bounds): the slots of each of *rows* in turn, row i's at
+    ``slots[bounds[i]:bounds[i + 1]]``."""
+    start = indptr[rows]
+    counts = indptr[rows + 1] - start
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    return np.arange(bounds[-1]) + np.repeat(start - bounds[:-1], counts), bounds
+
+
+def _subgraph(topology: Topology, edge_alive: np.ndarray) -> CsrGraph:
+    """The surviving links, both directions, sliced from ``_pattern`` by
+    each slot's edge: columns ascending in each row, one row per node."""
     indices, indptr, slot_edge = _pattern(topology)
-    size = topology.n_nodes + (gateway_alive is not None)
-    if gateway_alive is None:
-        gateway_alive = np.zeros(len(topology.gateways), dtype=bool)
-    keep = np.concatenate([edge_alive, gateway_alive])[slot_edge]
-    indptr = np.concatenate([[0], np.cumsum(keep)])[indptr[: size + 1]]
-    return sp.csr_matrix((np.ones(indptr[-1]), indices[keep], indptr), (size, size))
+    gateway_edges = np.zeros(len(topology.gateways), dtype=bool)
+    keep = np.concatenate([edge_alive, gateway_edges])[slot_edge]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[indptr[: topology.n_nodes + 1]]
+    return CsrGraph(indices[keep], indptr)
 
 
 @dataclass(frozen=True)
@@ -153,7 +174,7 @@ class SubnetworkPartition:
     accessible_component: np.ndarray  # bool per component label
     server_counts: np.ndarray  # surviving servers per component label
     n_servers_total: int
-    graph: sp.csr_matrix  # surviving links, both directions
+    graph: CsrGraph  # surviving links, both directions
 
     @cached_property
     def accessible_server_mask(self) -> np.ndarray:
@@ -194,11 +215,46 @@ class SubnetworkPartition:
         return tuple(self._accessible_counts.tolist())
 
 
+def _component_labels(graph: CsrGraph) -> tuple[int, np.ndarray]:
+    """(count, labels): connected components numbered in the order of
+    their first node, as a depth-first labelling from node 0 upward gives.
+
+    Min-label propagation with hooking and pointer jumping (Shiloach and
+    Vishkin, "An O(log n) parallel connectivity algorithm", J. Algorithms
+    3, 1982): each round, every linked node and the node its label names
+    both take the least label among its neighbours', then every label
+    jumps to its label's label until none moves. Labels only fall and
+    always name a node of their own component. A round that moves nothing
+    leaves both ends of every link with one label, so each component
+    holds one label, which is its least node: that node's label cannot
+    fall below it. Ranking those nodes gives the numbering.
+    """
+    indices, indptr = graph
+    rows = np.flatnonzero(np.diff(indptr))
+    starts = indptr[rows]
+    label = np.arange(len(indptr) - 1)
+    indices = indices.astype(np.intp)  # one conversion, not one per round
+    while True:
+        before = label.copy()
+        low = np.minimum.reduceat(label[indices], starts)
+        np.minimum.at(label, label[rows], low)
+        label[rows] = np.minimum(label[rows], low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label, before):
+            break
+    first = np.cumsum(label == np.arange(len(label))) - 1
+    return int(first[-1]) + 1, first[label]
+
+
 def _partition_arrays(
     topology: Topology, node_alive: np.ndarray, edge_alive: np.ndarray
 ) -> SubnetworkPartition:
     graph = _subgraph(topology, edge_alive)
-    n_comp, labels = csgraph.connected_components(graph, directed=False)
+    n_comp, labels = _component_labels(graph)
     alive_gateways = topology.gateways[node_alive[topology.gateways]]
     accessible = np.zeros(n_comp, dtype=bool)
     accessible[labels[alive_gateways]] = True
@@ -211,20 +267,63 @@ def _partition_arrays(
     )
 
 
+@derived
+def _probe_graph(topology: Topology) -> tuple[np.ndarray, ...]:
+    """(indices, indptr, slot_edge, pendants, anchor, link): the links of
+    ``_pattern`` without the root and the pendant servers, and each
+    pendant's anchor and one link. The pendants are those ``_fold``
+    finds over the whole fabric; one reaches a gateway exactly when its
+    link is up and its anchor reaches one."""
+    indices, indptr, slot_edge = _pattern(topology)
+    n = topology.n_nodes
+    anchor, off = _fold(CsrGraph(indices, indptr[: n + 1]), np.arange(topology.n_servers))
+    pendants = np.flatnonzero(off)
+    cut = np.zeros(n + 1, dtype=bool)
+    cut[pendants] = True
+    cut[n] = True
+    keep = ~cut[indices] & ~np.repeat(cut, np.diff(indptr))
+    kept = np.concatenate([[0], np.cumsum(keep)])[indptr[: n + 1]]
+    link = slot_edge[indptr[pendants]]
+    return indices[keep].astype(np.intp), kept, slot_edge[keep], pendants, anchor[pendants], link
+
+
 def _all_servers_reach_gateway(
     topology: Topology, node_alive: np.ndarray, edge_alive: np.ndarray
 ) -> bool:
     """True iff every surviving server reaches a surviving gateway (the
     operational-network test applied after removals). It is the probe of
     the certificate that checks each critical point the simulation's cut
-    bound or widest paths give: one breadth-first search from the
-    super-root, directed, since the graph holds both directions of every
-    edge."""
-    root, servers = topology.n_nodes, topology.n_servers
-    graph = _subgraph(topology, edge_alive, node_alive[topology.gateways])
-    reached = np.zeros(root + 1, dtype=bool)
-    reached[csgraph.breadth_first_order(graph, root, True, return_predecessors=False)] = True
-    return bool((reached[:servers] | ~node_alive[:servers]).all())
+    bound or widest paths give.
+
+    A live pendant server (``_probe_graph``) whose link is down fails at
+    once; every other live pendant is represented by its anchor. A
+    frontier search from the live gateways over ``_probe_graph`` then
+    gathers only the frontier rows' slots and follows those whose edge is
+    up, until every target (live non-pendant server or anchor of a live
+    pendant) is reached or the frontier runs dry.
+    """
+    indices, indptr, slot_edge, pendants, anchor, link = _probe_graph(topology)
+    live = node_alive[pendants]
+    if not edge_alive[link[live]].all():
+        return False
+    n, servers = topology.n_nodes, topology.n_servers
+    target = np.zeros(n, dtype=bool)
+    target[:servers] = node_alive[:servers]
+    target[pendants] = False
+    target[anchor[live]] = True
+    frontier = topology.gateways[node_alive[topology.gateways]]
+    seen = np.zeros(n, dtype=bool)
+    seen[frontier] = True
+    left = np.count_nonzero(target) - np.count_nonzero(target[frontier])
+    while left and len(frontier):
+        slots, _ = _row_slots(indptr, frontier)
+        fresh = np.zeros(n, dtype=bool)
+        fresh[indices[slots[edge_alive[slot_edge[slots]]]]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+        left -= np.count_nonzero(target[frontier])
+    return not left
 
 
 def partition(degraded: DegradedNetwork) -> SubnetworkPartition:
@@ -314,7 +413,7 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return x.sum(axis=1, dtype=np.int64)
 
 
-def _fold(graph: sp.csr_matrix, servers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fold(graph: CsrGraph, servers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(anchor, off) per node of *graph*, folding the pendant servers.
 
     A server of *servers* with one link, whose neighbour has two or more,
@@ -342,8 +441,8 @@ def _fold(graph: sp.csr_matrix, servers: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _linked_first(
-    graph: sp.csr_matrix, sources: np.ndarray, targets: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray, int]:
+    graph: CsrGraph, sources: np.ndarray, targets: np.ndarray
+) -> tuple[CsrGraph, np.ndarray, int]:
     """(graph, row, n_sources): *graph* cut to the nodes that can matter to
     a path between two ends (*sources* and *targets*), reordered so that
     the linked ones of *sources* take the first ``n_sources`` rows in
@@ -365,12 +464,15 @@ def _linked_first(
     head = sources[linked[sources]]
     linked[head] = False
     nodes = np.concatenate([head, np.flatnonzero(linked)])
-    row = np.full(n, -1, dtype=np.int64)
+    row = np.full(n, -1, dtype=np.intp)
     row[nodes] = np.arange(len(nodes))
-    return graph[nodes][:, nodes], row, len(head)
+    slots, bounds = _row_slots(graph.indptr, nodes)
+    cols = row[graph.indices[slots]]
+    keep = cols >= 0
+    return CsrGraph(cols[keep], np.concatenate([[0], np.cumsum(keep)])[bounds]), row, len(head)
 
 
-def _bit_bfs(graph: sp.csr_matrix, n_sources: int):
+def _bit_bfs(graph: CsrGraph, n_sources: int):
     """BFS levels from each of the first *n_sources* rows of *graph*, whose
     every row has a link: yields ``(start, width, level, new_bits)``.
 
@@ -419,7 +521,7 @@ def _weight_planes(weights: np.ndarray) -> list[tuple[int, np.ndarray | None]]:
     return planes
 
 
-def _aspl_exact(graph: sp.csr_matrix, servers: np.ndarray) -> tuple[float, int]:
+def _aspl_exact(graph: CsrGraph, servers: np.ndarray) -> tuple[float, int]:
     """(hop total, pair count) over the same-component pairs of *servers*.
 
     The servers are folded into their anchors (``_fold``), and one
@@ -459,7 +561,7 @@ def _aspl_exact(graph: sp.csr_matrix, servers: np.ndarray) -> tuple[float, int]:
     return float(total), pairs
 
 
-def _bfs_distances(graph: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _bfs_distances(graph: CsrGraph, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Hop distance over *graph* of each pair ``(left[i], right[i])``;
     ``inf`` where the two ends share no component.
 
@@ -488,7 +590,7 @@ def _bfs_distances(graph: sp.csr_matrix, left: np.ndarray, right: np.ndarray) ->
 
 
 def _aspl_sampled(
-    graph: sp.csr_matrix,
+    graph: CsrGraph,
     servers: np.ndarray,
     n_pairs: int,
     rng: np.random.Generator,

@@ -29,9 +29,9 @@ is stranded, so one past the earliest time some cluster loses its last
 boundary link bounds the critical point from above; these are the minimal
 cuts of the first-order model behind ``analytic.min_cut_catalog`` (Burtin
 and Pittel, Theory Probab. Appl. 17, 1972). Two probes, each one
-breadth-first search from a super-root that joins every gateway, certify
-it: every server reaches a gateway one removal before it, and some server
-is stranded at it. When the first probe refutes the bound, a larger cut
+breadth-first search from the surviving gateways, certify it: every
+server reaches a gateway one removal before it, and some server is
+stranded at it. When the first probe refutes the bound, a larger cut
 stranded a server first, and the widest paths to the root give the answer,
 which the same probes certify. The last removal count at which a server
 still reaches a gateway is the largest, over its paths to the root, of the
@@ -53,6 +53,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+# numpy loads numpy.random on first use. Loading it with this module lets
+# the pool workers forked for each operation inherit it, where each would
+# otherwise load it again (about 14 ms a worker).
+import numpy.random  # noqa: F401
 
 from . import reachability
 from .analytic import (
@@ -571,7 +575,10 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
         )
     topo = _cached_topology(plan.params)
     big_f = len(_element_pool(topo, failure)[0])
-    _cluster_graph(topo, failure)  # and reachability._pattern: forked workers inherit both
+    # Built before the pool forks, with reachability._pattern under both, so
+    # that the workers inherit all three.
+    _cluster_graph(topo, failure)
+    reachability._probe_graph(topo)
 
     workers = resolve_workers(workers)
     tasks = [

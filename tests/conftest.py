@@ -68,6 +68,29 @@ def coo_subgraph(topo, edge_alive):
     return sp.csr_matrix((data, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n))
 
 
+def scipy_graph(graph):
+    """*graph* (a ``reachability.CsrGraph``) as the scipy matrix the
+    csgraph oracles read."""
+    return sp.csr_matrix((np.ones(len(graph.indices)), graph.indices, graph.indptr), graph.shape)
+
+
+def oracle_all_reach(topo, node_alive, edge_alive) -> bool:
+    """Oracle for ``reachability._all_servers_reach_gateway``: one scipy
+    breadth-first search from a super-root joined to the surviving
+    gateways, over the links *edge_alive* keeps; True iff it reaches
+    every server *node_alive* keeps."""
+    root = topo.n_nodes
+    gateways = topo.gateways[node_alive[topo.gateways]]
+    u = np.concatenate([topo.edges_u[edge_alive], gateways])
+    v = np.concatenate([topo.edges_v[edge_alive], np.full(len(gateways), root)])
+    graph = sp.csr_matrix((np.ones(len(u)), (u, v)), shape=(root + 1, root + 1))
+    order = csgraph.breadth_first_order(graph, root, directed=False, return_predecessors=False)
+    reached = np.zeros(root + 1, dtype=bool)
+    reached[order] = True
+    servers = topo.n_servers
+    return bool((reached[:servers] | ~node_alive[:servers]).all())
+
+
 def oracle_accessible_servers(topo, adj, removed_switches=()) -> set[int]:
     """Servers reachable from any surviving gateway (multi-source BFS)."""
     dead = set(removed_switches)

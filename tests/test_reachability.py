@@ -15,16 +15,25 @@ from dcn_robust.reachability import (
     server_connectivity,
     _ASPL_SOURCE_CHUNK,
     _alive_after,
+    _all_servers_reach_gateway,
     _aspl_exact,
     _aspl_sampled,
     _bfs_distances,
     _fold,
+    _partition_arrays,
     _popcount,
     _subgraph,
 )
 from dcn_robust.topology import build_bcube, build_dcell, build_fat_tree, build_three_layer
 
-from conftest import bfs_distances, coo_subgraph, degraded_adjacency, oracle_accessible_servers
+from conftest import (
+    bfs_distances,
+    coo_subgraph,
+    degraded_adjacency,
+    oracle_accessible_servers,
+    oracle_all_reach,
+    scipy_graph,
+)
 
 
 def switch_ids(topo):
@@ -55,6 +64,7 @@ def oracle_aspl(topo, adj, accessible):
 def dijkstra_hops(graph, servers):
     """(hop total, pair count) from scipy's unweighted Dijkstra, 512
     sources per call: the exact ASPL kernel the MS-BFS replaced."""
+    graph = scipy_graph(graph)
     accessible = np.zeros(graph.shape[0], dtype=bool)
     accessible[servers] = True
     total = 0.0
@@ -75,6 +85,7 @@ def dijkstra_sampled(graph, servers, n_pairs, rng):
     """(hop total, pair count) over *n_pairs* random pairs of *servers*,
     by one scipy Dijkstra per distinct left end in calls of 512 sources:
     the sampled ASPL kernel the bit-parallel BFS replaced."""
+    graph = scipy_graph(graph)
     left = servers[rng.integers(0, len(servers), size=n_pairs)]
     right = servers[rng.integers(0, len(servers), size=n_pairs)]
     keep = left != right
@@ -542,8 +553,124 @@ class TestSubgraph:
                 assert graph.shape == oracle.shape == (topo.n_nodes, topo.n_nodes)
                 assert np.array_equal(graph.indptr, oracle.indptr)
                 assert np.array_equal(graph.indices, oracle.indices)
-                assert graph.has_canonical_format
-                assert graph.dtype == np.float64 and (graph.data == 1.0).all()
+                # Columns strictly ascend within each row: sorted, no duplicates.
+                row = np.repeat(np.arange(topo.n_nodes), np.diff(graph.indptr))
+                assert (np.diff(row * topo.n_nodes + graph.indices) > 0).all()
+
+
+# The survival-aspl benchmark topologies and the reliable-nmttf ones the
+# switch-failure clusters are labelled on.
+GATED_TOPOLOGIES = [
+    (build_fat_tree, (24,)),
+    (build_fat_tree, (26,)),
+    (build_three_layer, (12, 48, 6)),
+    (build_dcell, (58, 1)),
+    (build_dcell, (7, 2)),
+    (build_bcube, (15, 2)),
+]
+
+
+def random_removals(topo, rng, share):
+    """Alive masks after removing about *share* of the links and of the
+    switches, gateways among them, and a few servers."""
+    links = np.flatnonzero(rng.random(topo.n_links) < share)
+    switches = switch_ids(topo)[rng.random(topo.n_switches) < share]
+    servers = rng.choice(topo.n_servers, rng.integers(3), replace=False)
+    return _alive_after(topo, [(links, False), (switches, True), (servers, True)])
+
+
+class TestComponentLabels:
+    """``_partition_arrays`` numbers components as csgraph does: in the
+    order of their first node."""
+
+    @staticmethod
+    def assert_matches_csgraph(topo, node_alive, edge_alive):
+        part = _partition_arrays(topo, node_alive, edge_alive)
+        k, labels = csgraph.connected_components(coo_subgraph(topo, edge_alive), directed=False)
+        assert np.array_equal(part.labels, labels)
+        assert len(part.accessible_component) == len(part.server_counts) == k
+
+    def test_tiny_topologies(self, tiny_topologies):
+        rng = np.random.default_rng(83)
+        for topo in tiny_topologies.values():
+            for share in (0.0, 0.2, 0.5, 0.8, 1.0):
+                self.assert_matches_csgraph(topo, *random_removals(topo, rng, share))
+
+    @pytest.mark.parametrize(
+        "build, args", GATED_TOPOLOGIES, ids=lambda v: getattr(v, "__name__", str(v))
+    )
+    def test_gated_configurations(self, build, args):
+        topo = build(*args)
+        rng = np.random.default_rng(89)
+        for fer in (0.05, 0.4, 0.9):
+            links = np.flatnonzero(rng.random(topo.n_links) < fer)
+            switches = switch_ids(topo)[rng.random(topo.n_switches) < fer]
+            for removal in ((links, False), (switches, True)):
+                self.assert_matches_csgraph(topo, *_alive_after(topo, [removal]))
+
+    def test_every_node_removed(self):
+        topo = build_fat_tree(4)
+        node_alive, edge_alive = _alive_after(topo, [(np.arange(topo.n_nodes), True)])
+        self.assert_matches_csgraph(topo, node_alive, edge_alive)
+
+
+class TestProbe:
+    """``_all_servers_reach_gateway`` equals the csgraph BFS oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(topo, node_alive, edge_alive):
+        probe = _all_servers_reach_gateway(topo, node_alive, edge_alive)
+        assert probe is oracle_all_reach(topo, node_alive, edge_alive)
+        return probe
+
+    def test_random_removals(self, tiny_topologies):
+        rng = np.random.default_rng(97)
+        for topo in tiny_topologies.values():
+            seen = set()
+            for _ in range(150):
+                share = rng.choice([0.0, 0.05, 0.2, 0.5, 1.0])
+                seen.add(self.assert_matches_oracle(topo, *random_removals(topo, rng, share)))
+            assert seen == {True, False}
+
+    def test_random_masks(self, tiny_topologies):
+        # Masks drawn independently: a link may be up while an endpoint is
+        # down. Both sides follow every link that is up.
+        rng = np.random.default_rng(101)
+        for topo in tiny_topologies.values():
+            for _ in range(150):
+                node_alive = rng.random(topo.n_nodes) >= rng.choice([0.0, 0.1, 0.5])
+                edge_alive = rng.random(topo.n_links) >= rng.choice([0.0, 0.1, 0.5])
+                self.assert_matches_oracle(topo, node_alive, edge_alive)
+
+    def test_dead_gateways(self, tiny_topologies):
+        for topo in tiny_topologies.values():
+            masks = _alive_after(topo, [(topo.gateways, True)])
+            assert self.assert_matches_oracle(topo, *masks) is False
+            masks = _alive_after(topo, [(topo.gateways, True), (np.arange(topo.n_servers), True)])
+            assert self.assert_matches_oracle(topo, *masks) is True
+
+    def test_dead_servers(self, tiny_topologies):
+        for topo in tiny_topologies.values():
+            masks = _alive_after(topo, [(np.arange(0, topo.n_servers, 2), True)])
+            assert self.assert_matches_oracle(topo, *masks) is True
+
+    def test_pendant_whose_anchor_is_dead(self):
+        # Fat-tree(4): servers 0 and 1 hang off edge switch 16 alone.
+        topo = build_fat_tree(4)
+        anchor = int(topo.edges_v[topo.edges_u == 0][0])
+        _, _, _, pendants, anchors, _ = reachability._probe_graph(topo)
+        assert (pendants[:2].tolist(), anchors[:2].tolist()) == ([0, 1], [anchor, anchor])
+        masks = _alive_after(topo, [(np.array([anchor]), True)])
+        assert self.assert_matches_oracle(topo, *masks) is False
+        masks = _alive_after(topo, [(np.array([anchor, 0, 1]), True)])
+        assert self.assert_matches_oracle(topo, *masks) is True
+        masks = _alive_after(topo, [(np.array([anchor, 0]), True)])
+        assert self.assert_matches_oracle(topo, *masks) is False
+
+    def test_every_node_removed(self, tiny_topologies):
+        for topo in tiny_topologies.values():
+            masks = _alive_after(topo, [(np.arange(topo.n_nodes), True)])
+            assert self.assert_matches_oracle(topo, *masks) is True
 
 
 class TestRemainingCapacity:

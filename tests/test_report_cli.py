@@ -733,7 +733,7 @@ class TestCli:
         ]}))
         assert main(["classify", "--input", str(src)]) == 3
 
-    @pytest.mark.parametrize("text", ["[]", '{"configs": 5}'])
+    @pytest.mark.parametrize("text", ["[]", '{"configs": 5}', "{}"])
     def test_classify_input_not_a_configs_object_exit_3(self, text, tmp_path, capsys):
         src = tmp_path / "measured.json"
         src.write_text(text)
@@ -834,3 +834,44 @@ def test_cli_import_leaves_scipy_integrate_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+
+def test_cli_import_leaves_scipy_out():
+    # The package runs on numpy alone; scipy serves the tests' oracles.
+    code = "import sys, dcn_robust.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mttf", "--topology", "fat-tree", "--n", "4", "--failure", "link", "--samples", "20"],
+        ["mttf", "--topology", "dcell", "--n", "4", "--l", "1", "--failure", "switch",
+         "--samples", "20"],
+        ["sweep", *TINY_THREE_LAYER, "--failure", "switch", "--fer", "0,0.5",
+         "--metrics", "asr,sc,aspl,rcr_cpu", "--dataset", "google", "--samples", "3"],
+        ["capacity", "--topology", "fat-tree", "--n", "4", "--dataset", "synthetic",
+         "--remove-richest", "cpu"],
+        ["classify", "--input", "{measured}"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + [a for a in argv if a in ("link", "switch")]),
+)
+def test_cli_runs_with_scipy_blocked(argv, tmp_path):
+    # None in sys.modules makes every import of scipy, or of any of its
+    # submodules, raise ImportError.
+    measured = tmp_path / "measured.json"
+    measured.write_text(classify_text())
+    argv = [a.format(measured=measured) for a in argv]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from dcn_robust.cli import main\n"
+        f"sys.exit(main({argv!r}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

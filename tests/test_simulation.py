@@ -46,7 +46,12 @@ from dcn_robust.topology import (
     serialize_topology,
 )
 
-from conftest import degraded_adjacency, oracle_accessible_servers, tree_stranding_times
+from conftest import (
+    degraded_adjacency,
+    oracle_accessible_servers,
+    oracle_all_reach,
+    tree_stranding_times,
+)
 
 
 def plan_for(params, failure, **kw):
@@ -224,6 +229,21 @@ class TestCriticalPoint:
             critical = _critical_point(topo, failure, perm)
             assert critical == bisect_critical_point(topo, failure, perm)
             assert critical == int(simulation._stranding_times(topo, failure, perm).min()) + 1
+
+    @pytest.mark.parametrize(
+        "params,failure",
+        [pytest.param(p, f, id=f"{param_id(p)}-{f.value}") for p, f in NMTTF_CONFIGS],
+    )
+    def test_both_probes_equal_csgraph_on_the_nmttf_stream(self, params, failure):
+        topo = build_topology(params)
+        ids, on_nodes = _element_pool(topo, failure)
+        for k in range(100):
+            perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(len(ids))
+            critical = _critical_point(topo, failure, perm)
+            for prefix, reach in ((critical - 1, True), (critical, False)):
+                node_alive, edge_alive = _alive_after(topo, [(ids[perm[:prefix]], on_nodes)])
+                assert oracle_all_reach(topo, node_alive, edge_alive) is reach
+                assert reachability._all_servers_reach_gateway(topo, node_alive, edge_alive) is reach
 
     def test_the_nmttf_stream_proves_some_bounds_and_refutes_others(self):
         proved = refuted = 0
