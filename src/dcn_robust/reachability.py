@@ -13,8 +13,8 @@ the object-level functions share.
 
 Graphs are plain CSR arrays (``CsrGraph``) sliced from one cached pattern
 per topology, and every traversal is numpy: components by min-label
-propagation, the probe by a frontier search, ASPL by a bit-parallel BFS.
-The module imports no scipy.
+propagation, ASPL by a bit-parallel BFS, the critical-point probe by a
+frontier search over a cluster graph's live slots. No scipy is imported.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _alive_after(topo: Topology, removals) -> tuple[np.ndarray, np.ndarray]:
             nodes_removed = True
         else:
             edge_alive[ids] = False
-    if nodes_removed:  # skips two gathers per link-only certificate probe
+    if nodes_removed:  # skips two gathers per link-only sweep sample
         edge_alive &= node_alive[topo.edges_u] & node_alive[topo.edges_v]
     return node_alive, edge_alive
 
@@ -267,58 +267,51 @@ def _partition_arrays(
     )
 
 
-@derived
-def _probe_graph(topology: Topology) -> tuple[np.ndarray, ...]:
-    """(indices, indptr, slot_edge, pendants, anchor, link): the links of
-    ``_pattern`` without the root and the pendant servers, and each
-    pendant's anchor and one link. The pendants are those ``_fold``
-    finds over the whole fabric; one reaches a gateway exactly when its
-    link is up and its anchor reaches one."""
-    indices, indptr, slot_edge = _pattern(topology)
-    n = topology.n_nodes
-    anchor, off = _fold(CsrGraph(indices, indptr[: n + 1]), np.arange(topology.n_servers))
-    pendants = np.flatnonzero(off)
-    cut = np.zeros(n + 1, dtype=bool)
-    cut[pendants] = True
-    cut[n] = True
-    keep = ~cut[indices] & ~np.repeat(cut, np.diff(indptr))
-    kept = np.concatenate([[0], np.cumsum(keep)])[indptr[: n + 1]]
-    link = slot_edge[indptr[pendants]]
-    return indices[keep].astype(np.intp), kept, slot_edge[keep], pendants, anchor[pendants], link
+def _probe_view(graph: CsrGraph, clusters: int) -> tuple[np.ndarray, ...]:
+    """(indices, indptr, slot, owner, target): the probe's view of a
+    cluster graph whose nodes 0..clusters-1 are the server clusters, each
+    with a row, and whose last node is the root (no cluster's anchor: the
+    gateways are switches). The pendant clusters (``_fold``) are cut out;
+    ``slot`` maps each slot kept to *graph*'s, ``owner`` names the cluster
+    of each slot of the cluster rows, and ``target`` flags each cluster
+    kept and each pendant's anchor: a pendant reaches the root exactly
+    when its one slot is live and its anchor does."""
+    anchor, off = _fold(graph, np.arange(clusters))
+    cut = off.astype(bool)
+    keep = ~cut[graph.indices] & ~np.repeat(cut, np.diff(graph.indptr))
+    indptr = np.concatenate([[0], np.cumsum(keep)])[graph.indptr]
+    target = np.zeros(graph.shape[0], dtype=bool)
+    target[anchor[:clusters]] = True
+    owner = np.repeat(np.arange(clusters), np.diff(graph.indptr[: clusters + 1]))
+    return graph.indices[keep].astype(np.intp), indptr, np.flatnonzero(keep), owner, target
 
 
-def _all_servers_reach_gateway(
-    topology: Topology, node_alive: np.ndarray, edge_alive: np.ndarray
-) -> bool:
-    """True iff every surviving server reaches a surviving gateway (the
-    operational-network test applied after removals). It is the probe of
-    the certificate that checks each critical point the simulation's cut
-    bound or widest paths give.
+def _all_servers_reach_gateway(graph: tuple[np.ndarray, ...], alive: np.ndarray) -> bool:
+    """True iff every server reaches a surviving gateway, over the
+    ``_probe_view`` *graph* of a cluster graph whose live slots *alive*
+    flags: the probe of the certificate that checks each critical point
+    the simulation's cut bound or widest paths give.
 
-    A live pendant server (``_probe_graph``) whose link is down fails at
-    once; every other live pendant is represented by its anchor. A
-    frontier search from the live gateways over ``_probe_graph`` then
-    gathers only the frontier rows' slots and follows those whose edge is
-    up, until every target (live non-pendant server or anchor of a live
-    pendant) is reached or the frontier runs dry.
+    A cluster with no live slot is stranded, so the probe fails at once.
+    Otherwise a frontier search from the gateways whose slot from the root
+    is live gathers only the frontier rows' slots and follows the live
+    ones, until every target is reached or the frontier runs dry.
     """
-    indices, indptr, slot_edge, pendants, anchor, link = _probe_graph(topology)
-    live = node_alive[pendants]
-    if not edge_alive[link[live]].all():
+    indices, indptr, slot, owner, target = graph
+    linked = np.zeros(owner[-1] + 1, dtype=bool)
+    linked[owner[alive[: len(owner)]]] = True
+    if not linked.all():
         return False
-    n, servers = topology.n_nodes, topology.n_servers
-    target = np.zeros(n, dtype=bool)
-    target[:servers] = node_alive[:servers]
-    target[pendants] = False
-    target[anchor[live]] = True
-    frontier = topology.gateways[node_alive[topology.gateways]]
+    n = len(target)
+    root = np.arange(indptr[-2], indptr[-1])  # the gateway slots
+    frontier = indices[root[alive[slot[root]]]]
     seen = np.zeros(n, dtype=bool)
     seen[frontier] = True
     left = np.count_nonzero(target) - np.count_nonzero(target[frontier])
     while left and len(frontier):
         slots, _ = _row_slots(indptr, frontier)
         fresh = np.zeros(n, dtype=bool)
-        fresh[indices[slots[edge_alive[slot_edge[slots]]]]] = True
+        fresh[indices[slots[alive[slot[slots]]]]] = True
         fresh &= ~seen
         seen |= fresh
         frontier = np.flatnonzero(fresh)

@@ -17,9 +17,9 @@ one row per metric.
 
 ``_TOPO_CACHE``, the topologies of the last few params asked for, is the
 one store that lasts for the whole process. What is derived from a
-topology (pools, the CSR pattern, the switch-failure cluster graph) is
-cached on it by ``topology.derived``, and each operation builds the costly
-parts before it starts a pool, so forked workers inherit them.
+topology (pools, the CSR pattern, each cluster graph and its probe view)
+is cached on it by ``topology.derived``, and each operation builds the
+costly parts before it starts a pool, so forked workers inherit them.
 
 Critical points (the minimal number of removals that disconnects a server)
 start from a cut bound. Each element's removal time is its position in the
@@ -28,8 +28,7 @@ removes form a cluster, and a cluster whose boundary links are all removed
 is stranded, so one past the earliest time some cluster loses its last
 boundary link bounds the critical point from above; these are the minimal
 cuts of the first-order model behind ``analytic.min_cut_catalog`` (Burtin
-and Pittel, Theory Probab. Appl. 17, 1972). Two probes, each one
-breadth-first search from the surviving gateways, certify it: every
+and Pittel, Theory Probab. Appl. 17, 1972). Two probes certify it: every
 server reaches a gateway one removal before it, and some server is
 stranded at it. When the first probe refutes the bound, a larger cut
 stranded a server first, and the widest paths to the root give the answer,
@@ -39,9 +38,9 @@ smallest removal time on the path: the fixpoint of ``b[v] = max over edges
 (u, v) of min(b[u], t_uv)`` with ``b[root] = F``, which Bellman-Ford rounds
 over the (max, min) semiring reach (M. Pollack, "The maximum capacity
 through a network", Oper. Res. 8, 1960; T. C. Hu, "The maximum capacity
-route problem", Oper. Res. 9, 1961). The bound and the rounds read one
-graph, in which each cluster is a single node: under link failures it is
-``reachability._pattern`` itself, plain numpy arrays.
+route problem", Oper. Res. 9, 1961). The bound, the rounds and the probes
+read one removal time per slot of one graph, in which each cluster is a
+single node (under link failures, ``reachability._pattern`` itself).
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .analytic import (
     normalized_time_table,
 )
 # Called through this module's globals, so a wrapper set on
-# simulation._alive_after sees every sweep sample and certificate probe.
+# simulation._alive_after sees every sweep sample.
 from .reachability import _alive_after
 from .topology import (
     LAYER_AGGREGATION,
@@ -392,38 +391,44 @@ def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ..
     order = np.argsort(row, kind="stable")
     keep = order[row[order] != col[order]]
     indptr = np.searchsorted(row[keep], np.arange(node[-1] + 2))
-    return col[keep], indptr, slot_edge[keep].astype(np.int32), cluster
+    return col[keep], indptr, slot_edge[keep], cluster
 
 
-def _cut_bound(topo: Topology, failure: FailureType, perm: np.ndarray) -> int:
+@derived
+def _cluster_probe(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ...]:
+    """The ``reachability._probe_view`` of ``_cluster_graph``."""
+    indices, indptr, _, cluster = _cluster_graph(topo, failure)
+    return reachability._probe_view(reachability.CsrGraph(indices, indptr), cluster.max() + 1)
+
+
+def _cut_bound(topo: Topology, failure: FailureType, slot_time: np.ndarray) -> int:
     """The earliest time at which every edge leaving some server cluster
-    (its row of ``_cluster_graph``) is down: an upper bound on the earliest
-    stranding time, since that cluster's servers reach no gateway one
-    removal later."""
-    _, indptr, slot_edge, _ = _cluster_graph(topo, failure)
+    (its row of ``_cluster_graph``, timed by *slot_time*) is down: an upper
+    bound on the earliest stranding time, since that cluster's servers
+    reach no gateway one removal later."""
+    indptr = _cluster_graph(topo, failure)[1]
     starts = indptr[: len(indptr) - topo.n_switches - 2]  # the cluster rows
-    times = _edge_times(topo, failure, perm)[slot_edge[: indptr[len(starts)]]]
-    return int(np.maximum.reduceat(times, starts).min())
+    return int(np.maximum.reduceat(slot_time[: indptr[len(starts)]], starts).min())
 
 
-def _stranding_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.ndarray:
-    """Per server, the largest removal-prefix length of *perm* after which
-    it still reaches a gateway (-1 if it never does).
+def _stranding_times(topo: Topology, failure: FailureType, slot_time: np.ndarray) -> np.ndarray:
+    """Per server, the largest removal-prefix length after which it still
+    reaches a gateway (-1 if it never does).
 
     That is the value of the widest path from its cluster to the root of
-    ``_cluster_graph``: the largest, over paths, of the smallest removal
-    time (``_edge_times``) on the path. The root holds F and every other
-    node starts at -1; each round sets b[v] to the largest, over v's edges
+    ``_cluster_graph``: the largest, over paths, of the smallest slot time
+    (*slot_time*) on the path. The root holds F and every other node
+    starts at -1; each round sets b[v] to the largest, over v's edges
     (u, v), of min(b[u], t_uv). After r rounds b[v] is the best over paths
     of at most r edges, so the rounds settle within one per node.
     """
-    indices, indptr, slot_edge, cluster = _cluster_graph(topo, failure)
-    slot_time = _edge_times(topo, failure, perm)[slot_edge]
+    indices, indptr, _, cluster = _cluster_graph(topo, failure)
+    big_f = len(_element_pool(topo, failure)[0])
     best = np.full(len(indptr) - 1, -1, dtype=np.int64)
-    best[-1] = len(perm)
+    best[-1] = big_f
     for _ in range(len(best)):
         reach = np.maximum.reduceat(np.minimum(best[indices], slot_time), indptr[:-1])
-        reach[-1] = len(perm)
+        reach[-1] = big_f
         if np.array_equal(reach, best):
             return best[cluster]
         best = reach
@@ -434,29 +439,29 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
     """Minimal removal-prefix length of *perm* (indices into the failure
     type's element pool) that disconnects a server.
 
-    The first candidate is one past the cluster-cut bound (``_cut_bound``):
-    a cluster whose boundary links are all removed is stranded, so the
-    critical point comes no later. Reachability only degrades as the
-    prefix grows, so two breadth-first probes prove a candidate: every
-    server reaches a gateway one removal earlier, and some server does not
-    at it. When the first probe refutes the bound, a larger cut stranded a
-    server earlier, and the candidate is one past the earliest stranding
+    Every step reads the removal time of each slot of ``_cluster_graph``
+    (``_edge_times``), taken once. The first candidate is one past the
+    cluster-cut bound (``_cut_bound``). Reachability only degrades as the
+    prefix grows, so two probes prove a candidate: every server reaches a
+    gateway one removal earlier, and some server does not at it. A probe
+    is ``reachability._all_servers_reach_gateway`` over ``_cluster_probe``,
+    with the slots timed at or after the prefix live. When the first probe
+    refutes the bound, the candidate is one past the earliest stranding
     time of the widest paths (``_stranding_times``) instead, proved by the
     same two probes. A refuted bound costs one probe more than a proved
     one; any other refutation raises RuntimeError.
     """
-    ids, on_nodes = _element_pool(topo, failure)
-    order = ids[perm]
+    slot_time = _edge_times(topo, failure, perm)[_cluster_graph(topo, failure)[2]]
+    probe = _cluster_probe(topo, failure)
 
     def all_reach(prefix: int) -> bool:
-        node_alive, edge_alive = _alive_after(topo, [(order[:prefix], on_nodes)])
-        return reachability._all_servers_reach_gateway(topo, node_alive, edge_alive)
+        return reachability._all_servers_reach_gateway(probe, slot_time >= prefix)
 
-    source, critical = "cut bound", _cut_bound(topo, failure, perm) + 1
+    source, critical = "cut bound", _cut_bound(topo, failure, slot_time) + 1
     refuted = critical < 1 or not all_reach(critical - 1)
     if refuted:
         source = "widest path"
-        critical = int(_stranding_times(topo, failure, perm).min()) + 1
+        critical = int(_stranding_times(topo, failure, slot_time).min()) + 1
         refuted = critical < 1 or not all_reach(critical - 1)
     if refuted or all_reach(critical):
         raise RuntimeError(f"{source} gives critical point {critical}, which the probes refute")
@@ -575,10 +580,9 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
         )
     topo = _cached_topology(plan.params)
     big_f = len(_element_pool(topo, failure)[0])
-    # Built before the pool forks, with reachability._pattern under both, so
-    # that the workers inherit all three.
-    _cluster_graph(topo, failure)
-    reachability._probe_graph(topo)
+    # Built before the pool forks, with reachability._pattern and the
+    # cluster graph under it, so that the workers inherit all three.
+    _cluster_probe(topo, failure)
 
     workers = resolve_workers(workers)
     tasks = [

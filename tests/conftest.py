@@ -105,6 +105,13 @@ def oracle_accessible_servers(topo, adj, removed_switches=()) -> set[int]:
     return {n for n in seen if n < topo.n_servers}
 
 
+def slot_times(topo, failure, perm) -> np.ndarray:
+    """Removal time of each slot of ``simulation._cluster_graph`` under the
+    removal order *perm*, as ``simulation._critical_point`` reads them."""
+    slot_edge = simulation._cluster_graph(topo, failure)[2]
+    return simulation._edge_times(topo, failure, perm)[slot_edge]
+
+
 def tree_stranding_times(topo, failure, perm) -> np.ndarray:
     """Oracle for ``simulation._stranding_times``: per server, the smallest
     removal time on its path to the super-root in a maximum spanning tree

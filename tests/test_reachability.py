@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from dcn_robust import reachability
+from dcn_robust import reachability, simulation
+from dcn_robust.analytic import FailureType
 from dcn_robust.reachability import (
     AsplEstimate,
     DegradedNetwork,
@@ -24,6 +25,7 @@ from dcn_robust.reachability import (
     _popcount,
     _subgraph,
 )
+from dcn_robust.simulation import _element_pool, sample_rng
 from dcn_robust.topology import build_bcube, build_dcell, build_fat_tree, build_three_layer
 
 from conftest import (
@@ -33,6 +35,7 @@ from conftest import (
     oracle_accessible_servers,
     oracle_all_reach,
     scipy_graph,
+    slot_times,
 )
 
 
@@ -615,62 +618,56 @@ class TestComponentLabels:
 
 
 class TestProbe:
-    """``_all_servers_reach_gateway`` equals the csgraph BFS oracle."""
+    """``_all_servers_reach_gateway`` over a failure type's cluster graph
+    equals the csgraph BFS oracle over the whole fabric."""
 
     @staticmethod
-    def assert_matches_oracle(topo, node_alive, edge_alive):
-        probe = _all_servers_reach_gateway(topo, node_alive, edge_alive)
-        assert probe is oracle_all_reach(topo, node_alive, edge_alive)
-        return probe
+    def probe(topo, failure, perm, prefix):
+        alive = slot_times(topo, failure, perm) >= prefix
+        return _all_servers_reach_gateway(simulation._cluster_probe(topo, failure), alive)
 
-    def test_random_removals(self, tiny_topologies):
-        rng = np.random.default_rng(97)
+    @pytest.mark.parametrize("failure", [FailureType.LINK, FailureType.SWITCH])
+    def test_every_prefix_of_stream_permutations(self, tiny_topologies, failure):
         for topo in tiny_topologies.values():
-            seen = set()
-            for _ in range(150):
-                share = rng.choice([0.0, 0.05, 0.2, 0.5, 1.0])
-                seen.add(self.assert_matches_oracle(topo, *random_removals(topo, rng, share)))
-            assert seen == {True, False}
+            ids, on_nodes = _element_pool(topo, failure)
+            for k in range(4):
+                perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(len(ids))
+                for prefix in range(len(ids) + 1):
+                    masks = _alive_after(topo, [(ids[perm[:prefix]], on_nodes)])
+                    assert self.probe(topo, failure, perm, prefix) is oracle_all_reach(
+                        topo, *masks
+                    )
 
-    def test_random_masks(self, tiny_topologies):
-        # Masks drawn independently: a link may be up while an endpoint is
-        # down. Both sides follow every link that is up.
-        rng = np.random.default_rng(101)
+    @pytest.mark.parametrize("failure", [FailureType.LINK, FailureType.SWITCH])
+    def test_no_removal_reaches_and_every_removal_strands(self, tiny_topologies, failure):
         for topo in tiny_topologies.values():
-            for _ in range(150):
-                node_alive = rng.random(topo.n_nodes) >= rng.choice([0.0, 0.1, 0.5])
-                edge_alive = rng.random(topo.n_links) >= rng.choice([0.0, 0.1, 0.5])
-                self.assert_matches_oracle(topo, node_alive, edge_alive)
+            big_f = len(_element_pool(topo, failure)[0])
+            perm = np.random.default_rng(97).permutation(big_f)
+            assert self.probe(topo, failure, perm, 0) is True
+            assert self.probe(topo, failure, perm, big_f) is False
 
-    def test_dead_gateways(self, tiny_topologies):
-        for topo in tiny_topologies.values():
-            masks = _alive_after(topo, [(topo.gateways, True)])
-            assert self.assert_matches_oracle(topo, *masks) is False
-            masks = _alive_after(topo, [(topo.gateways, True), (np.arange(topo.n_servers), True)])
-            assert self.assert_matches_oracle(topo, *masks) is True
-
-    def test_dead_servers(self, tiny_topologies):
-        for topo in tiny_topologies.values():
-            masks = _alive_after(topo, [(np.arange(0, topo.n_servers, 2), True)])
-            assert self.assert_matches_oracle(topo, *masks) is True
-
-    def test_pendant_whose_anchor_is_dead(self):
-        # Fat-tree(4): servers 0 and 1 hang off edge switch 16 alone.
+    def test_failed_edge_switch_strands_its_pendant_cluster(self):
+        # Fat-tree(4): servers 0 and 1 hang off one edge switch alone. Each
+        # is a pendant cluster: cut from the graph the search walks, with
+        # the switch as its target.
         topo = build_fat_tree(4)
-        anchor = int(topo.edges_v[topo.edges_u == 0][0])
-        _, _, _, pendants, anchors, _ = reachability._probe_graph(topo)
-        assert (pendants[:2].tolist(), anchors[:2].tolist()) == ([0, 1], [anchor, anchor])
-        masks = _alive_after(topo, [(np.array([anchor]), True)])
-        assert self.assert_matches_oracle(topo, *masks) is False
-        masks = _alive_after(topo, [(np.array([anchor, 0, 1]), True)])
-        assert self.assert_matches_oracle(topo, *masks) is True
-        masks = _alive_after(topo, [(np.array([anchor, 0]), True)])
-        assert self.assert_matches_oracle(topo, *masks) is False
+        switch = int(topo.edges_v[topo.edges_u == 0][0])
+        _, indptr, _, _, target = simulation._cluster_probe(topo, FailureType.SWITCH)
+        assert (indptr[1:3] == 0).all() and target.tolist()[:3] == [False, False, False]
+        assert target[switch]
+        first = switch - topo.n_servers
+        perm = np.concatenate([[first], np.delete(np.arange(topo.n_switches), first)])
+        assert self.probe(topo, FailureType.SWITCH, perm, 0) is True
+        assert self.probe(topo, FailureType.SWITCH, perm, 1) is False
+        masks = _alive_after(topo, [(np.array([switch]), True)])
+        assert oracle_all_reach(topo, *masks) is False
 
-    def test_every_node_removed(self, tiny_topologies):
+    def test_every_gateway_down_strands_every_server(self, tiny_topologies):
         for topo in tiny_topologies.values():
-            masks = _alive_after(topo, [(np.arange(topo.n_nodes), True)])
-            assert self.assert_matches_oracle(topo, *masks) is True
+            ids = _element_pool(topo, FailureType.SWITCH)[0]
+            first = np.isin(ids, topo.gateways)
+            perm = np.concatenate([np.flatnonzero(first), np.flatnonzero(~first)])
+            assert self.probe(topo, FailureType.SWITCH, perm, len(topo.gateways)) is False
 
 
 class TestRemainingCapacity:

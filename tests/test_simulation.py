@@ -50,6 +50,7 @@ from conftest import (
     degraded_adjacency,
     oracle_accessible_servers,
     oracle_all_reach,
+    slot_times,
     tree_stranding_times,
 )
 
@@ -228,7 +229,8 @@ class TestCriticalPoint:
             perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
             critical = _critical_point(topo, failure, perm)
             assert critical == bisect_critical_point(topo, failure, perm)
-            assert critical == int(simulation._stranding_times(topo, failure, perm).min()) + 1
+            times = simulation._stranding_times(topo, failure, slot_times(topo, failure, perm))
+            assert critical == int(times.min()) + 1
 
     @pytest.mark.parametrize(
         "params,failure",
@@ -237,13 +239,35 @@ class TestCriticalPoint:
     def test_both_probes_equal_csgraph_on_the_nmttf_stream(self, params, failure):
         topo = build_topology(params)
         ids, on_nodes = _element_pool(topo, failure)
+        graph = simulation._cluster_probe(topo, failure)
         for k in range(100):
             perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(len(ids))
             critical = _critical_point(topo, failure, perm)
+            times = slot_times(topo, failure, perm)
             for prefix, reach in ((critical - 1, True), (critical, False)):
                 node_alive, edge_alive = _alive_after(topo, [(ids[perm[:prefix]], on_nodes)])
                 assert oracle_all_reach(topo, node_alive, edge_alive) is reach
-                assert reachability._all_servers_reach_gateway(topo, node_alive, edge_alive) is reach
+                assert reachability._all_servers_reach_gateway(graph, times >= prefix) is reach
+
+    def test_two_probes_per_proved_bound_and_three_per_refuted(self, monkeypatch):
+        # The certificate's contract, looked up through the module
+        # attribute as the benchmark's tracer wraps it.
+        calls = []
+        probe = reachability._all_servers_reach_gateway
+        monkeypatch.setattr(
+            reachability, "_all_servers_reach_gateway", lambda *args: calls.append(1) or probe(*args)
+        )
+        counts = Counter()
+        for params, failure in NMTTF_CONFIGS:
+            topo = build_topology(params)
+            big_f = len(_element_pool(topo, failure)[0])
+            for k in range(30):
+                perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
+                bound = simulation._cut_bound(topo, failure, slot_times(topo, failure, perm)) + 1
+                calls.clear()
+                proved = _critical_point(topo, failure, perm) == bound
+                counts[proved, len(calls)] += 1
+        assert set(counts) == {(True, 2), (False, 3)}
 
     def test_the_nmttf_stream_proves_some_bounds_and_refutes_others(self):
         proved = refuted = 0
@@ -252,7 +276,7 @@ class TestCriticalPoint:
             big_f = len(_element_pool(topo, failure)[0])
             for k in range(30):
                 perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
-                bound = simulation._cut_bound(topo, failure, perm) + 1
+                bound = simulation._cut_bound(topo, failure, slot_times(topo, failure, perm)) + 1
                 critical = _critical_point(topo, failure, perm)
                 assert critical <= bound
                 proved += critical == bound
@@ -278,7 +302,7 @@ class TestCriticalPoint:
         rng = np.random.default_rng(3)
         for _ in range(5):
             perm = rng.permutation(len(ids))
-            times = simulation._stranding_times(topo, failure, perm)
+            times = simulation._stranding_times(topo, failure, slot_times(topo, failure, perm))
             for f in range(len(ids) + 1):
                 node_alive, edge_alive = _alive_after(topo, [(ids[perm[:f]], on_nodes)])
                 part = reachability._partition_arrays(topo, node_alive, edge_alive)
@@ -294,7 +318,7 @@ class TestCriticalPoint:
         for k in range(10):
             perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
             assert np.array_equal(
-                simulation._stranding_times(topo, failure, perm),
+                simulation._stranding_times(topo, failure, slot_times(topo, failure, perm)),
                 tree_stranding_times(topo, failure, perm),
             )
 
@@ -318,19 +342,18 @@ class TestCriticalPoint:
         topo = build_topology(params)
         rng = np.random.default_rng(11)
         seen = set()
-        for _ in range(60):
-            removals = []
-            if rng.random() < 0.6:
-                removals.append((rng.choice(topo.n_links, rng.integers(topo.n_links)), False))
-            if rng.random() < 0.5:  # gateways among the switches drawn
-                switches = np.arange(topo.n_servers, topo.n_nodes)
-                removals.append((rng.choice(switches, rng.integers(3)), True))
-            if rng.random() < 0.3:
-                removals.append((rng.choice(topo.n_servers, rng.integers(3)), True))
-            node_alive, edge_alive = _alive_after(topo, removals)
-            probe = reachability._all_servers_reach_gateway(topo, node_alive, edge_alive)
-            assert probe == all_servers_accessible(topo, node_alive, edge_alive)
-            seen.add((probe, bool(node_alive[topo.gateways].all())))
+        for failure in (FailureType.LINK, FailureType.SWITCH):
+            ids, on_nodes = _element_pool(topo, failure)
+            graph = simulation._cluster_probe(topo, failure)
+            for _ in range(30):
+                perm = rng.permutation(len(ids))
+                # Short prefixes mostly, where both answers occur.
+                prefix = min(int(rng.geometric(0.3)) - 1, len(ids))
+                alive = slot_times(topo, failure, perm) >= prefix
+                probe = reachability._all_servers_reach_gateway(graph, alive)
+                node_alive, edge_alive = _alive_after(topo, [(ids[perm[:prefix]], on_nodes)])
+                assert probe == all_servers_accessible(topo, node_alive, edge_alive)
+                seen.add((probe, bool(node_alive[topo.gateways].all())))
         # Both answers, with and without a gateway down (True with one down
         # needs a second gateway).
         want = {(True, True), (False, True), (False, False)}
@@ -345,7 +368,8 @@ class TestCriticalPoint:
         links before one server loses both of its own links."""
         topo = build_topology(DCELL_SMALL)
         perm = np.random.default_rng(seed).permutation(topo.n_links)
-        bound = simulation._cut_bound(topo, FailureType.LINK, perm) + 1
+        times = slot_times(topo, FailureType.LINK, perm)
+        bound = simulation._cut_bound(topo, FailureType.LINK, times) + 1
         return topo, perm, bound, _critical_point(topo, FailureType.LINK, perm)
 
     def test_bound_one_too_low_is_refuted(self, monkeypatch):
@@ -895,10 +919,11 @@ class TestDeterminismAndWorkers:
         rows1 = survival_sweep(plan, workers=1)
         rows2 = survival_sweep(plan, workers=2)
         assert rows1 == rows2
-        res1 = simulate_nmttf(plan_for(DCELL_SMALL, FailureType.LINK, samples=60), workers=1)
-        res2 = simulate_nmttf(plan_for(DCELL_SMALL, FailureType.LINK, samples=60), workers=2)
-        assert np.array_equal(res1.critical_points, res2.critical_points)
-        assert res1.nmttf_sim == res2.nmttf_sim
+        for failure in (FailureType.LINK, FailureType.SWITCH):
+            res1 = simulate_nmttf(plan_for(DCELL_SMALL, failure, samples=60), workers=1)
+            res2 = simulate_nmttf(plan_for(DCELL_SMALL, failure, samples=60), workers=2)
+            assert np.array_equal(res1.critical_points, res2.critical_points)
+            assert res1.nmttf_sim == res2.nmttf_sim
         plan2d = ExperimentPlan(
             params=DCELL_SMALL,
             failures=(FailureType.LINK, FailureType.SWITCH),
