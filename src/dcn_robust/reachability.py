@@ -14,7 +14,9 @@ the object-level functions share.
 Graphs are plain CSR arrays (``CsrGraph``) sliced from one cached pattern
 per topology, and every traversal is numpy: components by min-label
 propagation, ASPL by a bit-parallel BFS, the critical-point probe by a
-frontier search over a cluster graph's live slots. No scipy is imported.
+BFS tree of the intact cluster graph, cut at its dead slots, then pull
+rounds that reach what those cut off over the live slots. No scipy is
+imported.
 """
 
 from __future__ import annotations
@@ -267,56 +269,77 @@ def _partition_arrays(
     )
 
 
-def _probe_view(graph: CsrGraph, clusters: int) -> tuple[np.ndarray, ...]:
-    """(indices, indptr, slot, owner, target): the probe's view of a
-    cluster graph whose nodes 0..clusters-1 are the server clusters, each
-    with a row, and whose last node is the root (no cluster's anchor: the
-    gateways are switches). The pendant clusters (``_fold``) are cut out;
-    ``slot`` maps each slot kept to *graph*'s, ``owner`` names the cluster
-    of each slot of the cluster rows, and ``target`` flags each cluster
-    kept and each pendant's anchor: a pendant reaches the root exactly
-    when its one slot is live and its anchor does."""
+def _probe_view(graph: CsrGraph, clusters: int) -> tuple:
+    """(indices, indptr, slot, owner, target, kept, tree): the probe's view
+    of a cluster graph whose nodes 0..clusters-1 are the server clusters,
+    each with a row, and whose last node is the root (no cluster's anchor:
+    the gateways are switches). The pendant clusters (``_fold``) are cut
+    out; ``slot`` maps each slot kept to *graph*'s, ``owner`` names the
+    cluster of each slot of the cluster rows, ``target`` lists each cluster
+    kept and each pendant's anchor (a pendant reaches the root exactly when
+    its one slot is live and its anchor does), and ``kept`` the nodes left.
+    ``tree`` is a BFS tree of the intact view from the root, one
+    ``(node, parent, slot)`` triple of arrays per layer: each node below
+    the root, its parent one layer up and *graph*'s slot joining them."""
     anchor, off = _fold(graph, np.arange(clusters))
     cut = off.astype(bool)
     keep = ~cut[graph.indices] & ~np.repeat(cut, np.diff(graph.indptr))
     indptr = np.concatenate([[0], np.cumsum(keep)])[graph.indptr]
-    target = np.zeros(graph.shape[0], dtype=bool)
-    target[anchor[:clusters]] = True
+    indices, slot = graph.indices[keep].astype(np.intp), np.flatnonzero(keep)
     owner = np.repeat(np.arange(clusters), np.diff(graph.indptr[: clusters + 1]))
-    return graph.indices[keep].astype(np.intp), indptr, np.flatnonzero(keep), owner, target
+    seen = np.zeros(len(cut), dtype=bool)
+    seen[-1] = True
+    frontier, tree = np.flatnonzero(seen), []
+    while len(frontier):
+        slots, bounds = _row_slots(indptr, frontier)
+        node, first = np.unique(indices[slots], return_index=True)
+        fresh = ~seen[node]
+        node, first = node[fresh], first[fresh]
+        parent = np.repeat(frontier, np.diff(bounds))[first]
+        tree.append((node, parent, slot[slots[first]]))
+        seen[node] = True
+        frontier = node
+    target = np.unique(anchor[:clusters])
+    # The last layer found no node.
+    return indices, indptr, slot, owner, target, np.flatnonzero(~cut), tuple(tree[:-1])
 
 
-def _all_servers_reach_gateway(graph: tuple[np.ndarray, ...], alive: np.ndarray) -> bool:
+def _all_servers_reach_gateway(graph: tuple, alive: np.ndarray) -> bool:
     """True iff every server reaches a surviving gateway, over the
     ``_probe_view`` *graph* of a cluster graph whose live slots *alive*
     flags: the probe of the certificate that checks each critical point
     the simulation's cut bound or widest paths give.
 
     A cluster with no live slot is stranded, so the probe fails at once.
-    Otherwise a frontier search from the gateways whose slot from the root
-    is live gathers only the frontier rows' slots and follows the live
-    ones, until every target is reached or the frontier runs dry.
+    Otherwise the view's BFS tree seeds the search, one pass per layer: a
+    node is reached when its parent is and its tree slot is live. Then
+    each pull round gathers the slots of the nodes still unreached and
+    reaches those with a live slot to a reached node, until every target
+    is reached or a round reaches nothing new (Beamer, Asanovic and
+    Patterson, "Direction-Optimizing Breadth-First Search", SC 2012).
+    The seed holds only nodes with a live path, and at the fixpoint the
+    first unreached node on any live path would have a reached, live
+    neighbour, so the answer is exact.
     """
-    indices, indptr, slot, owner, target = graph
+    indices, indptr, slot, owner, target, kept, tree = graph
     linked = np.zeros(owner[-1] + 1, dtype=bool)
     linked[owner[alive[: len(owner)]]] = True
     if not linked.all():
         return False
-    n = len(target)
-    root = np.arange(indptr[-2], indptr[-1])  # the gateway slots
-    frontier = indices[root[alive[slot[root]]]]
-    seen = np.zeros(n, dtype=bool)
-    seen[frontier] = True
-    left = np.count_nonzero(target) - np.count_nonzero(target[frontier])
-    while left and len(frontier):
-        slots, _ = _row_slots(indptr, frontier)
-        fresh = np.zeros(n, dtype=bool)
-        fresh[indices[slots[alive[slot[slots]]]]] = True
-        fresh &= ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
-        left -= np.count_nonzero(target[frontier])
-    return not left
+    reached = np.zeros(len(indptr) - 1, dtype=bool)
+    reached[-1] = True
+    for node, parent, tree_slot in tree:
+        reached[node] = reached[parent] & alive[tree_slot]
+    rows = kept
+    while not reached[target].all():
+        rows = rows[~reached[rows]]
+        slots, bounds = _row_slots(indptr, rows)
+        pulled = alive[slot[slots]] & reached[indices[slots]]
+        fresh = np.repeat(rows, np.diff(bounds))[pulled]
+        if not len(fresh):
+            return False
+        reached[fresh] = True
+    return True
 
 
 def partition(degraded: DegradedNetwork) -> SubnetworkPartition:

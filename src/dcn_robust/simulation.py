@@ -395,7 +395,7 @@ def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ..
 
 
 @derived
-def _cluster_probe(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ...]:
+def _cluster_probe(topo: Topology, failure: FailureType) -> tuple:
     """The ``reachability._probe_view`` of ``_cluster_graph``."""
     indices, indptr, _, cluster = _cluster_graph(topo, failure)
     return reachability._probe_view(reachability.CsrGraph(indices, indptr), cluster.max() + 1)

@@ -7,13 +7,27 @@ from scipy import integrate
 from scipy.sparse import csgraph
 
 from dcn_robust import reachability, simulation
-from dcn_robust.analytic import MinCutSpec, _mean_lifetime
+from dcn_robust.analytic import FailureType, MinCutSpec, _mean_lifetime
 from dcn_robust.topology import (
+    TopologyKind,
+    TopologyParams,
     build_bcube,
     build_dcell,
     build_fat_tree,
     build_three_layer,
 )
+
+
+# The reliable-nmttf benchmark configurations (acceptance scale).
+NMTTF_CONFIGS = [
+    (TopologyParams(kind=TopologyKind.FAT_TREE, n=24), FailureType.LINK),
+    (TopologyParams(kind=TopologyKind.FAT_TREE, n=24), FailureType.SWITCH),
+    (TopologyParams(kind=TopologyKind.BCUBE, n=15, l=2), FailureType.LINK),
+    (TopologyParams(kind=TopologyKind.BCUBE, n=15, l=2), FailureType.SWITCH),
+    (TopologyParams(kind=TopologyKind.DCELL, n=7, l=2), FailureType.LINK),
+    (TopologyParams(kind=TopologyKind.DCELL, n=7, l=2), FailureType.SWITCH),
+    (TopologyParams(kind=TopologyKind.THREE_LAYER, n_a=12, n_e=48, pairs=6), FailureType.LINK),
+]
 
 
 @pytest.fixture(scope="session")

@@ -26,9 +26,16 @@ from dcn_robust.reachability import (
     _subgraph,
 )
 from dcn_robust.simulation import _element_pool, sample_rng
-from dcn_robust.topology import build_bcube, build_dcell, build_fat_tree, build_three_layer
+from dcn_robust.topology import (
+    build_bcube,
+    build_dcell,
+    build_fat_tree,
+    build_three_layer,
+    build_topology,
+)
 
 from conftest import (
+    NMTTF_CONFIGS,
     bfs_distances,
     coo_subgraph,
     degraded_adjacency,
@@ -619,12 +626,31 @@ class TestComponentLabels:
 
 class TestProbe:
     """``_all_servers_reach_gateway`` over a failure type's cluster graph
-    equals the csgraph BFS oracle over the whole fabric."""
+    equals the csgraph BFS oracle over the whole fabric, whether the BFS
+    tree of the intact view reaches every target alone or the pull rounds
+    repair what its dead slots cut off."""
 
     @staticmethod
     def probe(topo, failure, perm, prefix):
         alive = slot_times(topo, failure, perm) >= prefix
         return _all_servers_reach_gateway(simulation._cluster_probe(topo, failure), alive)
+
+    @staticmethod
+    def tree_reaches_every_target(view, alive):
+        """The probe's seed alone: the view's tree, layer by layer, over
+        the live slots."""
+        indptr, target, tree = view[1], view[4], view[6]
+        reached = np.zeros(len(indptr) - 1, dtype=bool)
+        reached[-1] = True
+        for node, parent, slot in tree:
+            reached[node] = reached[parent] & alive[slot]
+        return bool(reached[target].all())
+
+    @staticmethod
+    def links_first(topo, links):
+        """A link-failure removal order that takes *links* first."""
+        first = np.isin(np.arange(topo.n_links), links)
+        return np.concatenate([np.flatnonzero(first), np.flatnonzero(~first)])
 
     @pytest.mark.parametrize("failure", [FailureType.LINK, FailureType.SWITCH])
     def test_every_prefix_of_stream_permutations(self, tiny_topologies, failure):
@@ -652,9 +678,9 @@ class TestProbe:
         # the switch as its target.
         topo = build_fat_tree(4)
         switch = int(topo.edges_v[topo.edges_u == 0][0])
-        _, indptr, _, _, target = simulation._cluster_probe(topo, FailureType.SWITCH)
-        assert (indptr[1:3] == 0).all() and target.tolist()[:3] == [False, False, False]
-        assert target[switch]
+        _, indptr, _, _, target, kept, _ = simulation._cluster_probe(topo, FailureType.SWITCH)
+        assert (indptr[1:3] == 0).all() and not np.isin([0, 1, 2], target).any()
+        assert switch in target and not np.isin([0, 1, 2], kept).any()
         first = switch - topo.n_servers
         perm = np.concatenate([[first], np.delete(np.arange(topo.n_switches), first)])
         assert self.probe(topo, FailureType.SWITCH, perm, 0) is True
@@ -668,6 +694,68 @@ class TestProbe:
             first = np.isin(ids, topo.gateways)
             perm = np.concatenate([np.flatnonzero(first), np.flatnonzero(~first)])
             assert self.probe(topo, FailureType.SWITCH, perm, len(topo.gateways)) is False
+
+    def test_a_live_detour_repairs_a_dead_tree_slot(self):
+        # Fat-tree(4) under link failures: the servers fold onto their edge
+        # switches, the targets. One edge switch's tree link to its parent
+        # goes down; its link to the pod's other aggregation switch stays.
+        topo = build_fat_tree(4)
+        view = simulation._cluster_probe(topo, FailureType.LINK)
+        slot_edge = simulation._cluster_graph(topo, FailureType.LINK)[2]
+        node, _, slot = view[6][2]
+        assert np.isin(node, view[4]).all()
+        perm = self.links_first(topo, slot_edge[slot[:1]])
+        alive = slot_times(topo, FailureType.LINK, perm) >= 1
+        assert not self.tree_reaches_every_target(view, alive)
+        assert _all_servers_reach_gateway(view, alive) is True
+        assert oracle_all_reach(topo, *_alive_after(topo, [(perm[:1], False)])) is True
+
+    def test_a_dead_switch_only_component_does_not_stop_the_probe(self):
+        # Every link of one aggregation switch of fat-tree(4) goes down: it
+        # is a component of its own, with no server, that no round reaches.
+        # The edge switches below it in the tree reach through the other.
+        topo = build_fat_tree(4)
+        view = simulation._cluster_probe(topo, FailureType.LINK)
+        switch = view[6][1][0][0]
+        links = np.flatnonzero((topo.edges_u == switch) | (topo.edges_v == switch))
+        perm = self.links_first(topo, links)
+        alive = slot_times(topo, FailureType.LINK, perm) >= len(links)
+        assert not self.tree_reaches_every_target(view, alive)
+        assert _all_servers_reach_gateway(view, alive) is True
+        assert oracle_all_reach(topo, *_alive_after(topo, [(links, False)])) is True
+
+    @pytest.mark.parametrize("failure", [FailureType.LINK, FailureType.SWITCH])
+    def test_the_tree_spans_the_view(self, tiny_topologies, failure):
+        for topo in tiny_topologies.values():
+            indices, indptr, _, _ = simulation._cluster_graph(topo, failure)
+            _, _, _, _, target, kept, tree = simulation._cluster_probe(topo, failure)
+            root = len(indptr) - 2
+            nodes = np.concatenate([node for node, _, _ in tree])
+            assert np.array_equal(np.sort(nodes), kept[kept != root])
+            assert np.isin(target, kept).all()
+            above = np.array([root])
+            for node, parent, slot in tree:
+                assert np.isin(parent, above).all()
+                assert ((indptr[parent] <= slot) & (slot < indptr[parent + 1])).all()
+                assert np.array_equal(indices[slot], node)
+                above = node
+
+    def test_nmttf_stream_needs_the_tree_alone_and_the_repair(self):
+        # One removal before the critical point every server reaches; on
+        # some samples the tree shows it alone, on others only the pull
+        # rounds do.
+        outcomes = set()
+        for params, failure in NMTTF_CONFIGS:
+            topo = build_topology(params)
+            view = simulation._cluster_probe(topo, failure)
+            big_f = len(_element_pool(topo, failure)[0])
+            for k in range(20):
+                perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
+                critical = simulation._critical_point(topo, failure, perm)
+                alive = slot_times(topo, failure, perm) >= critical - 1
+                assert _all_servers_reach_gateway(view, alive) is True
+                outcomes.add(self.tree_reaches_every_target(view, alive))
+        assert outcomes == {True, False}
 
 
 class TestRemainingCapacity:

@@ -47,6 +47,7 @@ from dcn_robust.topology import (
 )
 
 from conftest import (
+    NMTTF_CONFIGS,
     degraded_adjacency,
     oracle_accessible_servers,
     oracle_all_reach,
@@ -191,18 +192,6 @@ def _tree_cases():
                 params = replace(base, gateway_policy=policy)
                 cases.append(pytest.param(params, id=f"{param_id(base)}-{policy}"))
     return cases
-
-
-# The reliable-nmttf benchmark configurations (acceptance scale).
-NMTTF_CONFIGS = [
-    (TopologyParams(kind=TopologyKind.FAT_TREE, n=24), FailureType.LINK),
-    (TopologyParams(kind=TopologyKind.FAT_TREE, n=24), FailureType.SWITCH),
-    (TopologyParams(kind=TopologyKind.BCUBE, n=15, l=2), FailureType.LINK),
-    (TopologyParams(kind=TopologyKind.BCUBE, n=15, l=2), FailureType.SWITCH),
-    (TopologyParams(kind=TopologyKind.DCELL, n=7, l=2), FailureType.LINK),
-    (TopologyParams(kind=TopologyKind.DCELL, n=7, l=2), FailureType.SWITCH),
-    (TopologyParams(kind=TopologyKind.THREE_LAYER, n_a=12, n_e=48, pairs=6), FailureType.LINK),
-]
 
 
 class TestCriticalPoint:
