@@ -451,7 +451,7 @@ def _fold(graph: CsrGraph, servers: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     pendant = degree[neighbour] >= 2
     anchor = np.arange(graph.shape[0])
     anchor[single[pendant]] = neighbour[pendant]
-    off = np.zeros(graph.shape[0], dtype=np.int64)
+    off = np.zeros(graph.shape[0], dtype=np.int8)
     off[single[pendant]] = 1
     return anchor, off
 
@@ -577,32 +577,45 @@ def _aspl_exact(graph: CsrGraph, servers: np.ndarray) -> tuple[float, int]:
     return float(total), pairs
 
 
-def _bfs_distances(graph: CsrGraph, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Hop distance over *graph* of each pair ``(left[i], right[i])``;
-    ``inf`` where the two ends share no component.
-
-    One ``_bit_bfs`` runs from the distinct left ends, and at each level
-    pair i reads its bit out of the new-frontier row of ``right[i]``, so
-    no distance matrix is built.
-    """
-    dist = np.where(left == right, 0.0, np.inf)
-    sources, source_of = np.unique(left, return_inverse=True)
-    sub, row, n_sources = _linked_first(graph, sources, right)
-    # Linked sources hold the leading rows, so a left end's row is its
-    # source index; -1 marks an end that was cut.
-    src = row[sources][source_of]
-    dst = row[right]
-    block = None
-    for start, width, level, new_bits in _bit_bfs(sub, n_sources):
-        if start != block:
-            block = start
-            pick = np.flatnonzero((src >= start) & (src < start + width) & (dst >= 0))
-            bit = src[pick] - start
-            word = bit // 64
-            mask = np.uint64(1) << (bit % 64).astype(np.uint64)
-            ends = dst[pick]
-        dist[pick[(new_bits[ends, word] & mask) != 0]] = level
-    return dist
+def _bfs_distances(graph: CsrGraph, ends, hops, n_pairs: int, rng) -> tuple[int, int]:
+    """(hop total, pair count) over the pairs among *n_pairs* int32 draws (the
+    values and stream state of int64 ones) of two indices into *ends* from
+    *rng*, self-pairs dropped, whose ends share a component of *graph*: each
+    adds their hop distance plus both ``hops``. One ``_bit_bfs`` runs from the
+    distinct left ends; each level counts the pairs of its block whose bit is set."""
+    src = rng.integers(0, len(ends), size=n_pairs, dtype=np.int32)  # left ends
+    dst = rng.integers(0, len(ends), size=n_pairs, dtype=np.int32)  # right ends
+    sources = np.unique(ends[np.bincount(src, minlength=len(ends)) > 0])
+    sub, row, n_sources = _linked_first(graph, sources, ends)
+    # Each end's row, or -1 - node where it was cut: equal codes, equal ends.
+    code = np.where(row[ends] >= 0, row[ends], -1 - ends)
+    code = code.astype(np.intp if len(row) * _ASPL_SOURCE_CHUNK >= 2**34 else np.int32)
+    hop = hops[src] + hops[dst]
+    reached = ((code[src] == code[dst]) & (src != dst)).astype(np.uint8)  # 0 hops apart
+    src = code[src]
+    dst = code[dst]
+    chunk, blocks = _ASPL_SOURCE_CHUNK, [0, n_pairs]
+    if n_sources > chunk:
+        order = np.argsort(src)
+        src, dst, hop, reached = src[order], dst[order], hop[order], reached[order]
+        blocks = [*np.searchsorted(src, np.arange(0, n_sources, chunk)), n_pairs]
+    # Bit b of a row: bit b & 7 of little-endian byte b >> 3 (src becomes b >> 3, dst its address).
+    mask = np.left_shift(np.uint8(1), src.astype(np.uint8) & 7)
+    mask[(src < 0) | (dst < 0)] = 0  # a cut end reads row 0, masked
+    np.maximum(dst, 0, out=dst)
+    src = (np.maximum(src, 0, out=src) % chunk >> 3).astype(np.uint8)
+    total = 0
+    for start, _, level, new_bits in _bit_bfs(sub, n_sources):
+        part = slice(blocks[start // chunk], blocks[start // chunk + 1])
+        rows = new_bits.astype("<u8", copy=False).view(np.uint8)
+        if level == 1:
+            dst[part] *= rows.shape[1]
+            dst[part] += src[part]
+        hit = rows.ravel()[dst[part]] & mask[part]
+        reached[part] |= hit
+        total += level * int(np.count_nonzero(hit))
+    got = reached.astype(bool)
+    return total + int(hop.sum(where=got)), int(np.count_nonzero(got))
 
 
 def _aspl_sampled(
@@ -617,15 +630,10 @@ def _aspl_sampled(
     Each pair is measured between the anchors of its ends (``_fold``),
     plus their hops off them, so the BFS runs from distinct anchors.
     """
-    left = servers[rng.integers(0, len(servers), size=n_pairs)]
-    right = servers[rng.integers(0, len(servers), size=n_pairs)]
-    keep = left != right
-    left, right = left[keep], right[keep]
     anchor, off = _fold(graph, servers)
-    dist = _bfs_distances(graph, anchor[left], anchor[right]) + (off[left] + off[right])
-    reached = dist[np.isfinite(dist)]
+    total, pairs = _bfs_distances(graph, anchor[servers], off[servers], n_pairs, rng)
     # Integer hop counts below 2**53: the float sum is exact.
-    return float(reached.sum()), len(reached)
+    return float(total), pairs
 
 
 def remaining_capacity_ratio(part: SubnetworkPartition, capacities) -> float:

@@ -10,7 +10,7 @@ The three survival sweeps (one failure type, the link x switch grid, and
 per-class ratios on the three-layer fabric) share one driver over a list
 of grid points. A point says what each sample removes as ``(selector,
 count)`` draws from element pools, plus the fields that label its rows;
-every (point, chunk) task of one operation runs on a single process pool.
+the (point, chunk) tasks of one operation share at most one process pool.
 A chunk returns the ``reachability.SurvivalMetrics`` record of each of
 its samples, in sample order, and the parent turns a point's records into
 one row per metric.
@@ -267,8 +267,8 @@ def confidence_interval(values) -> tuple[float | None, float | None]:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker-process count: explicit argument, else the DCN_ROBUST_THREADS
-    environment variable, else (or when 0) the machine's CPU count."""
+    """Most worker processes an operation may use: explicit argument, else
+    DCN_ROBUST_THREADS, else (or when 0) the CPUs this process may run on."""
     if requested is None:
         raw = os.environ.get(WORKERS_ENV, "0")
         try:
@@ -278,6 +278,8 @@ def resolve_workers(requested: int | None = None) -> int:
     if requested < 0:
         raise UnsupportedPlanError("worker count must be >= 0")
     if requested == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return requested
 
@@ -547,11 +549,11 @@ def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_chunked(fn, tasks: list[tuple], workers: int) -> list:
-    """``[fn(*task) for task in tasks]``, on one process pool when
-    *workers* (already resolved) exceeds one."""
-    if workers == 1 or len(tasks) == 1:
+    """``[fn(*task) for task in tasks]``: inline below two tasks per worker
+    (*workers* resolved), which a pool's start-up outweighs, else on one pool."""
+    if workers == 1 or len(tasks) < 2 * workers:
         return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
         return [f.result() for f in futures]
 
@@ -661,7 +663,7 @@ def _sweep(
     workers: int | None,
     capacity_assignment,
 ) -> list[MetricSample]:
-    """Evaluate the plan's metrics at every grid point, on one pool.
+    """Evaluate the plan's metrics at every grid point, on at most one pool.
 
     Each point is ``(draws, row_fields)``: the ``(selector, count)`` draws of
     :func:`_metric_chunk` and the fields that label the point's rows. A

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
@@ -492,6 +494,17 @@ class TestAsplSampled:
         servers = np.flatnonzero(part.accessible_server_mask)
         assert len(servers) > reachability.EXACT_ASPL_SERVER_LIMIT
         self.assert_matches_oracle(part.graph, servers, reachability.SAMPLED_ASPL_PAIRS, 67)
+        # No per-pair array wider than the int32 draws: 100 000 pairs took
+        # an 11 MiB transient when each had int64 ends and a float distance.
+        tracemalloc.start()
+        try:
+            _aspl_sampled(
+                part.graph, servers, reachability.SAMPLED_ASPL_PAIRS, np.random.default_rng(67)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     def test_dcell_link_failures_fold_onto_servers(self):
         topo = build_dcell(4, 2)  # 420 servers
@@ -507,13 +520,29 @@ class TestAsplSampled:
         self.assert_matches_oracle(part.graph, servers, 20_000, 79)
 
 
-class TestBfsDistances:
-    """``_bfs_distances`` is pinned pair by pair to the BFS oracle."""
+class PresetPairs:
+    """Stands in for the generator ``_bfs_distances`` draws from: hands out
+    the given left ends, then the given right ends."""
 
-    @pytest.mark.parametrize("chunk", [_ASPL_SOURCE_CHUNK, 64])
+    def __init__(self, left, right):
+        self.draws = [left, right]
+
+    def integers(self, low, high, size, dtype):
+        draw = np.asarray(self.draws.pop(0), dtype=dtype)
+        assert low == 0 and draw.shape == (size,) and (draw < high).all()
+        return draw
+
+
+class TestBfsDistances:
+    """``_bfs_distances`` is pinned pair by pair to the BFS oracle, and
+    over a whole batch, whose sources span several blocks."""
+
+    # At 2**30 sources a block, the byte addresses are int64 (see ``code``).
+    @pytest.mark.parametrize("chunk", [_ASPL_SOURCE_CHUNK, 64, 128, 2**30])
     def test_matches_bfs_oracle(self, chunk, monkeypatch):
         monkeypatch.setattr(reachability, "_ASPL_SOURCE_CHUNK", chunk)
         topo = build_fat_tree(8)  # 208 nodes
+        n = topo.n_nodes
         rng = np.random.default_rng(71)
         links = removed_links(topo, rng, topo.n_links // 3)
         links.add((0, int(topo.edges_v[topo.edges_u == 0][0])))  # server 0's one link
@@ -521,22 +550,36 @@ class TestBfsDistances:
         assert adj[0] == []
         graph = _subgraph(topo, DegradedNetwork(topo, removed_links=links).edge_alive)
         # 180 distinct left ends, server 0 among them, each repeated; those
-        # with a link fill blocks of 64 and end on a partial word.
-        ends = np.concatenate([[0], rng.choice(np.arange(1, topo.n_nodes), 179, replace=False)])
-        linked = sum(1 for s in ends.tolist() if adj[s])
-        assert linked > 2 * 64 and linked % 64
-        left = np.concatenate([ends, rng.choice(ends, size=450)])
-        right = rng.integers(0, topo.n_nodes, size=len(left))
+        # with a link fill blocks of 64 and end on a partial word, and at
+        # 128 a last block with fewer words per row than the first.
+        sources = np.concatenate([[0], rng.choice(np.arange(1, n), 179, replace=False)])
+        linked = sum(1 for s in sources.tolist() if adj[s])
+        assert linked > 2 * 64 and linked % 64 and linked % 128 <= 64
+        left = np.concatenate([sources, rng.choice(sources, size=450)])
+        right = rng.integers(0, n, size=len(left))
         right[:5] = left[:5]
-        dist = _bfs_distances(graph, left, right)
-        oracle = {int(s): bfs_distances(adj, int(s)) for s in ends}
-        assert dist.tolist() == [oracle[s][t] for s, t in zip(left.tolist(), right.tolist())]
-        assert np.isinf(dist).any() and (dist[1:] == 0).any() and (dist > 2).any()
+        # Two indices per node, so that a pair of one node at two indices
+        # counts (0 hops apart) while a pair of one index does not.
+        ends = np.concatenate([np.arange(n), np.arange(n)])
+        hops = rng.integers(0, 3, size=2 * n)
+        oracle = {int(s): bfs_distances(adj, int(s)) for s in sources}
+        expected = []
+        for s, t in zip(left.tolist(), right.tolist()):
+            d = oracle[s][t]
+            expected.append((int(d) + hops[s] + hops[n + t], 1) if d < np.inf else (0, 0))
+            got = _bfs_distances(graph, ends, hops, 1, PresetPairs([s], [n + t]))
+            assert got == expected[-1], (s, t)
+        assert _bfs_distances(graph, ends, hops, 1, PresetPairs([7], [7])) == (0, 0)
+        pairs = PresetPairs(np.append(left, left[:9]), np.append(right + n, left[:9]))
+        got = _bfs_distances(graph, ends, hops, len(left) + 9, pairs)
+        assert got == tuple(map(sum, zip(*expected)))
+        dists = [oracle[s][t] for s, t in zip(left.tolist(), right.tolist())]
+        assert np.inf in dists and 0 in dists[1:] and max(d for d in dists if d < np.inf) > 2
 
     def test_no_pairs(self):
         graph = _subgraph(build_bcube(2, 0), np.ones(2, dtype=bool))
-        none = np.array([], dtype=np.int64)
-        assert _bfs_distances(graph, none, none).shape == (0,)
+        none = PresetPairs([], [])
+        assert _bfs_distances(graph, np.arange(3), np.zeros(3), 0, none) == (0, 0)
 
 
 class TestSubgraph:

@@ -930,37 +930,52 @@ class TestDeterminismAndWorkers:
         )
         assert classed_sweep(classed, workers=1) == classed_sweep(classed, workers=2)
 
-    def test_one_pool_per_operation(self, monkeypatch):
-        from dcn_robust import simulation
-
+    @staticmethod
+    def counting_pools(monkeypatch, pool=simulation.ProcessPoolExecutor) -> list:
+        """The pools the simulation starts from now on, each started as *pool*."""
         created = []
 
-        class CountingPool(simulation.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                created.append(self)
-                super().__init__(*args, **kwargs)
+        def counting(*args, **kwargs):
+            created.append(pool(*args, **kwargs))
+            return created[-1]
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", counting)
+        return created
+
+    def test_one_pool_per_operation(self, monkeypatch):
+        created = self.counting_pools(monkeypatch)
         plan = plan_for(DCELL_SMALL, FailureType.LINK, fer_grids=((0.1, 0.2, 0.3),), samples=8)
         rows = survival_sweep(plan, workers=2)
         assert len(created) == 1
         assert [r.fer_link for r in rows[::2]] == [0.1, 0.2, 0.3]
 
+    def test_fewer_than_two_tasks_per_worker_run_inline(self, monkeypatch):
+        created = self.counting_pools(monkeypatch)
+        sweep = plan_for(DCELL_SMALL, FailureType.LINK, fer_grids=((0.3,),), samples=2)
+        # Two samples are two tasks: below two per worker, so no pool.
+        assert survival_sweep(sweep, workers=2) == survival_sweep(sweep, workers=1)
+        assert created == []
+        survival_sweep(replace(sweep, samples=4), workers=2)
+        assert len(created) == 1
+        for samples, pools in ((3, 1), (4, 2)):
+            simulate_nmttf(plan_for(DCELL_SMALL, FailureType.LINK, samples=samples), workers=2)
+            assert len(created) == pools
+
     def test_identical_results_under_spawn(self, monkeypatch):
         # Spawned workers inherit no topology or pool cache from the parent,
         # so they must rebuild everything from the task alone.
-        from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        from dcn_robust import simulation
-
-        spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
         sweep = plan_for(DCELL_SMALL, FailureType.LINK, fer_grids=((0.2, 0.4),), samples=8)
         mttf = plan_for(DCELL_SMALL, FailureType.SWITCH, samples=8)
         expected = survival_sweep(sweep, workers=1), simulate_nmttf(mttf, workers=1)
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", spawn_pool)
+        spawn_pool = functools.partial(
+            simulation.ProcessPoolExecutor, mp_context=get_context("spawn")
+        )
+        created = self.counting_pools(monkeypatch, spawn_pool)
         rows = survival_sweep(sweep, workers=2)
         result = simulate_nmttf(mttf, workers=2)
+        assert len(created) == 2  # eight samples at two workers: both on the pool
         assert rows == expected[0]
         assert np.array_equal(result.critical_points, expected[1].critical_points)
         assert result.nmttf_sim == expected[1].nmttf_sim
@@ -975,6 +990,16 @@ class TestDeterminismAndWorkers:
         monkeypatch.setenv("DCN_ROBUST_THREADS", "lots")
         with pytest.raises(UnsupportedPlanError):
             resolve_workers()
+
+    def test_default_is_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # Under ``taskset -c 0`` on two CPUs: one CPU allowed, two present.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.delenv("DCN_ROBUST_THREADS", raising=False)
+        assert resolve_workers() == resolve_workers(0) == 1
+        # Where the OS has no affinity call, the CPU count stands.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers() == 2
 
 
 class TestRngStreamBounds:
