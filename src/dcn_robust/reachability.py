@@ -592,8 +592,7 @@ def _bfs_distances(graph: CsrGraph, ends, hops, n_pairs: int, rng) -> tuple[int,
     code = code.astype(np.intp if len(row) * _ASPL_SOURCE_CHUNK >= 2**34 else np.int32)
     hop = hops[src] + hops[dst]
     reached = ((code[src] == code[dst]) & (src != dst)).astype(np.uint8)  # 0 hops apart
-    src = code[src]
-    dst = code[dst]
+    src, dst = code[src], code[dst]
     chunk, blocks = _ASPL_SOURCE_CHUNK, [0, n_pairs]
     if n_sources > chunk:
         order = np.argsort(src)

@@ -549,9 +549,10 @@ def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_chunked(fn, tasks: list[tuple], workers: int) -> list:
-    """``[fn(*task) for task in tasks]``: inline below two tasks per worker
-    (*workers* resolved), which a pool's start-up outweighs, else on one pool."""
-    if workers == 1 or len(tasks) < 2 * workers:
+    """``[fn(*task) for task in tasks]`` on a pool of one worker per two tasks,
+    at most *workers*; inline when that is one, as a pool would cost more."""
+    workers = min(workers, len(tasks) // 2)
+    if workers <= 1:
         return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]

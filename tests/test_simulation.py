@@ -960,6 +960,10 @@ class TestDeterminismAndWorkers:
         for samples, pools in ((3, 1), (4, 2)):
             simulate_nmttf(plan_for(DCELL_SMALL, FailureType.LINK, samples=samples), workers=2)
             assert len(created) == pools
+        # Ten tasks at eight workers: a pool of five, not none.
+        rows = survival_sweep(replace(sweep, samples=10), workers=8)
+        assert [pool._max_workers for pool in created[pools:]] == [5]
+        assert rows == survival_sweep(replace(sweep, samples=10), workers=1)
 
     def test_identical_results_under_spawn(self, monkeypatch):
         # Spawned workers inherit no topology or pool cache from the parent,
