@@ -299,7 +299,9 @@ def _probe_view(graph: CsrGraph, clusters: int) -> tuple:
         tree.append((node, parent, slot[slots[first]]))
         seen[node] = True
         frontier = node
-    target = np.unique(anchor[:clusters])
+    is_target = np.zeros(len(cut), dtype=bool)
+    is_target[anchor[:clusters]] = True  # np.unique(x) would import numpy.ma
+    target = np.flatnonzero(is_target)
     # The last layer found no node.
     return indices, indptr, slot, owner, target, np.flatnonzero(~cut), tuple(tree[:-1])
 
@@ -386,10 +388,12 @@ def average_shortest_path_length(
 
     Both modes fold each single-link server into its neighbour plus one
     hop (``_fold``), run one bit-parallel multi-source BFS (``_bit_bfs``)
-    from the anchors, and differ only in the pairs they count: every pair
-    up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers (``_aspl_exact``),
-    beyond that ``SAMPLED_ASPL_PAIRS`` uniformly random pairs drawn from
-    *rng*, measured from the distinct anchors of their left ends
+    from the anchors, and count once per block of sources, from its
+    reached bits and its bit-sliced pair distances. They differ only in
+    the pairs they count: every pair up to ``EXACT_ASPL_SERVER_LIMIT``
+    accessible servers (``_aspl_exact``), beyond that
+    ``SAMPLED_ASPL_PAIRS`` uniformly random pairs drawn from *rng*,
+    measured from the distinct anchors of their left ends
     (``_aspl_sampled``). Cross-component pairs never contribute.
     """
     servers = np.flatnonzero(part.accessible_server_mask)
@@ -404,29 +408,9 @@ def average_shortest_path_length(
     return AsplEstimate(total / pairs if pairs else None, pairs, exact)
 
 
-# Constants of the SWAR popcount, which runs on any numpy (np.bitwise_count
-# needs numpy 2.0) and takes fewer passes than a per-byte table lookup.
-_M1, _M2, _M4, _H01 = (
-    np.uint64(m)
-    for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
-)
-_S1, _S2, _S4, _S56 = (np.uint64(s) for s in (1, 2, 4, 56))
-
-
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each row of a 2-D ``uint64`` array, which is not written to."""
-    half = words >> _S1
-    half &= _M1
-    x = words - half
-    half = x >> _S2
-    half &= _M2
-    x &= _M2
-    x += half
-    x += x >> _S4
-    x &= _M4
-    x *= _H01  # each word's byte counts summed into its top byte
-    x >>= _S56
-    return x.sum(axis=1, dtype=np.int64)
+    """Set bits of each row of a 2-D ``uint64`` array."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def _fold(graph: CsrGraph, servers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,17 +472,20 @@ def _linked_first(
     return CsrGraph(cols[keep], np.concatenate([[0], np.cumsum(keep)])[bounds]), row, len(head)
 
 
-def _bit_bfs(graph: CsrGraph, n_sources: int):
-    """BFS levels from each of the first *n_sources* rows of *graph*, whose
-    every row has a link: yields ``(start, width, level, new_bits)``.
+def _bit_bfs(graph: CsrGraph, n_sources: int, n_rows: int):
+    """BFS from each of the first *n_sources* rows of *graph*, whose every
+    row has a link: yields ``(start, width, seen, hops)`` per block.
 
     Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
     PVLDB 8(4), 2014): each block of ``_ASPL_SOURCE_CHUNK`` sources, rows
     ``start`` to ``start + width``, gets one bit per source in every row's
     ``uint64`` words, and one level ORs the frontier rows of each row's
-    neighbours and keeps the bits the row has not seen. ``new_bits[r]``
-    holds bit ``s - start`` exactly when row r is ``level`` hops from
-    source row s; it must not be written to.
+    neighbours and keeps the bits the row has not seen. ``seen[r]`` holds
+    bit ``s - start`` exactly when row r is reachable from source row s,
+    row s itself included. The distances are bit-sliced over the first
+    *n_rows* rows: level l ORs its new bits into ``hops[j]`` for each set
+    bit j of l, so row r is ``sum(2**j for j where hops[j][r] has bit
+    s - start)`` hops from s. Neither may be written to.
     """
     starts, neighbours = graph.indptr[:-1], graph.indices
     for start in range(0, n_sources, _ASPL_SOURCE_CHUNK):
@@ -506,22 +493,27 @@ def _bit_bfs(graph: CsrGraph, n_sources: int):
         bit = np.arange(width)
         frontier = np.zeros((graph.shape[0], (width + 63) // 64), dtype=np.uint64)
         frontier[start + bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
-        visited = frontier.copy()
-        level = 0
+        seen, hops, level = frontier.copy(), [], 0
         while True:
             level += 1
-            frontier = np.bitwise_or.reduceat(frontier[neighbours], starts, axis=0)
-            frontier &= ~visited
+            frontier = np.bitwise_or.reduceat(np.take(frontier, neighbours, axis=0), starts, axis=0)
+            frontier &= ~seen
             if not frontier.any():
                 break
-            visited |= frontier
-            yield start, width, level, frontier
+            seen |= frontier
+            if level == 1 << len(hops):  # the first level with bit len(hops)
+                hops.append(np.zeros((n_rows, frontier.shape[1]), dtype=np.uint64))
+            for j in range(len(hops)):
+                if level >> j & 1:
+                    hops[j] |= frontier[:n_rows]
+        yield start, width, seen, hops
 
 
-def _weight_planes(weights: np.ndarray) -> list[tuple[int, np.ndarray | None]]:
-    """``(2**j, mask)`` per bit j that some of *weights* has: the mask's
-    ``uint64`` words hold bit c where ``weights[c]`` has bit j, as in a
-    ``_bit_bfs`` row; None where every weight has it."""
+def _weight_planes(weights: np.ndarray, rows: int) -> list[tuple[int, np.ndarray | None]]:
+    """``(2**j, mask)`` per bit j that some of *weights* has: the mask is
+    *rows* rows of ``uint64`` words holding bit c where ``weights[c]`` has
+    bit j, as in a ``_bit_bfs`` row; None where every weight has it. Whole
+    rows, not one broadcast row, keep an AND with them one contiguous pass."""
     words = (len(weights) + 63) // 64
     shifts = np.arange(64, dtype=np.uint64)
     planes = []
@@ -533,8 +525,14 @@ def _weight_planes(weights: np.ndarray) -> list[tuple[int, np.ndarray | None]]:
             bits = np.zeros(words * 64, dtype=np.uint64)
             bits[: len(weights)] = has
             mask = (bits.reshape(words, 64) << shifts).sum(axis=1, dtype=np.uint64)
-            planes.append((1 << j, mask))
+            planes.append((1 << j, np.tile(mask, (rows, 1))))
     return planes
+
+
+def _weigh(bits: np.ndarray, planes) -> np.ndarray:
+    """Per row of *bits*, laid out as a ``_bit_bfs`` row, the sum of the
+    weights whose bits are set, from their ``_weight_planes``."""
+    return sum(scale * _popcount(bits if mask is None else bits & mask) for scale, mask in planes)
 
 
 def _aspl_exact(graph: CsrGraph, servers: np.ndarray) -> tuple[float, int]:
@@ -546,29 +544,24 @@ def _aspl_exact(graph: CsrGraph, servers: np.ndarray) -> tuple[float, int]:
     *servers* in s's component and one hop ``off_s`` per pendant s, the
     hop total is the sum over anchor pairs a < b of w_a w_b d(a, b), plus
     the sum over servers of off_s (n_c(s) - 1); the pair count is the sum
-    over components of n_c (n_c - 1) / 2. Each level weighs a row's new
-    bits by the source weights one bit plane at a time
-    (``_weight_planes``); without pendants the one plane is a plain
-    popcount. Hop totals and pair counts are exact integers.
+    over components of n_c (n_c - 1) / 2. Each source block is counted
+    once: its reached bits give the servers each row reaches, and its
+    bit-sliced hops the sum of their distances, both weighing a row's bits
+    by the source weights one bit plane at a time (``_weigh``); without
+    pendants the one plane is a plain popcount. Hop totals and pair counts
+    are exact integers.
     """
     anchor, off = _fold(graph, servers)
     anchors, slot, weight = np.unique(anchor[servers], return_inverse=True, return_counts=True)
     sub, row, n_sources = _linked_first(graph, anchors, anchors)
     linked = row[anchors] >= 0
     w = weight[linked]
-    reach = np.zeros(n_sources, dtype=np.int64)  # servers reached per row
+    reach = -w  # servers reached per row, less its own, which its seen bit holds
     total = 0
-    block = None
-    for start, width, level, new_bits in _bit_bfs(sub, n_sources):
-        if start != block:
-            block = start
-            planes = _weight_planes(w[start : start + width])
-        rows = new_bits[:n_sources]
-        counts = sum(
-            scale * _popcount(rows if mask is None else rows & mask) for scale, mask in planes
-        )
-        reach += counts
-        total += level * int(w @ counts)
+    for start, width, seen, hops in _bit_bfs(sub, n_sources, n_sources):
+        planes = _weight_planes(w[start : start + width], n_sources)
+        reach += _weigh(seen[:n_sources], planes)
+        total += int(w @ sum((1 << j) * _weigh(bits, planes) for j, bits in enumerate(hops)))
     in_component = weight.copy()
     in_component[linked] += reach
     # Pairs across anchors were reached from both of their ends.
@@ -582,17 +575,21 @@ def _bfs_distances(graph: CsrGraph, ends, hops, n_pairs: int, rng) -> tuple[int,
     values and stream state of int64 ones) of two indices into *ends* from
     *rng*, self-pairs dropped, whose ends share a component of *graph*: each
     adds their hop distance plus both ``hops``. One ``_bit_bfs`` runs from the
-    distinct left ends; each level counts the pairs of its block whose bit is set."""
+    distinct left ends; each block reads its pairs' bits once from its reached
+    bits and its bit-sliced hops."""
     src = rng.integers(0, len(ends), size=n_pairs, dtype=np.int32)  # left ends
     dst = rng.integers(0, len(ends), size=n_pairs, dtype=np.int32)  # right ends
-    sources = np.unique(ends[np.bincount(src, minlength=len(ends)) > 0])
-    sub, row, n_sources = _linked_first(graph, sources, ends)
+    left = np.zeros(graph.shape[0], dtype=bool)  # np.unique(x) would import numpy.ma
+    left[ends[np.bincount(src, minlength=len(ends)) > 0]] = True
+    sub, row, n_sources = _linked_first(graph, np.flatnonzero(left), ends)
     # Each end's row, or -1 - node where it was cut: equal codes, equal ends.
     code = np.where(row[ends] >= 0, row[ends], -1 - ends)
     code = code.astype(np.intp if len(row) * _ASPL_SOURCE_CHUNK >= 2**34 else np.int32)
     hop = hops[src] + hops[dst]
-    reached = ((code[src] == code[dst]) & (src != dst)).astype(np.uint8)  # 0 hops apart
+    twice = src == dst  # one index twice: dropped
     src, dst = code[src], code[dst]
+    reached = ((src == dst) & ~twice).astype(np.uint8)  # 0 hops apart
+    dst[twice] = -1  # masked with the cut ends, as its row's seen bit holds its source
     chunk, blocks = _ASPL_SOURCE_CHUNK, [0, n_pairs]
     if n_sources > chunk:
         order = np.argsort(src)
@@ -604,15 +601,16 @@ def _bfs_distances(graph: CsrGraph, ends, hops, n_pairs: int, rng) -> tuple[int,
     np.maximum(dst, 0, out=dst)
     src = (np.maximum(src, 0, out=src) % chunk >> 3).astype(np.uint8)
     total = 0
-    for start, _, level, new_bits in _bit_bfs(sub, n_sources):
+    for start, _, seen, hop_planes in _bit_bfs(sub, n_sources, sub.shape[0]):
         part = slice(blocks[start // chunk], blocks[start // chunk + 1])
-        rows = new_bits.astype("<u8", copy=False).view(np.uint8)
-        if level == 1:
-            dst[part] *= rows.shape[1]
-            dst[part] += src[part]
-        hit = rows.ravel()[dst[part]] & mask[part]
-        reached[part] |= hit
-        total += level * int(np.count_nonzero(hit))
+        dst[part] *= seen.shape[1] * 8  # bytes a row
+        dst[part] += src[part]
+
+        def hit(bits):  # np.take gathers by an int32 index about 3x faster than bits[index]
+            return np.take(bits.astype("<u8", copy=False).view(np.uint8), dst[part]) & mask[part]
+
+        reached[part] |= hit(seen)
+        total += sum((1 << j) * int(np.count_nonzero(hit(b))) for j, b in enumerate(hop_planes))
     got = reached.astype(bool)
     return total + int(hop.sum(where=got)), int(np.count_nonzero(got))
 
@@ -678,7 +676,8 @@ def evaluate(
     exact up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers; above it,
     the same bit-parallel BFS measures ``SAMPLED_ASPL_PAIRS`` pairs drawn
     from *aspl_rng*. Both run it from the anchors of the folded
-    single-link servers (``_fold``), not from every server.
+    single-link servers (``_fold``), not from every server, and count once
+    per block of sources from its reached bits and bit-sliced distances.
     """
     want = set(metrics)
     part = _partition_arrays(topology, node_alive, edge_alive)

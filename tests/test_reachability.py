@@ -22,7 +22,9 @@ from dcn_robust.reachability import (
     _aspl_exact,
     _aspl_sampled,
     _bfs_distances,
+    _bit_bfs,
     _fold,
+    _linked_first,
     _partition_arrays,
     _popcount,
     _subgraph,
@@ -518,6 +520,53 @@ class TestAsplSampled:
         # Some pendant servers hang on a server, not on a switch.
         assert (anchor[servers][off[servers] == 1] < topo.n_servers).any()
         self.assert_matches_oracle(part.graph, servers, 20_000, 79)
+
+
+def unpack(words, width):
+    """Bit c of each row of a ``_bit_bfs`` block as column c, padding included."""
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, width:].any()
+    return bits[:, :width].astype(np.int64)
+
+
+class TestBitBfs:
+    """``_bit_bfs``'s blocks decode, pair by pair, to the BFS oracle:
+    reachability from ``seen`` and the distance from the hop planes."""
+
+    @pytest.mark.parametrize("chunk", [_ASPL_SOURCE_CHUNK, 64, 128])
+    @pytest.mark.parametrize("planes_of", ["sources", "all rows"])
+    def test_decodes_to_bfs_oracle(self, chunk, planes_of, monkeypatch):
+        monkeypatch.setattr(reachability, "_ASPL_SOURCE_CHUNK", chunk)
+        topo = build_fat_tree(8)  # 208 nodes
+        rng = np.random.default_rng(87)  # leaves two components with a link
+        links = removed_links(topo, rng, topo.n_links // 3)
+        adj = degraded_adjacency(topo, links)
+        graph = _subgraph(topo, DegradedNetwork(topo, removed_links=links).edge_alive)
+        ends = np.sort(rng.choice(topo.n_nodes, 170, replace=False))
+        sub, row, n_sources = _linked_first(graph, ends, ends)
+        n_rows = n_sources if planes_of == "sources" else sub.shape[0]
+        # Blocks of 64 end on a partial word; at 128 the last block has
+        # fewer words per row than the first.
+        assert n_sources > 2 * 64 and n_sources % 64 and n_sources % 128 <= 64
+        assert sub.shape[0] > n_sources
+        node = np.empty(sub.shape[0], dtype=np.int64)
+        node[row[row >= 0]] = np.flatnonzero(row >= 0)
+        blocks, dists = [], []
+        for start, width, seen, hops in _bit_bfs(sub, n_sources, n_rows):
+            blocks.append((start, width))
+            words = (width + 63) // 64
+            assert seen.shape == (sub.shape[0], words)
+            assert all(bits.shape == (n_rows, words) for bits in hops)
+            reach = unpack(seen, width)
+            hop = sum((1 << j) * unpack(bits, width) for j, bits in enumerate(hops))
+            for c in range(width):
+                d = np.array(bfs_distances(adj, int(node[start + c])))[node]
+                assert reach[:, c].tolist() == (d < np.inf).tolist()
+                assert hop[:, c].tolist() == np.where(d < np.inf, d, 0)[:n_rows].tolist()
+                assert d[start + c] == 0 and reach[start + c, c] == 1
+                dists.extend(d.tolist())
+        assert blocks == [(s, min(chunk, n_sources - s)) for s in range(0, n_sources, chunk)]
+        assert np.inf in dists and max(d for d in dists if d < np.inf) >= 4
 
 
 class PresetPairs:

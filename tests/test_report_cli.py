@@ -836,6 +836,34 @@ def test_cli_import_leaves_scipy_integrate_out():
     assert out.stdout.strip() == "False"
 
 
+def test_sampled_aspl_and_mttf_leave_numpy_ma_out(tmp_path):
+    # A plain np.unique(x) imports numpy.ma on first use, which costs
+    # 10-25 ms once per process inside the first operation that calls it.
+    runs = [
+        ["sweep", "--topology", "fat-tree", "--n", "26", "--failure", "link", "--fer", "0.05",
+         "--metrics", "aspl", "--samples", "1", "--format", "json",
+         "--out", str(tmp_path / "aspl.json")],
+        ["mttf", "--topology", "fat-tree", "--n", "4", "--failure", "link", "--samples", "20",
+         "--out", str(tmp_path / "mttf.csv")],
+    ]
+    code = (
+        "import sys\n"
+        "from dcn_robust.cli import main\n"
+        f"assert all(main(argv) == 0 for argv in {runs!r})\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+        "DCN_ROBUST_THREADS": "1",  # every sample in this interpreter
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
+    (point,) = json.loads((tmp_path / "aspl.json").read_text())["series"][0]["points"]
+    assert point["exact"] is False
+
 
 def test_cli_import_leaves_scipy_out():
     # The package runs on numpy alone; scipy serves the tests' oracles.
