@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -131,11 +132,8 @@ def _add_plan(sub: argparse.ArgumentParser, grid, samples: int, metrics: str = "
     sub.set_defaults(grid=grid, default_samples=samples, default_metrics=metrics)
 
 
-def _add_sweep(commands, name: str, help: str, grid, sweep, metrics: str = "asr"):
-    """A sweep subcommand that :func:`_cmd_sweep` runs with the sweep
-    function *sweep*. ``main`` builds the parser on every call, so a
-    wrapper set on this module's attribute beforehand (a tracer, a test
-    double) is the one bound."""
+def _add_sweep(commands, name: str, help: str, grid, metrics: str = "asr"):
+    """A sweep subcommand, run by :func:`_cmd_sweep`."""
     sub = commands.add_parser(name, help=help)
     _add_plan(sub, grid, DEFAULT_SWEEP_SAMPLES, metrics)
     sub.add_argument("--metrics", help=f"comma-separated metric names (default {metrics})")
@@ -145,7 +143,7 @@ def _add_sweep(commands, name: str, help: str, grid, sweep, metrics: str = "asr"
         help="also emit a gnuplot script next to a CSV --out",
     )
     _add_dataset(sub)
-    sub.set_defaults(handler=_cmd_sweep, sweep=sweep)
+    sub.set_defaults(handler=_cmd_sweep)
     return sub
 
 
@@ -329,10 +327,13 @@ def _class_grid(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Body of every sweep command; *args.sweep* is its sweep function."""
+    """Body of every sweep command. It reads its sweep function from this
+    module's globals as it runs, so a wrapper set later is the one called."""
+    sweep = {"sweep": survival_sweep, "sweep2d": survival_sweep_2d,
+             "classed-sweep": classed_sweep}[args.command]
     plan = _plan_from_args(args)
     assignment = _load_capacity(args, _cached_topology(plan.params))
-    rows = args.sweep(plan, capacity_assignment=assignment)
+    rows = sweep(plan, capacity_assignment=assignment)
     _emit(args, _report(plan, rows))
     return EXIT_OK
 
@@ -457,7 +458,9 @@ def _cmd_reconcile(args: argparse.Namespace) -> int:
     return EXIT_RECONCILE if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: it binds no engine function, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="dcn-robust",
         description="Generate data-center topologies and analyze their "
@@ -477,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     mttf.set_defaults(handler=_cmd_mttf)
 
     sweep = _add_sweep(
-        commands, "sweep", "sweep survivability metrics over a FER grid",
-        _one_grid, survival_sweep, "asr,sc",
+        commands, "sweep", "sweep survivability metrics over a FER grid", _one_grid, "asr,sc"
     )
     sweep.add_argument(
         "--failure", choices=("link", "switch", "server"), help="required unless --plan"
@@ -486,15 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--fer", help="grid: start:stop:step or v1,v2,...")
 
     sweep2d = _add_sweep(
-        commands, "sweep2d", "sweep link and switch failures jointly",
-        _link_switch_grids, survival_sweep_2d,
+        commands, "sweep2d", "sweep link and switch failures jointly", _link_switch_grids
     )
     sweep2d.add_argument("--fer-link")
     sweep2d.add_argument("--fer-switch")
 
     classed = _add_sweep(
-        commands, "classed-sweep", "three-layer sweep with per-class failure ratios",
-        _class_grid, classed_sweep,
+        commands, "classed-sweep", "three-layer sweep with per-class failure ratios", _class_grid
     )
     classed.add_argument("--sweep-class", choices=[c.value for c in ElementClass])
     classed.add_argument(

@@ -392,9 +392,9 @@ def average_shortest_path_length(
     reached bits and its bit-sliced pair distances. They differ only in
     the pairs they count: every pair up to ``EXACT_ASPL_SERVER_LIMIT``
     accessible servers (``_aspl_exact``), beyond that
-    ``SAMPLED_ASPL_PAIRS`` uniformly random pairs drawn from *rng*,
-    measured from the distinct anchors of their left ends
-    (``_aspl_sampled``). Cross-component pairs never contribute.
+    ``SAMPLED_ASPL_PAIRS`` uniformly random pairs drawn from *rng*
+    (ValueError without one), measured from the distinct anchors of
+    their left ends (``_aspl_sampled``). Cross-component pairs never contribute.
     """
     servers = np.flatnonzero(part.accessible_server_mask)
     if len(servers) < 2:
@@ -402,8 +402,12 @@ def average_shortest_path_length(
     exact = len(servers) <= EXACT_ASPL_SERVER_LIMIT
     if exact:
         total, pairs = _aspl_exact(part.graph, servers)
+    elif rng is None:
+        raise ValueError(
+            f"{len(servers)} accessible servers exceed EXACT_ASPL_SERVER_LIMIT "
+            f"({EXACT_ASPL_SERVER_LIMIT}): sampled ASPL needs an rng"
+        )
     else:
-        rng = rng if rng is not None else np.random.default_rng()
         total, pairs = _aspl_sampled(part.graph, servers, SAMPLED_ASPL_PAIRS, rng)
     return AsplEstimate(total / pairs if pairs else None, pairs, exact)
 
@@ -585,9 +589,9 @@ def _bfs_distances(graph: CsrGraph, ends, hops, n_pairs: int, rng) -> tuple[int,
     # Each end's row, or -1 - node where it was cut: equal codes, equal ends.
     code = np.where(row[ends] >= 0, row[ends], -1 - ends)
     code = code.astype(np.intp if len(row) * _ASPL_SOURCE_CHUNK >= 2**34 else np.int32)
-    hop = hops[src] + hops[dst]
+    hop = np.take(hops, src) + np.take(hops, dst)
     twice = src == dst  # one index twice: dropped
-    src, dst = code[src], code[dst]
+    src, dst = np.take(code, src), np.take(code, dst)
     reached = ((src == dst) & ~twice).astype(np.uint8)  # 0 hops apart
     dst[twice] = -1  # masked with the cut ends, as its row's seen bit holds its source
     chunk, blocks = _ASPL_SOURCE_CHUNK, [0, n_pairs]
@@ -675,9 +679,9 @@ def evaluate(
     as alive masks, with the same formulas as the object-level API. ASPL is
     exact up to ``EXACT_ASPL_SERVER_LIMIT`` accessible servers; above it,
     the same bit-parallel BFS measures ``SAMPLED_ASPL_PAIRS`` pairs drawn
-    from *aspl_rng*. Both run it from the anchors of the folded
-    single-link servers (``_fold``), not from every server, and count once
-    per block of sources from its reached bits and bit-sliced distances.
+    from *aspl_rng*, then required. Both run it from the anchors of the
+    folded single-link servers (``_fold``), not from every server, and
+    count once per block of sources from its reached bits and bit-sliced distances.
     """
     want = set(metrics)
     part = _partition_arrays(topology, node_alive, edge_alive)

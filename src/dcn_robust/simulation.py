@@ -15,11 +15,12 @@ A chunk returns the ``reachability.SurvivalMetrics`` record of each of
 its samples, in sample order, and the parent turns a point's records into
 one row per metric.
 
-``_TOPO_CACHE``, the topologies of the last few params asked for, is the
-one store that lasts for the whole process. What is derived from a
-topology (pools, the CSR pattern, each cluster graph and its probe view)
-is cached on it by ``topology.derived``, and each operation builds the
-costly parts before it starts a pool, so forked workers inherit them.
+``_cached_topology``, an ``lru_cache`` of the topologies of the last eight
+params asked for, is the one store that lasts for the whole process. What
+is derived from a topology (pools, the CSR pattern, each cluster graph and
+its probe view) is cached on it by ``topology.derived``, and each
+operation builds the costly parts before it starts a pool, so forked
+workers inherit them.
 
 Critical points (the minimal number of removals that disconnects a server)
 start from a cut bound. Each element's removal time is its position in the
@@ -45,6 +46,7 @@ single node (under link failures, ``reachability._pattern`` itself).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -370,8 +372,9 @@ def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ..
     node, the edge each slot holds, and each server's cluster.
 
     A cluster is a set of servers joined by links *failure* never removes:
-    under switch failures the server-server links, whose components the
-    engine's own partition labels; under link failures none, so each
+    under switch failures the server-server links, whose components
+    ``reachability._component_labels`` numbers in first-node order, so the
+    servers' labels are already 0..k-1; under link failures none, so each
     server is its own cluster and the pattern's own arrays are returned.
     The k clusters are nodes 0..k-1, the switches follow in their order,
     and the root comes last. The links inside a cluster are dropped, so a
@@ -384,9 +387,8 @@ def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ..
     servers = topo.n_servers
     if failure is not FailureType.SWITCH:
         return indices, indptr, slot_edge, np.arange(servers)
-    node_alive = np.ones(topo.n_nodes, dtype=bool)
-    labels = reachability._partition_arrays(topo, node_alive, topo.edges_v < servers).labels
-    _, cluster = np.unique(labels[:servers], return_inverse=True)
+    server_links = reachability._subgraph(topo, topo.edges_v < servers)
+    cluster = reachability._component_labels(server_links)[1][:servers]
     node = np.concatenate([cluster, cluster.max() + 1 + np.arange(topo.n_switches + 1)])
     row = np.repeat(node, np.diff(indptr))
     col = node[indices].astype(np.int32)  # half the memory the memo keeps
@@ -474,20 +476,11 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
 
 # perfbench/passrun.py builds every topology of a pass (four in each of its
 # workloads) before it times the pass, so the cache must hold them all.
-_TOPO_CACHE_SIZE = 8
-_TOPO_CACHE: dict[TopologyParams, Topology] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _cached_topology(params: TopologyParams) -> Topology:
-    """The topology of *params*, built once while it stays among the
-    ``_TOPO_CACHE_SIZE`` params asked for last; the least recent goes."""
-    topo = _TOPO_CACHE.pop(params, None)
-    if topo is None:
-        topo = build_topology(params)
-    _TOPO_CACHE[params] = topo  # dicts keep insertion order: newest last
-    if len(_TOPO_CACHE) > _TOPO_CACHE_SIZE:
-        del _TOPO_CACHE[next(iter(_TOPO_CACHE))]
-    return topo
+    """The topology of *params*, built by this module's ``build_topology``
+    once while it stays among the eight params asked for last."""
+    return build_topology(params)
 
 
 def _nmttf_chunk(

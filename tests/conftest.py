@@ -88,6 +88,17 @@ def scipy_graph(graph):
     return sp.csr_matrix((np.ones(len(graph.indices)), graph.indices, graph.indptr), graph.shape)
 
 
+def oracle_server_clusters(topo) -> np.ndarray:
+    """Each server's cluster under switch failures: scipy's connected
+    components of the server-server links, renumbered in the order of
+    each component's first server."""
+    servers = topo.n_servers
+    graph = coo_subgraph(topo, topo.edges_v < servers)[:servers, :servers]
+    _, labels = csgraph.connected_components(graph, directed=False)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 def oracle_all_reach(topo, node_alive, edge_alive) -> bool:
     """Oracle for ``reachability._all_servers_reach_gateway``: one scipy
     breadth-first search from a super-root joined to the surviving

@@ -333,6 +333,27 @@ class TestAspl:
         assert est.hops is None
         assert est.pairs == 0
 
+    def test_sampled_mode_needs_an_rng(self, monkeypatch):
+        topo = build_fat_tree(8)  # 128 servers
+        degraded = DegradedNetwork(topo)
+        part = partition(degraded)
+        assert average_shortest_path_length(part).exact  # the exact mode draws nothing
+        monkeypatch.setattr(reachability, "EXACT_ASPL_SERVER_LIMIT", 10)
+        limit = r"128 accessible servers exceed EXACT_ASPL_SERVER_LIMIT \(10\)"
+        with pytest.raises(ValueError, match=limit):
+            average_shortest_path_length(part)
+        with pytest.raises(ValueError, match=limit):
+            evaluate(topo, degraded.node_alive, degraded.edge_alive, ("aspl",))
+        # Given a generator, the estimate is the one drawn before the
+        # unseeded fallback was refused.
+        est = average_shortest_path_length(part, rng=np.random.default_rng(7))
+        assert est == AsplEstimate(5.7160460215183875, 99171, False)
+        row = evaluate(
+            topo, degraded.node_alive, degraded.edge_alive, ("aspl",),
+            aspl_rng=np.random.default_rng(7),
+        )
+        assert row.aspl == est
+
     def test_sampled_mode_agrees_with_exact(self, monkeypatch):
         topo = build_fat_tree(8)  # 128 servers
         degraded = DegradedNetwork(topo)

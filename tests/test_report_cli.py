@@ -304,8 +304,8 @@ class TestCli:
 
     def test_dataset_sweep_builds_its_topology_once(self, monkeypatch, capsys):
         # The capacity assignment is placed over the sweep's own topology.
+        simulation._cached_topology.cache_clear()
         monkeypatch.setenv("DCN_ROBUST_THREADS", "1")
-        monkeypatch.setattr(simulation, "_TOPO_CACHE", {})
         builds = {"cli": 0, "simulation": 0}
 
         def counting(module):
@@ -590,17 +590,61 @@ class TestCli:
         ],
     )
     def test_sweep_commands_call_the_module_attribute(self, argv, name, echo, monkeypatch, capsys):
-        # main builds the parser on every call, and each sweep subcommand
-        # binds the module attribute's sweep function then, so a wrapper
-        # set on the attribute before main runs is the one called.
+        # The parser is built once per process and binds no sweep function:
+        # the sweep body reads the module attribute as it runs, so a wrapper
+        # set on it after the parser was built is the one called.
+        topo = ["--topology", "three-layer", "--na", "2", "--ne", "2", "--pairs", "1"]
+        assert main([*argv, *topo, "--samples", "2"]) == 0
+        capsys.readouterr()
         calls = []
         monkeypatch.setattr(cli, name, lambda plan, **kw: calls.append(plan) or [])
-        topo = ["--topology", "three-layer", "--na", "2", "--ne", "2", "--pairs", "1"]
         assert main([*argv, *topo, "--format", "json"]) == 0
         (plan,) = calls
         doc = json.loads(capsys.readouterr().out)["plan"]
         assert doc == plan_to_doc(plan)
         assert (doc["failures"], doc["fer_grids"], doc["metrics"]) == echo
+
+    def test_one_parser_serves_every_call(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        cli.build_parser.cache_clear()
+        for argv in (["reconcile-table1"], ["gen", *TINY_THREE_LAYER], ["--version"]):
+            assert main(argv) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)  # built by the first call alone
+
+    def test_classed_sweeps_echo_only_their_own_ratios(self, capsys):
+        ratios = []
+        for fixed in (["--fixed", "agg-link=0.25"], ["--fixed", "core-link=0.5"], []):
+            argv = [
+                "classed-sweep", *TINY_THREE_LAYER, "--sweep-class", "edge-link",
+                *fixed, "--fer", "0.1", "--samples", "2", "--format", "json",
+            ]
+            assert main(argv) == 0
+            ratios.append(json.loads(capsys.readouterr().out)["plan"]["class_ratios"])
+        assert ratios == [
+            {"agg-link": 0.25, "edge-link": None},
+            {"core-link": 0.5, "edge-link": None},
+            {"edge-link": None},
+        ]
+
+    def test_a_usage_error_leaves_the_next_call_unchanged(self, capsys):
+        argv = ["sweep", *TINY_THREE_LAYER, "--failure", "link", "--fer", "0,0.5", "--samples", "3"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        assert main([*argv, "--metrics"]) == 2  # --metrics without its value
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == before
+
+    def test_plan_option_is_refused_after_a_plain_run(self, tmp_path, capsys):
+        argv = ["mttf", *TINY_THREE_LAYER, "--failure", "link", "--samples", "4", "--seed", "3"]
+        assert main(argv) == 0
+        plan = ExperimentPlan(params=SMALL, failures=(FailureType.LINK,))
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_to_doc(plan)))
+        capsys.readouterr()
+        assert main(["mttf", "--plan", str(path), "--seed", "3"]) == 3
+        assert "--seed cannot be given with --plan" in capsys.readouterr().err
 
     def test_classed_sweep_plan_echo_reproduces_the_run(self, tmp_path):
         out = tmp_path / "classed.json"

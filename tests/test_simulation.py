@@ -51,6 +51,7 @@ from conftest import (
     degraded_adjacency,
     oracle_accessible_servers,
     oracle_all_reach,
+    oracle_server_clusters,
     slot_times,
     tree_stranding_times,
 )
@@ -325,6 +326,13 @@ class TestCriticalPoint:
         assert len(indptr) - 1 == topo.n_nodes + 1
         assert np.array_equal(cluster, np.arange(topo.n_servers))
         assert len(slot_edge) == 2 * (topo.n_links + len(topo.gateways))
+
+    def test_switch_clusters_are_the_server_link_components(self, tiny_topologies):
+        for topo in tiny_topologies.values():
+            # Two servers share a cluster exactly when server-server links
+            # join them, and clusters are numbered in first-server order.
+            cluster = simulation._cluster_graph(topo, FailureType.SWITCH)[3]
+            assert np.array_equal(cluster, oracle_server_clusters(topo))
 
     @pytest.mark.parametrize("params", _tree_cases())
     def test_probe_equals_the_partition(self, params):
@@ -1081,19 +1089,24 @@ class TestDerivedMemo:
         assert all(a is not b and np.array_equal(a, b) for a, b in zip(again, pattern))
         assert replace(topo).memo == {}
 
-    def test_the_topology_cache_drops_the_least_recent_params_past_its_bound(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(simulation, "_TOPO_CACHE", {})
-        size = simulation._TOPO_CACHE_SIZE
+    def test_the_topology_cache_drops_the_least_recent_params_past_its_bound(self):
+        cached = simulation._cached_topology
+        cached.cache_clear()
+        size = cached.cache_info().maxsize
+        assert size == 8
         params = [TopologyParams(kind=TopologyKind.BCUBE, n=n, l=0) for n in range(2, size + 3)]
-        first, second = (simulation._cached_topology(p) for p in params[:2])
-        for p in params[2:-1]:
-            simulation._cached_topology(p)
-        assert simulation._cached_topology(params[0]) is first  # size entries: all kept
-        simulation._cached_topology(params[-1])
-        assert list(simulation._TOPO_CACHE) == [*params[2:-1], params[0], params[-1]]
-        assert simulation._cached_topology(params[1]) is not second
+        first, second = (cached(p) for p in params[:2])
+        kept = [cached(p) for p in params[2:-1]]
+        assert cached(params[0]) is first  # size entries: all kept; params[0] is now the newest
+        assert cached.cache_info()[:] == (1, size, size, size)  # hits, misses, maxsize, currsize
+        last = cached(params[-1])  # one past the bound: params[1], the least recent, goes
+        assert cached.cache_info().currsize == size
+        assert cached(params[0]) is first
+        assert all(cached(p) is topo for p, topo in zip(params[2:-1], kept))
+        assert cached(params[-1]) is last
+        assert cached.cache_info().misses == size + 1
+        assert cached(params[1]) is not second
+        assert cached.cache_info().misses == size + 2
 
 
 class TestPlanDocuments:
