@@ -184,10 +184,7 @@ def classify(
 ) -> list[GradeRecord]:
     """Grade every supplied family per failure type and criterion."""
     graded = _graded_configs(configs)
-    families = []
-    for kind in TopologyKind:
-        if any(c.family is kind for c in graded) and kind not in families:
-            families.append(kind)
+    families = [kind for kind in TopologyKind if any(c.family is kind for c in graded)]
 
     records: list[GradeRecord] = []
     for failure in failures:

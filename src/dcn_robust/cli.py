@@ -215,17 +215,20 @@ def _load_capacity(args: argparse.Namespace, topology: Topology):
     return assign_capacities(topology, classes, args.placement)
 
 
-def _emit(args: argparse.Namespace, report: Report) -> None:
-    text = to_csv_text(report) if args.format == "csv" else to_json_text(report)
-    if args.out is None:
+def _write(out: Path | None, text: str) -> None:
+    """Write *text* to the file *out* and say so, or to stdout without one."""
+    if out is None:
         sys.stdout.write(text)
         return
-    args.out.write_text(text, encoding="utf-8")
-    print(f"wrote {args.out}")
-    if args.format == "csv" and getattr(args, "gnuplot", False):  # sweeps only
-        script = args.out.with_suffix(".gp")
-        script.write_text(gnuplot_script(args.out.name, report), encoding="utf-8")
-        print(f"wrote {script}")
+    out.write_text(text, encoding="utf-8")
+    print(f"wrote {out}")
+
+
+def _emit(args: argparse.Namespace, report: Report) -> None:
+    _write(args.out, to_csv_text(report) if args.format == "csv" else to_json_text(report))
+    # --gnuplot is a sweep option; its script reads the CSV written to --out.
+    if args.out is not None and args.format == "csv" and getattr(args, "gnuplot", False):
+        _write(args.out.with_suffix(".gp"), gnuplot_script(args.out.name, report))
 
 
 def _report(plan: ExperimentPlan, rows, notes=()) -> Report:
@@ -245,8 +248,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     topo = build_topology(params)
     print(f"servers={topo.n_servers} switches={topo.n_switches} links={topo.n_links}")
     if args.out is not None:
-        args.out.write_text(serialize_topology(topo), encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write(args.out, serialize_topology(topo))
     return EXIT_OK
 
 
@@ -433,12 +435,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             for r in records
         ]
     }
-    text = json.dumps(out_doc, sort_keys=True, indent=2) + "\n"
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(out_doc, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -39,6 +39,11 @@ CSV_COLUMNS = (
     "samples",
     "seed",
 )
+# gnuplot numbers a CSV's columns from 1.
+_COLUMN_NUMBER = {name: number for number, name in enumerate(CSV_COLUMNS, 1)}
+# The columns that name a JSON series; its points hold the others.
+_SERIES_KEY = ("topology", "params", "failure_type", "metric")
+_TOOL = "dcn-robust"
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,6 @@ class Report:
     seed: int
     rows: tuple[MetricSample, ...]
     notes: tuple[str, ...] = ()
-    tool: str = "dcn-robust"
-    version: str = __version__
 
 
 def reliability_rows(result: ReliabilityResult) -> list[MetricSample]:
@@ -89,22 +92,8 @@ def to_csv_text(report: Report) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in report.rows:
-        writer.writerow(
-            (
-                row.topology,
-                row.params,
-                row.failure_type,
-                _cell(row.fer_link),
-                _cell(row.fer_switch),
-                _cell(row.fer_server),
-                _cell(row.normalized_time),
-                row.metric,
-                _cell(row.mean),
-                _cell(row.ci95_half_width),
-                str(row.samples),
-                str(report.seed),
-            )
-        )
+        cells = {**vars(row), "ci95_half": row.ci95_half_width, "seed": report.seed}
+        writer.writerow(_cell(cells[name]) for name in CSV_COLUMNS)
     return out.getvalue()
 
 
@@ -124,29 +113,19 @@ def _point_doc(row: MetricSample) -> dict:
 
 
 def to_json_text(report: Report) -> str:
-    series: list[dict] = []
-    seen: dict[tuple, int] = {}
+    series: dict[tuple, dict] = {}  # in first-seen order
     for row in report.rows:
-        key = (row.topology, row.params, row.failure_type, row.metric)
-        if key not in seen:
-            seen[key] = len(series)
-            series.append(
-                {
-                    "topology": row.topology,
-                    "params": row.params,
-                    "failure_type": row.failure_type,
-                    "metric": row.metric,
-                    "points": [],
-                }
-            )
-        series[seen[key]]["points"].append(_point_doc(row))
+        key = tuple(getattr(row, name) for name in _SERIES_KEY)
+        if key not in series:
+            series[key] = {**dict(zip(_SERIES_KEY, key)), "points": []}
+        series[key]["points"].append(_point_doc(row))
     doc = {
-        "tool": report.tool,
-        "version": report.version,
+        "tool": _TOOL,
+        "version": __version__,
         "seed": report.seed,
         "plan": report.plan,
         "notes": list(report.notes),
-        "series": series,
+        "series": list(series.values()),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -162,14 +141,11 @@ def gnuplot_script(csv_path: str, report: Report) -> str:
         for axis in ("fer_switch", "fer_server", "fer_link")
         if any(getattr(row, axis) is not None for row in report.rows)
     ]
-    fer_col = CSV_COLUMNS.index(axes[0] if axes else "fer_link") + 1
+    col = _COLUMN_NUMBER
+    fer_col = col[axes[0] if axes else "fer_link"]
     links = [""]
     if axes == ["fer_switch", "fer_link"]:
         links = list(dict.fromkeys(_cell(row.fer_link) for row in report.rows))
-    link_col = CSV_COLUMNS.index("fer_link") + 1
-    metric_col = CSV_COLUMNS.index("metric") + 1
-    mean_col = CSV_COLUMNS.index("mean") + 1
-    ci_col = CSV_COLUMNS.index("ci95_half") + 1
     quoted = csv_path.replace("'", "''")
     lines = [
         "set datafile separator ','",
@@ -180,13 +156,13 @@ def gnuplot_script(csv_path: str, report: Report) -> str:
         curves = []
         for link in links:
             # Rows of the other curves read NaN, which gnuplot skips.
-            test, title = f"strcol({metric_col}) eq '{metric}'", metric
+            test, title = f"strcol({col['metric']}) eq '{metric}'", metric
             if link:
-                test += f" && strcol({link_col}) eq '{link}'"
+                test += f" && strcol({col['fer_link']}) eq '{link}'"
                 title += f" fer_link={link}"
             curves.append(
-                f"'{quoted}' skip 1 using {fer_col}:({test} ? ${mean_col} : NaN):{ci_col} "
-                f"with yerrorlines title '{title}'"
+                f"'{quoted}' skip 1 using {fer_col}:({test} ? ${col['mean']} : NaN)"
+                f":{col['ci95_half']} with yerrorlines title '{title}'"
             )
         lines.append(f"set ylabel '{metric}'")
         lines.append("plot " + ", ".join(curves))

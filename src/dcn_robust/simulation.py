@@ -790,10 +790,7 @@ def _plan_capacities(
         return None
     if assignment is None:
         raise UnsupportedPlanError("rcr metrics require a capacity assignment")
-    return (
-        np.asarray(assignment.capacity_vector("cpu"), dtype=float),
-        np.asarray(assignment.capacity_vector("memory"), dtype=float),
-    )
+    return assignment.cpu, assignment.memory
 
 
 def plan_to_doc(plan: ExperimentPlan) -> dict:
@@ -845,20 +842,16 @@ def _check_plan_types(doc: dict) -> None:
 
 def plan_from_doc(doc: dict) -> ExperimentPlan:
     """Inverse of :func:`plan_to_doc`; refuses a field value of the wrong
-    JSON type (``_check_plan_types``)."""
+    JSON type (``_check_plan_types``), then names any field that is not one
+    of :class:`ExperimentPlan`'s. Defaults and coercions are the plan's own."""
     if not isinstance(doc, dict):
         raise UnsupportedPlanError(f"plan: expected an object, got {_json(doc)}")
     _check_plan_types(doc)
+    unknown = [name for name in doc if name not in ExperimentPlan.__dataclass_fields__]
+    if unknown:
+        raise UnsupportedPlanError(f"bad plan document: unknown field {', '.join(unknown)}")
     try:
-        return ExperimentPlan(
-            params=params_from_doc(doc["params"]),
-            failures=tuple(FailureType(f) for f in doc["failures"]),
-            fer_grids=tuple(tuple(g) for g in doc.get("fer_grids", ())),
-            samples=doc.get("samples", DEFAULT_SWEEP_SAMPLES),
-            master_seed=doc.get("master_seed", 0),
-            metrics=tuple(doc.get("metrics", ("asr", "sc"))),
-            class_ratios=doc.get("class_ratios", ()),
-        )
+        return ExperimentPlan(**{**doc, "params": params_from_doc(doc["params"])})
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, UnsupportedPlanError):
             raise

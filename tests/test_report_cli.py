@@ -1,4 +1,6 @@
+import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -417,6 +419,30 @@ class TestCli:
         path.write_text(json.dumps(plan_to_doc(plan)))
         assert main([command, "--plan", str(path), *option]) == 3
         assert f"{option[0]} cannot be given with --plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mttf", "sweep", "sweep2d", "classed-sweep"])
+    def test_every_plan_command_option_is_a_plan_option_or_documented(self, command):
+        # An option missing from _PLAN_OPTIONS would be dropped silently
+        # next to --plan instead of refused.
+        documented = {"-h", "--help", "--plan", "--out", "--format", "--gnuplot", "--dataset",
+                      "--placement"}
+        (commands,) = (
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        stray = [
+            action.option_strings
+            for action in commands.choices[command]._actions
+            if not set(action.option_strings) <= documented
+            and cli._PLAN_OPTIONS.get(action.dest) not in action.option_strings
+        ]
+        assert stray == []
+
+    def test_unknown_plan_field_exit_3(self, tmp_path, capsys):
+        plan = ExperimentPlan(params=SMALL, failures=(FailureType.LINK,), fer_grids=((0.0,),))
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({**plan_to_doc(plan), "sample": 5}))
+        assert main(["sweep", "--plan", str(path)]) == 3
+        assert "unknown field sample" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, missing",
@@ -947,3 +973,98 @@ def test_cli_runs_with_scipy_blocked(argv, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+# The sha256 of every output of each command at a tiny size, recorded by
+# running the code before the report emitters read their columns from
+# CSV_COLUMNS. "stdout" is the standard output less its "wrote <path>"
+# lines; other keys name files the command writes. Change a digest only
+# with a change that means to alter that output.
+GOLDEN_RUNS = {
+    "gen": (
+        ["gen", "--topology", "bcube", "--n", "2", "--l", "1", "--out", "topo.json"],
+        {
+            "stdout": "1ce3391cd10eb98ac5d69b12d7ecb9a744374a48c5cf0d49092628daa8e25c55",
+            "topo.json": "d0fcfc16a62d73eff556980581543ce0c176496f92a6820d55f9c1fb50251149",
+        },
+    ),
+    "mttf-csv": (
+        ["mttf", "--topology", "fat-tree", "--n", "4", "--failure", "link", "--samples", "20"],
+        {"stdout": "a41014dd2b71207db0dbf767d6791e924a59151ace4c74caf14eeb6a7aab417f"},
+    ),
+    "mttf-json": (
+        ["mttf", "--topology", "dcell", "--n", "3", "--l", "1", "--failure", "switch",
+         "--samples", "20", "--seed", "7", "--format", "json"],
+        {"stdout": "f73c3f7f4fedf5bc23f52bb25b9ef8f8a3f6a2d2255ddb49fa8cd5f60e75fc7f"},
+    ),
+    "sweep-gnuplot": (
+        ["sweep", "--topology", "fat-tree", "--n", "4", "--failure", "link", "--fer", "0,0.2",
+         "--metrics", "asr,sc,aspl", "--samples", "8", "--out", "sweep.csv", "--gnuplot"],
+        {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "sweep.csv": "8ab3e780a7801dec06d380256ca7899469da0b927db8f917d7570e91c35e7729",
+            "sweep.gp": "8edef8ab8f02045b7cd90f3c2400bcf5253b09d027f0d70b474fb0cd31525900",
+        },
+    ),
+    "sweep-json": (
+        ["sweep", *TINY_THREE_LAYER, "--failure", "switch", "--fer", "0,0.5",
+         "--metrics", "asr,sc,aspl,rcr_cpu", "--dataset", "google", "--samples", "3",
+         "--format", "json"],
+        {"stdout": "2e4a438e9fddbef5314520d0d74387de1255ca85330199fc4327c983179eed92"},
+    ),
+    "sweep2d-gnuplot": (
+        ["sweep2d", "--topology", "bcube", "--n", "2", "--l", "1", "--fer-link", "0,0.25",
+         "--fer-switch", "0,0.5", "--samples", "4", "--out", "grid.csv", "--gnuplot"],
+        {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "grid.csv": "828bba9ad057604bbc8bc452831058e2aef2f6161911de74acdebd440b980684",
+            "grid.gp": "61b68ae07a4410fe2b24f2fbce161871155e57489cd0385d4a4cefb0fc4e61e1",
+        },
+    ),
+    "classed-sweep-json": (
+        ["classed-sweep", "--topology", "three-layer", "--na", "3", "--ne", "4", "--pairs", "2",
+         "--sweep-class", "edge-link", "--fixed", "agg-link=0.25", "--fer", "0:0.5:0.25",
+         "--samples", "6", "--seed", "3", "--format", "json"],
+        {"stdout": "72801cfbce4a1ae1d333825ccde602b0366526a4424c2b84d66915947441a11b"},
+    ),
+    "capacity-csv": (
+        ["capacity", "--topology", "fat-tree", "--n", "4", "--dataset", "synthetic",
+         "--remove-richest", "cpu"],
+        {"stdout": "175973103f86188d64112c35fa5371aaecbe5118604a5a30a738f190e457c3d4"},
+    ),
+    "capacity-json": (
+        ["capacity", *TINY_THREE_LAYER, "--dataset", "synthetic", "--placement", "unbalanced",
+         "--remove-richest", "memory", "--format", "json"],
+        {"stdout": "c2e14320b9c590a5b6e1b33b3402f9d0a77811ed10d466c41aa32a138ca0a200"},
+    ),
+    "classify-stdout": (
+        ["classify", "--input", "measured.json"],
+        {"stdout": "15e11768b00c6b3955817aeac7ca48c41addbd3ea42828c2f93e93eb38c5e61e"},
+    ),
+    "classify-out": (
+        ["classify", "--input", "measured.json", "--out", "grades.json"],
+        {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "grades.json": "15e11768b00c6b3955817aeac7ca48c41addbd3ea42828c2f93e93eb38c5e61e",
+        },
+    ),
+    "reconcile-table1": (
+        ["reconcile-table1"],
+        {"stdout": "1e3fa040e180b39c1293358b6ef9f79798c1c9e38e688176e52b9dcbf71dfed8"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_cli_outputs_keep_their_bytes(name, tmp_path, monkeypatch, capsys):
+    argv, digests = GOLDEN_RUNS[name]
+    monkeypatch.setenv("DCN_ROBUST_THREADS", "1")
+    monkeypatch.chdir(tmp_path)  # relative --out paths keep tmp_path out of the outputs
+    Path("measured.json").write_text(classify_text())
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    outputs = {
+        "stdout": "".join(line for line in lines if not line.startswith("wrote ")).encode(),
+        **{key: Path(key).read_bytes() for key in digests if key != "stdout"},
+    }
+    assert {key: hashlib.sha256(data).hexdigest() for key, data in outputs.items()} == digests

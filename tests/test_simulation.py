@@ -1185,3 +1185,8 @@ class TestPlanDocuments:
         plan["failures"] = ["meteor"]
         with pytest.raises(UnsupportedPlanError):
             plan_from_doc(plan)
+        # A misspelled field would otherwise leave its default in force.
+        for name, value in (("sample", 5), ("seed", 3), ("fer_grid", [[0.1]])):
+            doc = {**plan_to_doc(plan_for(BCUBE_2x2, FailureType.LINK)), name: value}
+            with pytest.raises(UnsupportedPlanError, match=f"unknown field {name}$"):
+                plan_from_doc(doc)
