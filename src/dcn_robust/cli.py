@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -211,7 +212,7 @@ def _load_capacity(args: argparse.Namespace, topology: Topology):
     if name in ("google", "synthetic"):
         classes = builtin_dataset(name)
     else:
-        classes = load_dataset(Path(name).read_text(encoding="utf-8"), origin=name)
+        classes = load_dataset(_read_text(Path(name)), origin=name)
     return assign_capacities(topology, classes, args.placement)
 
 
@@ -252,12 +253,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text in *path*; other bytes are a configuration error
+    naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_json(path: Path):
     """The JSON document in *path*; a file that is not JSON is a
     configuration error naming the file."""
+    text = _read_text(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        return json.loads(text)
+    except ValueError as exc:
         raise ConfigurationError(f"{path}: not a JSON document: {exc}") from exc
 
 
@@ -282,7 +293,8 @@ def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
 
 
 def _cmd_mttf(args: argparse.Namespace) -> int:
-    plan = _plan_from_args(args)
+    # An MTTF run evaluates no metric, so its plan and echo name none.
+    plan = replace(_plan_from_args(args), metrics=())
     result = simulate_nmttf(plan)
     rows = reliability_rows(result)
     notes = (result.note,) if result.note else ()

@@ -43,6 +43,13 @@ CSV_COLUMNS = (
 _COLUMN_NUMBER = {name: number for number, name in enumerate(CSV_COLUMNS, 1)}
 # The columns that name a JSON series; its points hold the others.
 _SERIES_KEY = ("topology", "params", "failure_type", "metric")
+# Where a row sits: its FER values and normalized time.
+_AXES = CSV_COLUMNS[CSV_COLUMNS.index("failure_type") + 1 : CSV_COLUMNS.index("metric")]
+# gnuplot's x axis is the first FER column a report fills, fer_link last:
+# a link x switch sweep draws one curve per fer_link value.
+_X_AXES = sorted(
+    (name for name in _AXES if name.startswith("fer_")), key=lambda name: name == "fer_link"
+)
 _TOOL = "dcn-robust"
 
 
@@ -103,7 +110,7 @@ def _point_doc(row: MetricSample) -> dict:
         "ci95_half": row.ci95_half_width,
         "samples": row.samples,
     }
-    for name in ("fer_link", "fer_switch", "fer_server", "normalized_time"):
+    for name in _AXES:
         value = getattr(row, name)
         if value is not None:
             doc[name] = value
@@ -138,7 +145,7 @@ def gnuplot_script(csv_path: str, report: Report) -> str:
     metrics = list(dict.fromkeys(row.metric for row in report.rows))
     axes = [
         axis
-        for axis in ("fer_switch", "fer_server", "fer_link")
+        for axis in _X_AXES
         if any(getattr(row, axis) is not None for row in report.rows)
     ]
     col = _COLUMN_NUMBER

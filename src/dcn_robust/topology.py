@@ -1,8 +1,10 @@
 """Generators for the four data-center network topologies.
 
-Each builder produces an immutable :class:`Topology`: servers and switches
-with stable integer ids (servers first, then switches, both in generator
-traversal order), a canonical sorted edge list, and a default gateway set
+:func:`build_topology` is the one construction path; the per-kind builders
+are shorthand for it. It returns an immutable :class:`Topology` holding the
+caller's own params object, servers and switches with stable integer ids
+(servers first, then switches, both in generator traversal order), a
+canonical sorted edge list, and a default gateway set
 (all top-level switches). Identical parameters always produce identical
 topologies, bit-for-bit in serialized form, and a topology document
 parses only as the topology its params build: a topology is a function
@@ -256,14 +258,6 @@ def derived(fn):
     return cached
 
 
-def _top_layer_tag(params: TopologyParams) -> str:
-    if params.kind in (TopologyKind.THREE_LAYER, TopologyKind.FAT_TREE):
-        return LAYER_CORE
-    if params.kind is TopologyKind.BCUBE:
-        return level_layer(params.l or 0)
-    return level_layer(0)  # dcell: every switch sits at the (single) top level
-
-
 def _select_gateways(top_level: np.ndarray, policy: GatewayPolicy) -> np.ndarray:
     if policy.mode == "max":
         return top_level
@@ -275,23 +269,100 @@ def _select_gateways(top_level: np.ndarray, policy: GatewayPolicy) -> np.ndarray
     return top_level[:g]  # smallest node ids, deterministic
 
 
-def _finish(
-    params: TopologyParams,
-    n_servers: int,
-    switch_layers: list[str],
-    edges: list[tuple[int, int]],
-) -> Topology:
-    arr = np.array([(u, v) if u < v else (v, u) for u, v in edges], dtype=np.int64)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    tag = _top_layer_tag(params)
-    top_level = np.array(
-        [n_servers + i for i, layer in enumerate(switch_layers) if layer == tag], dtype=np.int64
-    )
+# Each generator lays out one kind from its params: it returns the switch
+# layers (switch ids follow the servers, in layer order), the edges, in any
+# orientation and order, and the layer tag its gateways come from.
+
+
+def _three_layer(params: TopologyParams):
+    n_a, n_e, pairs = params.n_a, params.n_e, params.pairs
+    s = params.n_servers  # the two cores, then the aggregation pairs, then the edge switches
+    layers = [LAYER_CORE] * 2 + [LAYER_AGGREGATION] * (2 * pairs) + [LAYER_EDGE] * (pairs * n_a)
+    edges = [(s, s + 1)] if params.include_core_core_link else []
+    for p in range(pairs):
+        a, b = s + 2 + 2 * p, s + 3 + 2 * p  # the pair, linked to each other and both cores
+        edges += [(a, b), (s, a), (s, b), (s + 1, a), (s + 1, b)]
+        for e in range(p * n_a, (p + 1) * n_a):
+            esw = s + 2 + 2 * pairs + e
+            edges += [(a, esw), (b, esw)]
+            edges += [(server, esw) for server in range(e * n_e, (e + 1) * n_e)]
+    return layers, edges, LAYER_CORE
+
+
+def _fat_tree(params: TopologyParams):
+    n, half = params.n, params.n // 2
+    s = params.n_servers  # core (i, j) is s + i*half + j; the n pods follow
+    layers = [LAYER_CORE] * (half * half) + ([LAYER_AGGREGATION] * half + [LAYER_EDGE] * half) * n
+    edges = []
+    for p in range(n):
+        pod = s + half * half + p * n  # its aggregation switches, then its edge switches
+        for i in range(half):
+            agg, esw, first = pod + i, pod + half + i, (p * half + i) * half
+            edges += [(agg, pod + half + e) for e in range(half)]
+            edges += [(s + i * half + j, agg) for j in range(half)]
+            edges += [(server, esw) for server in range(first, first + half)]
+    return layers, edges, LAYER_CORE
+
+
+def _bcube(params: TopologyParams):
+    n, l = params.n, params.l
+    per_level = n**l
+    servers = np.arange(params.n_servers, dtype=np.int64)
+    layers = [level_layer(k) for k in range(l + 1) for _ in range(per_level)]
+    # The level-k port of server i connects to the level-k switch whose index
+    # is i with base-n digit k removed.
+    edges = []
+    for k in range(l + 1):
+        stride = n**k
+        level_base = params.n_servers + k * per_level
+        m = (servers // (stride * n)) * stride + servers % stride
+        edges.append(np.column_stack((servers, level_base + m)))
+    return layers, np.concatenate(edges), level_layer(l)
+
+
+def _dcell(params: TopologyParams):
+    n, l = params.n, params.l
+    t = [dcell_server_count(n, k) for k in range(l + 1)]  # servers in a level-k cell
+    n_servers = params.n_servers
+    layers = [level_layer(0)] * (n_servers // n)
+
+    edges: list[tuple[int, int]] = [(i, n_servers + i // n) for i in range(n_servers)]
+
+    def link_level(level: int, base: int) -> None:
+        if level == 0:
+            return
+        sub = t[level - 1]
+        g = sub + 1  # number of level-(l-1) cells in a level-l cell
+        for i in range(g):
+            for j in range(i + 1, g):
+                edges.append((base + i * sub + (j - 1), base + j * sub + i))
+        for i in range(g):
+            link_level(level - 1, base + i * sub)
+
+    link_level(l, 0)
+    return layers, edges, level_layer(0)  # every switch sits at the one level
+
+
+_GENERATORS = {
+    TopologyKind.THREE_LAYER: _three_layer,
+    TopologyKind.FAT_TREE: _fat_tree,
+    TopologyKind.BCUBE: _bcube,
+    TopologyKind.DCELL: _dcell,
+}
+
+
+def build_topology(params: TopologyParams) -> Topology:
+    """The topology *params* build; the one construction path, of which
+    the per-kind builders are shorthand."""
+    layers, edges, top = _GENERATORS[params.kind](params)
+    arr = np.sort(np.asarray(edges, dtype=np.int64), axis=1)  # u < v
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    n_servers = params.n_servers
+    top_level = n_servers + np.flatnonzero(np.array(layers) == top).astype(np.int64)
     return Topology(
         params=params,
         n_servers=n_servers,
-        switch_layers=tuple(switch_layers),
+        switch_layers=tuple(layers),
         edges_u=np.ascontiguousarray(arr[:, 0]),
         edges_v=np.ascontiguousarray(arr[:, 1]),
         gateways=_select_gateways(top_level, params.gateway_policy),
@@ -307,147 +378,30 @@ def build_three_layer(
 ) -> Topology:
     """Two core switches over `pairs` aggregation pairs, n_a edge switches
     per pair and n_e servers per edge switch."""
-    params = TopologyParams(
-        kind=TopologyKind.THREE_LAYER,
-        n_a=n_a,
-        n_e=n_e,
-        pairs=pairs,
-        include_core_core_link=include_core_core_link,
-        gateway_policy=gateway_policy or GatewayPolicy.max_density(),
-    )
-    n_servers = params.n_servers
-    s = n_servers  # first switch id
-
-    core = [s, s + 1]
-    agg = [s + 2 + i for i in range(2 * pairs)]
-    edge = [s + 2 + 2 * pairs + i for i in range(pairs * n_a)]
-    layers = (
-        [LAYER_CORE] * 2 + [LAYER_AGGREGATION] * (2 * pairs) + [LAYER_EDGE] * (pairs * n_a)
-    )
-
-    edges: list[tuple[int, int]] = []
-    for p in range(pairs):
-        pair_agg = (agg[2 * p], agg[2 * p + 1])
-        edges.append(pair_agg)  # aggregation pair interconnect
-        for c in core:
-            edges.append((c, pair_agg[0]))
-            edges.append((c, pair_agg[1]))
-        for e in range(n_a):
-            esw = edge[p * n_a + e]
-            edges.append((pair_agg[0], esw))
-            edges.append((pair_agg[1], esw))
-            base = (p * n_a + e) * n_e
-            for port in range(n_e):
-                edges.append((base + port, esw))
-    if include_core_core_link:
-        edges.append((core[0], core[1]))
-
-    return _finish(params, n_servers, layers, edges)
+    policy = gateway_policy or GatewayPolicy.max_density()
+    return build_topology(TopologyParams(
+        TopologyKind.THREE_LAYER, n_a=n_a, n_e=n_e, pairs=pairs,
+        include_core_core_link=include_core_core_link, gateway_policy=policy,
+    ))
 
 
 def build_fat_tree(n: int, gateway_policy: GatewayPolicy | None = None) -> Topology:
     """n-port folded-Clos fabric: (n/2)^2 cores, n pods, n^3/4 servers."""
-    params = TopologyParams(
-        kind=TopologyKind.FAT_TREE,
-        n=n,
-        gateway_policy=gateway_policy or GatewayPolicy.max_density(),
-    )
-    half = n // 2
-    n_servers = params.n_servers
-    s = n_servers
-
-    core = [s + i for i in range(half * half)]  # core (i, j) -> s + i*half + j
-    layers = [LAYER_CORE] * (half * half)
-    edges: list[tuple[int, int]] = []
-    for p in range(n):
-        pod_base = s + half * half + p * n
-        aggs = [pod_base + a for a in range(half)]
-        edgs = [pod_base + half + e for e in range(half)]
-        layers.extend([LAYER_AGGREGATION] * half)
-        layers.extend([LAYER_EDGE] * half)
-        for a_idx, a in enumerate(aggs):
-            for e in edgs:
-                edges.append((a, e))
-            for j in range(half):
-                edges.append((core[a_idx * half + j], a))
-        for e_idx, e in enumerate(edgs):
-            base = (p * half + e_idx) * half
-            for port in range(half):
-                edges.append((base + port, e))
-
-    return _finish(params, n_servers, layers, edges)
+    policy = gateway_policy or GatewayPolicy.max_density()
+    return build_topology(TopologyParams(TopologyKind.FAT_TREE, n=n, gateway_policy=policy))
 
 
 def build_bcube(n: int, l: int, gateway_policy: GatewayPolicy | None = None) -> Topology:
     """Recursive server-centric fabric: n^(l+1) servers, l+1 switch levels."""
-    params = TopologyParams(
-        kind=TopologyKind.BCUBE,
-        n=n,
-        l=l,
-        gateway_policy=gateway_policy or GatewayPolicy.max_density(),
-    )
-    n_servers = params.n_servers
-    per_level = n**l
-    s = n_servers
-
-    layers: list[str] = []
-    for k in range(l + 1):
-        layers.extend([level_layer(k)] * per_level)
-
-    # The level-k port of server i connects to the level-k switch whose index
-    # is i with base-n digit k removed.
-    edges: list[tuple[int, int]] = []
-    for k in range(l + 1):
-        stride = n**k
-        level_base = s + k * per_level
-        for i in range(n_servers):
-            m = (i // (stride * n)) * stride + (i % stride)
-            edges.append((i, level_base + m))
-
-    return _finish(params, n_servers, layers, edges)
+    policy = gateway_policy or GatewayPolicy.max_density()
+    return build_topology(TopologyParams(TopologyKind.BCUBE, n=n, l=l, gateway_policy=policy))
 
 
 def build_dcell(n: int, l: int, gateway_policy: GatewayPolicy | None = None) -> Topology:
     """Recursive server-linked fabric: cells of n servers plus one switch,
     with one direct server-server link per pair of sub-cells at each level."""
-    params = TopologyParams(
-        kind=TopologyKind.DCELL,
-        n=n,
-        l=l,
-        gateway_policy=gateway_policy or GatewayPolicy.max_density(),
-    )
-    t = [dcell_server_count(n, k) for k in range(l + 1)]  # servers in a level-k cell
-    n_servers = params.n_servers
-    n_cells = n_servers // n
-    s = n_servers
-    layers = [level_layer(0)] * n_cells
-
-    edges: list[tuple[int, int]] = [(i, s + i // n) for i in range(n_servers)]
-
-    def link_level(level: int, base: int) -> None:
-        if level == 0:
-            return
-        sub = t[level - 1]
-        g = sub + 1  # number of level-(l-1) cells in a level-l cell
-        for i in range(g):
-            for j in range(i + 1, g):
-                edges.append((base + i * sub + (j - 1), base + j * sub + i))
-        for i in range(g):
-            link_level(level - 1, base + i * sub)
-
-    link_level(l, 0)
-    return _finish(params, n_servers, layers, edges)
-
-
-def build_topology(params: TopologyParams) -> Topology:
-    """Dispatch to the matching generator."""
-    builder = {
-        TopologyKind.THREE_LAYER: build_three_layer,
-        TopologyKind.FAT_TREE: build_fat_tree,
-        TopologyKind.BCUBE: build_bcube,
-        TopologyKind.DCELL: build_dcell,
-    }[params.kind]
-    return builder(**params.construction_fields(), gateway_policy=params.gateway_policy)
+    policy = gateway_policy or GatewayPolicy.max_density()
+    return build_topology(TopologyParams(TopologyKind.DCELL, n=n, l=l, gateway_policy=policy))
 
 
 def gateway_ports(topology: Topology) -> int:

@@ -339,6 +339,37 @@ class TestCli:
         )
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--topology", "fat-tree", "--n", "4", "--remove-richest", "cpu"],
+            ["sweep", "--topology", "bcube", "--n", "2", "--l", "1", "--failure", "link",
+             "--fer", "0.1", "--metrics", "rcr_cpu", "--samples", "2"],
+        ],
+        ids=["capacity", "sweep"],
+    )
+    def test_dataset_file_that_is_not_utf8_exit_3(self, argv, tmp_path, capsys):
+        path = tmp_path / "classes.csv"
+        path.write_bytes("type_number,cpu,memory,fraction\n1,1.0,1.0,1.0\n".encode("utf-16"))
+        assert main([*argv, "--dataset", str(path)]) == 3
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_mttf_plan_echo_names_no_metric_and_reruns_to_the_same_report(self, tmp_path):
+        first, again, other = (tmp_path / f"{name}.json" for name in ("first", "again", "other"))
+        argv = ["mttf", *TINY_THREE_LAYER, "--failure", "link", "--samples", "4", "--format",
+                "json"]
+        assert main([*argv, "--out", str(first)]) == 0
+        plan = json.loads(first.read_text())["plan"]
+        assert plan["metrics"] == []
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(["mttf", "--plan", str(path), "--format", "json", "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+        # A plan that names sweep metrics runs the same MTTF and echoes none.
+        path.write_text(json.dumps({**plan, "metrics": ["aspl", "rcr_cpu"]}))
+        assert main(["mttf", "--plan", str(path), "--format", "json", "--out", str(other)]) == 0
+        assert other.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize(
         "command, bad",
         [
             (["sweep", "--failure", "link", "--fer", "0.1,abc"], "'abc'"),
@@ -995,7 +1026,7 @@ GOLDEN_RUNS = {
     "mttf-json": (
         ["mttf", "--topology", "dcell", "--n", "3", "--l", "1", "--failure", "switch",
          "--samples", "20", "--seed", "7", "--format", "json"],
-        {"stdout": "f73c3f7f4fedf5bc23f52bb25b9ef8f8a3f6a2d2255ddb49fa8cd5f60e75fc7f"},
+        {"stdout": "3acc9279cb2cb8a2639cee495da3947f1df62cac3457d35d4f9f44cd1a91e4ef"},
     ),
     "sweep-gnuplot": (
         ["sweep", "--topology", "fat-tree", "--n", "4", "--failure", "link", "--fer", "0,0.2",

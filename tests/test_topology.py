@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -366,3 +367,33 @@ def test_params_round_trip_through_their_document(params, policy):
 @pytest.mark.parametrize("params", PARAM_GRID, ids=param_id)
 def test_n_servers_matches_the_construction_rules(params):
     assert params.n_servers == closed_form_counts(params)[0]
+
+
+# Every size the benchmark's workloads (perfbench/workloads.py) build.
+WORKLOAD_SIZES = [
+    TopologyParams(kind=TopologyKind.THREE_LAYER, n_a=12, n_e=48, pairs=6),
+    TopologyParams(kind=TopologyKind.FAT_TREE, n=24),
+    TopologyParams(kind=TopologyKind.FAT_TREE, n=26),
+    TopologyParams(kind=TopologyKind.BCUBE, n=15, l=2),
+    TopologyParams(kind=TopologyKind.BCUBE, n=5, l=4),
+    TopologyParams(kind=TopologyKind.DCELL, n=58, l=1),
+    TopologyParams(kind=TopologyKind.DCELL, n=7, l=2),
+]
+# sha256 of the serialized builds below. It pins every generator's bytes:
+# never regenerate it to make a generator change pass.
+GENERATOR_BYTES_SHA256 = "46fcdf7f982204c55a0f15457dfc36714d126412bc3cc68dce371a24917b2abd"
+
+
+def test_generators_keep_their_bytes():
+    digest = hashlib.sha256()
+    for base in PARAM_GRID + WORKLOAD_SIZES:
+        top = len(build_topology(base).gateways)  # the default policy takes them all
+        for policy in ("max", "min", f"count={max(1, top // 2)}"):
+            params = replace(base, gateway_policy=GatewayPolicy.parse(policy))
+            digest.update(serialize_topology(build_topology(params)).encode())
+    assert digest.hexdigest() == GENERATOR_BYTES_SHA256
+
+
+@pytest.mark.parametrize("params", PARAM_GRID[::5], ids=param_id)
+def test_build_topology_keeps_the_callers_params(params):
+    assert build_topology(params).params is params
