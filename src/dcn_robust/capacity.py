@@ -233,12 +233,10 @@ def assign_capacities(
         fill = np.concatenate(
             [np.full(counts[i], i, dtype=np.int64) for i in order if counts[i]]
         )
-        # Modules are contiguous server-id ranges, so filling in id order
-        # packs same-class servers module by module.
-        position = 0
-        for module in modules:
-            class_ids[module] = fill[position : position + len(module)]
-            position += len(module)
+        # Modules are consecutive server-id ranges that cover every server
+        # in order, so filling in id order packs same-class servers module
+        # by module.
+        class_ids[:] = fill
     else:
         # Round-robin one instance at a time; a full module drops out of
         # the rotation. Per-module class counts differ by at most one

@@ -118,11 +118,11 @@ _PLAN_OPTIONS = {
 }
 
 
-def _add_plan(sub: argparse.ArgumentParser, grid, samples: int, metrics: str = "asr") -> None:
+def _add_plan(sub: argparse.ArgumentParser, grid, samples: int, metrics: tuple[str, ...]) -> None:
     """The options shared by every command that runs an experiment plan.
     *grid* reads the command's failure types, grids and class ratios from
     the arguments. Plan options default to None, so that a given one is
-    refused next to --plan; *samples* and *metrics* are the defaults."""
+    refused next to --plan; *samples* and *metrics* are their defaults, and a document's."""
     _add_topology(sub)
     sub.add_argument("--seed", type=int, help="master RNG seed (default 0)")
     sub.add_argument("--samples", type=int, help=f"samples per point (default {samples})")
@@ -136,7 +136,7 @@ def _add_plan(sub: argparse.ArgumentParser, grid, samples: int, metrics: str = "
 def _add_sweep(commands, name: str, help: str, grid, metrics: str = "asr"):
     """A sweep subcommand, run by :func:`_cmd_sweep`."""
     sub = commands.add_parser(name, help=help)
-    _add_plan(sub, grid, DEFAULT_SWEEP_SAMPLES, metrics)
+    _add_plan(sub, grid, DEFAULT_SWEEP_SAMPLES, tuple(metrics.split(",")))
     sub.add_argument("--metrics", help=f"comma-separated metric names (default {metrics})")
     sub.add_argument(
         "--gnuplot",
@@ -151,7 +151,8 @@ def _add_sweep(commands, name: str, help: str, grid, metrics: str = "asr"):
 def _required(args: argparse.Namespace, dest: str):
     value = getattr(args, dest)
     if value is None:
-        raise UnsupportedPlanError(f"{_PLAN_OPTIONS[dest]} is required (or provide --plan)")
+        alternative = " (or provide --plan)" if hasattr(args, "plan") else ""
+        raise UnsupportedPlanError(f"{_PLAN_OPTIONS[dest]} is required{alternative}")
     return value
 
 
@@ -273,12 +274,16 @@ def _read_json(path: Path):
 
 
 def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
-    """The plan document given with --plan, or the plan the options make."""
+    """The plan document given with --plan, or the plan the options make;
+    a document's omitted samples and metrics are the command's defaults."""
     if args.plan is not None:
         for dest, flag in _PLAN_OPTIONS.items():
             if getattr(args, dest, None) is not None:
                 raise UnsupportedPlanError(f"{flag} cannot be given with --plan, which replaces it")
-        return plan_from_doc(_read_json(args.plan))
+        doc = _read_json(args.plan)
+        if isinstance(doc, dict):
+            doc = {"samples": args.default_samples, "metrics": list(args.default_metrics), **doc}
+        return plan_from_doc(doc)
     failures, grids, ratios = args.grid(args)
     metrics = getattr(args, "metrics", None)  # mttf has no --metrics
     return ExperimentPlan(
@@ -287,7 +292,7 @@ def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
         fer_grids=grids,
         samples=args.default_samples if args.samples is None else args.samples,
         master_seed=0 if args.seed is None else args.seed,
-        metrics=tuple((args.default_metrics if metrics is None else metrics).split(",")),
+        metrics=args.default_metrics if metrics is None else tuple(metrics.split(",")),
         class_ratios=ratios,
     )
 
@@ -484,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(handler=_cmd_gen)
 
     mttf = commands.add_parser("mttf", help="simulate time to the first disconnection")
-    _add_plan(mttf, _failure_only, DEFAULT_NMTTF_SAMPLES)
+    _add_plan(mttf, _failure_only, DEFAULT_NMTTF_SAMPLES, ())
     mttf.add_argument("--failure", choices=("link", "switch"), help="required unless --plan")
     mttf.set_defaults(handler=_cmd_mttf)
 

@@ -7,16 +7,17 @@ evaluated against many degradations concurrently.
 
 One engine serves both APIs: ``_alive_after`` builds the alive masks of a
 set of removals, ``_partition_arrays`` turns them into a
-``SubnetworkPartition`` that keeps the graph it labelled, and each metric
-has one formula over it that ``evaluate`` (the simulation hot path) and
-the object-level functions share.
+``SubnetworkPartition`` (the servers that reach a gateway, and the
+surviving graph), and each metric has one formula over it that
+``evaluate`` (the simulation hot path) and the object-level API share.
 
 Graphs are plain CSR arrays (``CsrGraph``) sliced from one cached pattern
-per topology, and every traversal is numpy: components by min-label
-propagation, ASPL by a bit-parallel BFS, the critical-point probe by a
-BFS tree of the intact cluster graph, cut at its dead slots, then pull
-rounds that reach what those cut off over the live slots. No scipy is
-imported.
+per topology, and every traversal is numpy. One reach kernel (``_reach``)
+serves the partition and the critical-point probe: a BFS tree of the
+intact graph, cut at its dead slots, then pull rounds that reach what
+those cut off over the live slots. Components are labelled by min-label
+propagation, for server connectivity alone, and ASPL is a bit-parallel
+BFS. No scipy is imported.
 """
 
 from __future__ import annotations
@@ -164,57 +165,25 @@ def _subgraph(topology: Topology, edge_alive: np.ndarray) -> CsrGraph:
 
 @dataclass(frozen=True)
 class SubnetworkPartition:
-    """Connected components of the surviving graph, flagged by gateway access.
+    """The servers that reach a surviving gateway, and the surviving graph.
 
-    The fields are the arrays of one connected-components call over the
-    full node index space, and the surviving-link graph it labelled; the
-    node-set views are built on first use.
+    The graph's components are labelled on first use, for server
+    connectivity alone.
     """
 
-    labels: np.ndarray  # component label per node (removed nodes isolated)
-    node_alive: np.ndarray
-    accessible_component: np.ndarray  # bool per component label
-    server_counts: np.ndarray  # surviving servers per component label
+    accessible_server_mask: np.ndarray  # bool per original server id
     n_servers_total: int
     graph: CsrGraph  # surviving links, both directions
 
     @cached_property
-    def accessible_server_mask(self) -> np.ndarray:
-        """Bool per original server id: alive and in an accessible component."""
-        n = self.n_servers_total
-        return self.node_alive[:n] & self.accessible_component[self.labels[:n]]
-
-    @cached_property
     def _accessible_counts(self) -> np.ndarray:
-        """Surviving servers per accessible component, in label order."""
-        return self.server_counts[self.accessible_component]
+        """Accessible servers per component label of ``graph``."""
+        labels = _component_labels(self.graph)[1][: self.n_servers_total]
+        return np.bincount(labels[self.accessible_server_mask])
 
     @property
     def accessible_server_total(self) -> int:
-        return int(self._accessible_counts.sum())
-
-    @cached_property
-    def _live_labels(self) -> np.ndarray:
-        """Labels of the components that hold a surviving node, ascending."""
-        return np.unique(self.labels[self.node_alive])
-
-    @cached_property
-    def components(self) -> tuple[frozenset[int], ...]:
-        """Surviving nodes of each component, in label order."""
-        alive = np.flatnonzero(self.node_alive)
-        alive = alive[np.argsort(self.labels[alive], kind="stable")]
-        starts = np.searchsorted(self.labels[alive], self._live_labels)
-        return tuple(frozenset(g.tolist()) for g in np.split(alive, starts)[1:])
-
-    @cached_property
-    def accessible(self) -> tuple[int, ...]:
-        """Indices into ``components`` of those that reach a gateway."""
-        return tuple(np.flatnonzero(self.accessible_component[self._live_labels]).tolist())
-
-    @cached_property
-    def accessible_server_counts(self) -> tuple[int, ...]:
-        """s_k per accessible component, aligned with ``accessible``."""
-        return tuple(self._accessible_counts.tolist())
+        return int(np.count_nonzero(self.accessible_server_mask))
 
 
 def _component_labels(graph: CsrGraph) -> tuple[int, np.ndarray]:
@@ -250,23 +219,6 @@ def _component_labels(graph: CsrGraph) -> tuple[int, np.ndarray]:
             break
     first = np.cumsum(label == np.arange(len(label))) - 1
     return int(first[-1]) + 1, first[label]
-
-
-def _partition_arrays(
-    topology: Topology, node_alive: np.ndarray, edge_alive: np.ndarray
-) -> SubnetworkPartition:
-    graph = _subgraph(topology, edge_alive)
-    n_comp, labels = _component_labels(graph)
-    alive_gateways = topology.gateways[node_alive[topology.gateways]]
-    accessible = np.zeros(n_comp, dtype=bool)
-    accessible[labels[alive_gateways]] = True
-    server_alive = node_alive[: topology.n_servers]
-    server_counts = np.bincount(
-        labels[: topology.n_servers][server_alive], minlength=n_comp
-    )
-    return SubnetworkPartition(
-        labels, node_alive, accessible, server_counts, topology.n_servers, graph
-    )
 
 
 def _probe_view(graph: CsrGraph, clusters: int) -> tuple:
@@ -306,6 +258,42 @@ def _probe_view(graph: CsrGraph, clusters: int) -> tuple:
     return indices, indptr, slot, owner, target, np.flatnonzero(~cut), tuple(tree[:-1])
 
 
+@derived
+def _server_view(topology: Topology) -> tuple:
+    """The ``_probe_view`` of ``_pattern`` with each server its own cluster."""
+    return _probe_view(CsrGraph(*_pattern(topology)[:2]), topology.n_servers)
+
+
+def _reach(view: tuple, alive: np.ndarray, until: np.ndarray | None = None) -> np.ndarray:
+    """Per node of the ``_probe_view`` *view*, whether it reaches the root
+    over the slots *alive* flags, pendants aside: exact for every node at
+    the fixpoint, or for the nodes of *until* once all of them are reached.
+
+    The view's BFS tree seeds the search, one pass per layer: a node is
+    reached when its parent is and its tree slot is live. Then each pull
+    round gathers the slots of the nodes still unreached and reaches those
+    with a live slot to a reached node, until every node of *until* is
+    reached or a round reaches nothing new (Beamer, Asanovic and Patterson,
+    "Direction-Optimizing Breadth-First Search", SC 2012). The seed holds
+    only nodes with a live path, and at the fixpoint the first unreached
+    node on any live path would have a reached, live neighbour.
+    """
+    indices, indptr, slot, _, _, rows, tree = view  # rows: the kept nodes
+    reached = np.zeros(len(indptr) - 1, dtype=bool)
+    reached[-1] = True
+    for node, parent, tree_slot in tree:
+        reached[node] = reached[parent] & alive[tree_slot]
+    while until is None or not reached[until].all():
+        rows = rows[~reached[rows]]
+        slots, bounds = _row_slots(indptr, rows)
+        pulled = alive[slot[slots]] & reached[indices[slots]]
+        fresh = np.repeat(rows, np.diff(bounds))[pulled]
+        if not len(fresh):
+            break
+        reached[fresh] = True
+    return reached
+
+
 def _all_servers_reach_gateway(graph: tuple, alive: np.ndarray) -> bool:
     """True iff every server reaches a surviving gateway, over the
     ``_probe_view`` *graph* of a cluster graph whose live slots *alive*
@@ -313,39 +301,32 @@ def _all_servers_reach_gateway(graph: tuple, alive: np.ndarray) -> bool:
     the simulation's cut bound or widest paths give.
 
     A cluster with no live slot is stranded, so the probe fails at once.
-    Otherwise the view's BFS tree seeds the search, one pass per layer: a
-    node is reached when its parent is and its tree slot is live. Then
-    each pull round gathers the slots of the nodes still unreached and
-    reaches those with a live slot to a reached node, until every target
-    is reached or a round reaches nothing new (Beamer, Asanovic and
-    Patterson, "Direction-Optimizing Breadth-First Search", SC 2012).
-    The seed holds only nodes with a live path, and at the fixpoint the
-    first unreached node on any live path would have a reached, live
-    neighbour, so the answer is exact.
+    Otherwise it is ``_reach``, stopped once every target is reached.
     """
-    indices, indptr, slot, owner, target, kept, tree = graph
+    owner, target = graph[3], graph[4]
     linked = np.zeros(owner[-1] + 1, dtype=bool)
     linked[owner[alive[: len(owner)]]] = True
-    if not linked.all():
-        return False
-    reached = np.zeros(len(indptr) - 1, dtype=bool)
-    reached[-1] = True
-    for node, parent, tree_slot in tree:
-        reached[node] = reached[parent] & alive[tree_slot]
-    rows = kept
-    while not reached[target].all():
-        rows = rows[~reached[rows]]
-        slots, bounds = _row_slots(indptr, rows)
-        pulled = alive[slot[slots]] & reached[indices[slots]]
-        fresh = np.repeat(rows, np.diff(bounds))[pulled]
-        if not len(fresh):
-            return False
-        reached[fresh] = True
-    return True
+    return bool(linked.all() and _reach(graph, alive, target)[target].all())
+
+
+def _partition_arrays(
+    topology: Topology, node_alive: np.ndarray, edge_alive: np.ndarray
+) -> SubnetworkPartition:
+    """The live servers ``_reach`` joins to the root of the ``_server_view``,
+    a ``_pattern`` slot live while its link, or gateway, is. A server with
+    its first slot live to a reached node is reached too: every server has
+    a link, and a pendant's one slot joins it to its anchor."""
+    indices, indptr, slot_edge = _pattern(topology)
+    alive = np.concatenate([edge_alive, node_alive[topology.gateways]])[slot_edge]
+    reached = _reach(_server_view(topology), alive)
+    n = topology.n_servers
+    first = indptr[:n]
+    mask = node_alive[:n] & (reached[:n] | (alive[first] & reached[indices[first]]))
+    return SubnetworkPartition(mask, n, _subgraph(topology, edge_alive))
 
 
 def partition(degraded: DegradedNetwork) -> SubnetworkPartition:
-    """Label surviving components and mark the operational ones."""
+    """The servers that still reach a gateway, and the surviving graph."""
     return _partition_arrays(degraded.topology, degraded.node_alive, degraded.edge_alive)
 
 
@@ -384,7 +365,7 @@ def average_shortest_path_length(
     part: SubnetworkPartition, *, rng: np.random.Generator | None = None
 ) -> AsplEstimate:
     """Mean hop count between accessible servers of the same component of
-    *part*, over the surviving-link graph it labelled.
+    *part*, over its surviving-link graph.
 
     Both modes fold each single-link server into its neighbour plus one
     hop (``_fold``), run one bit-parallel multi-source BFS (``_bit_bfs``)

@@ -400,7 +400,10 @@ def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ..
 
 @derived
 def _cluster_probe(topo: Topology, failure: FailureType) -> tuple:
-    """The ``reachability._probe_view`` of ``_cluster_graph``."""
+    """The ``reachability._probe_view`` of ``_cluster_graph``: under link
+    failures, the partition's own ``reachability._server_view``."""
+    if failure is not FailureType.SWITCH:
+        return reachability._server_view(topo)
     indices, indptr, _, cluster = _cluster_graph(topo, failure)
     return reachability._probe_view(reachability.CsrGraph(indices, indptr), cluster.max() + 1)
 
@@ -664,7 +667,7 @@ def _sweep(
     point's RNG stream index is its position in *points*.
     """
     capacities = _plan_capacities(plan, capacity_assignment)
-    reachability._pattern(_cached_topology(plan.params))  # forked workers inherit it
+    reachability._server_view(_cached_topology(plan.params))  # forked workers inherit it
     workers = resolve_workers(workers)
     spans = _chunks(plan.samples, workers)
     tasks = [

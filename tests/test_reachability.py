@@ -23,14 +23,16 @@ from dcn_robust.reachability import (
     _aspl_sampled,
     _bfs_distances,
     _bit_bfs,
+    _component_labels,
     _fold,
     _linked_first,
     _partition_arrays,
     _popcount,
     _subgraph,
 )
-from dcn_robust.simulation import _element_pool, sample_rng
+from dcn_robust.simulation import ElementClass, _element_pool, sample_rng
 from dcn_robust.topology import (
+    TopologyKind,
     build_bcube,
     build_dcell,
     build_fat_tree,
@@ -129,6 +131,13 @@ def removed_links(topo, rng, count):
     return {(int(topo.edges_u[i]), int(topo.edges_v[i])) for i in idx}
 
 
+def accessible_counts(part):
+    """Accessible servers per component of the partition's graph that
+    holds one, in label order."""
+    labels = _component_labels(part.graph)[1][: part.n_servers_total]
+    return np.unique(labels[part.accessible_server_mask], return_counts=True)[1].tolist()
+
+
 def split_fabric(topo, rng):
     """Link removals leaving several server-holding components, some with
     a surviving gateway and some without."""
@@ -137,9 +146,9 @@ def split_fabric(topo, rng):
             topo, removed_links=removed_links(topo, rng, rng.integers(1, topo.n_links))
         )
         part = partition(degraded)
-        holding = np.unique(part.labels[: topo.n_servers])
-        gated = part.accessible_component[holding]
-        if len(holding) >= 2 and gated.any() and not gated.all():
+        holding = len(np.unique(_component_labels(part.graph)[1][: topo.n_servers]))
+        gated = len(accessible_counts(part))
+        if holding >= 2 and 0 < gated < holding:
             return degraded
     raise AssertionError("no split found")
 
@@ -148,25 +157,25 @@ class TestPartition:
     def test_failure_free_single_component(self, tiny_topologies):
         for topo in tiny_topologies.values():
             part = partition(DegradedNetwork(topo))
-            assert len(part.components) == 1
-            assert part.accessible == (0,)
-            assert part.accessible_server_counts == (topo.n_servers,)
+            assert _component_labels(part.graph)[0] == 1
+            assert accessible_counts(part) == [topo.n_servers]
             assert accessible_server_ratio(part) == 1.0
             assert server_connectivity(part) == 1.0
 
     def test_single_switch_cell_loses_everything(self):
         topo = build_bcube(2, 0)
         part = partition(DegradedNetwork(topo, removed_switches={2}))
-        assert part.accessible == ()
+        assert accessible_counts(part) == []
         assert accessible_server_ratio(part) == 0.0
         # the two servers survive as isolated components
-        assert len(part.components) == 2
+        labels = _component_labels(part.graph)[1]
+        assert labels[0] != labels[1] and not part.graph.indices.size
 
     def test_three_layer_losing_an_aggregation_pair_drops_its_module(self):
         topo = build_three_layer(2, 3, 2)  # 12 servers, 2 modules of 6
         pair = {topo.n_servers + 2, topo.n_servers + 3}
         part = partition(DegradedNetwork(topo, removed_switches=pair))
-        assert len(part.accessible) == 1
+        assert accessible_counts(part) == [6]
         assert accessible_server_ratio(part) == 0.5
         lost = set(range(6))  # module 0 servers come first
         assert not (lost & set(np.flatnonzero(part.accessible_server_mask)))
@@ -251,19 +260,19 @@ class TestRatios:
         topo = build_three_layer(2, 3, 2)
         cut = {(12, 16), (12, 17), (13, 14), (13, 15)}
         part = partition(DegradedNetwork(topo, removed_links=cut))
-        assert part.accessible_server_counts == (6, 6)
+        assert accessible_counts(part) == [6, 6]
         assert server_connectivity(part) == 5 / 11  # 2 * 6 * 5 / (12 * 11)
 
     def test_sc_degenerate_is_zero(self):
         topo = build_bcube(2, 0)
         part = partition(DegradedNetwork(topo, removed_servers={1}))
-        assert part.accessible_server_counts == (1,)
+        assert accessible_counts(part) == [1]
         assert server_connectivity(part) == 0.0
 
     def test_sc_one_if_single_accessible_component(self, tiny_topologies):
         topo = tiny_topologies["dcell"]
         part = partition(DegradedNetwork(topo, removed_servers={0, 5}))
-        assert part.accessible == (0,)
+        assert accessible_counts(part) == [topo.n_servers - 2]
         assert server_connectivity(part) == 1.0
 
     def test_asr_monotone_under_removal_chains(self, tiny_topologies):
@@ -702,16 +711,27 @@ def random_removals(topo, rng, share):
     return _alive_after(topo, [(links, False), (switches, True), (servers, True)])
 
 
+def connectivity_of(labels, mask):
+    """Server connectivity from component *labels* per server and the
+    accessible-server *mask*: the complete graphs' edges over the pairs."""
+    counts = np.bincount(labels[mask])
+    s_a = int(counts.sum())
+    return 0.0 if s_a <= 1 else float((counts * (counts - 1)).sum()) / (s_a * (s_a - 1))
+
+
 class TestComponentLabels:
-    """``_partition_arrays`` numbers components as csgraph does: in the
-    order of their first node."""
+    """``_component_labels`` numbers the components of a partition's graph
+    as csgraph does: in the order of their first node. Server connectivity
+    reads them."""
 
     @staticmethod
     def assert_matches_csgraph(topo, node_alive, edge_alive):
         part = _partition_arrays(topo, node_alive, edge_alive)
         k, labels = csgraph.connected_components(coo_subgraph(topo, edge_alive), directed=False)
-        assert np.array_equal(part.labels, labels)
-        assert len(part.accessible_component) == len(part.server_counts) == k
+        count, got = _component_labels(part.graph)
+        assert count == k and np.array_equal(got, labels)
+        mask = part.accessible_server_mask
+        assert server_connectivity(part) == connectivity_of(labels[: topo.n_servers], mask)
 
     def test_tiny_topologies(self, tiny_topologies):
         rng = np.random.default_rng(83)
@@ -735,6 +755,57 @@ class TestComponentLabels:
         topo = build_fat_tree(4)
         node_alive, edge_alive = _alive_after(topo, [(np.arange(topo.n_nodes), True)])
         self.assert_matches_csgraph(topo, node_alive, edge_alive)
+
+
+class TestPartitionReach:
+    """A partition's accessible servers are the ones ``_reach`` joins to a
+    surviving gateway, at its fixpoint over the ``_server_view``: the BFS
+    oracle's, under link, switch, server and element-class removals, alone
+    and together. Server connectivity reads the labels of its graph."""
+
+    @staticmethod
+    def assert_matches_oracle(topo, removals):
+        node_alive, edge_alive = _alive_after(topo, removals)
+        part = _partition_arrays(topo, node_alive, edge_alive)
+        links = zip(topo.edges_u[~edge_alive].tolist(), topo.edges_v[~edge_alive].tolist())
+        dead = np.flatnonzero(~node_alive)
+        switches = dead[dead >= topo.n_servers].tolist()
+        adj = degraded_adjacency(topo, links, switches, dead[dead < topo.n_servers].tolist())
+        expected = oracle_accessible_servers(topo, adj, switches)
+        assert set(np.flatnonzero(part.accessible_server_mask).tolist()) == expected
+        labels = _component_labels(part.graph)[1][: topo.n_servers]
+        assert server_connectivity(part) == connectivity_of(labels, part.accessible_server_mask)
+
+    @classmethod
+    def assert_all_removals(cls, topo, rng, fers):
+        selectors = [FailureType.LINK, FailureType.SWITCH, FailureType.SERVER]
+        if topo.params.kind is TopologyKind.THREE_LAYER:
+            selectors += list(ElementClass)
+        for fer in fers:
+            removals = []
+            for selector in selectors:
+                ids, on_nodes = _element_pool(topo, selector)
+                removals.append((ids[rng.random(len(ids)) < fer], on_nodes))
+                cls.assert_matches_oracle(topo, removals[-1:])
+            cls.assert_matches_oracle(topo, removals)
+
+    def test_tiny_topologies(self, tiny_topologies):
+        rng = np.random.default_rng(101)
+        for topo in tiny_topologies.values():
+            self.assert_all_removals(topo, rng, (0.0, 0.05, 0.2, 0.5, 0.9, 1.0))
+
+    @pytest.mark.parametrize(
+        "build, args", GATED_TOPOLOGIES, ids=lambda v: getattr(v, "__name__", str(v))
+    )
+    def test_gated_configurations(self, build, args):
+        self.assert_all_removals(build(*args), np.random.default_rng(103), (0.05, 0.4))
+
+    @pytest.mark.parametrize("failure", [FailureType.LINK, FailureType.SWITCH])
+    def test_the_link_failure_probe_is_the_partition_view(self, tiny_topologies, failure):
+        # One cached view serves the partition and the link-failure probe.
+        for topo in tiny_topologies.values():
+            shared = simulation._cluster_probe(topo, failure) is reachability._server_view(topo)
+            assert shared is (failure is FailureType.LINK)
 
 
 class TestProbe:
@@ -942,9 +1013,8 @@ class TestEvaluate:
             removed_servers=set(range(topo.n_servers)),
         )
         part = partition(degraded)
-        assert part.components == ()
-        assert part.accessible == ()
-        assert part.accessible_server_counts == ()
+        assert not part.graph.indices.size
+        assert accessible_counts(part) == []
         assert not part.accessible_server_mask.any()
         caps = np.ones(topo.n_servers)
         row = evaluate(

@@ -494,6 +494,47 @@ class TestCli:
         assert f"{missing} is required" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen"], "--topology is required"),
+            (["capacity", "--dataset", "synthetic", "--remove-richest", "cpu"],
+             "--topology is required"),
+            (["mttf", "--failure", "link"], "--topology is required (or provide --plan)"),
+            (["sweep", *TINY_THREE_LAYER, "--fer", "0.1"],
+             "--failure is required (or provide --plan)"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_missing_option_names_plan_only_where_the_command_takes_it(
+        self, argv, message, capsys
+    ):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mttf", "--failure", "link"],
+            ["sweep", "--failure", "link", "--fer", "0,0.3"],
+            ["sweep2d", "--fer-link", "0.1", "--fer-switch", "0,0.2"],
+            ["classed-sweep", "--sweep-class", "edge-link", "--fer", "0:0.5:0.25"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_plan_document_omitting_samples_and_metrics_takes_the_command_defaults(
+        self, argv, tmp_path
+    ):
+        # The same run as the command without --samples and --metrics.
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        assert main([*argv, *TINY_THREE_LAYER, "--format", "json", "--out", str(first)]) == 0
+        plan = json.loads(first.read_text())["plan"]
+        del plan["samples"], plan["metrics"]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main([argv[0], "--plan", str(path), "--format", "json", "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["mttf", "--failure", "switch", "--samples", "6"],

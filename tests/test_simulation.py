@@ -224,6 +224,38 @@ class TestCriticalPoint:
 
     @pytest.mark.parametrize(
         "params,failure",
+        [
+            pytest.param(p, f, id=f"{param_id(p)}-{f.value}")
+            for p, f in [
+                *NMTTF_CONFIGS,
+                *itertools.product((BCUBE_2x2, DCELL_SMALL), (FailureType.LINK, FailureType.SWITCH)),
+            ]
+        ],
+    )
+    def test_sweep_samples_on_the_nmttf_stream_strand_at_the_critical_point(
+        self, params, failure
+    ):
+        # A sweep sample drawn from an MTTF sample's stream removes a prefix
+        # of that sample's order: _apply_removals and _nmttf_chunk take one
+        # permutation each from it. So the partition and the cluster graph
+        # agree sample by sample: every server reaches a gateway one removal
+        # before the critical point, and some server does not at it.
+        topo = simulation._cached_topology(params)
+        big_f = len(_element_pool(topo, failure)[0])
+        for k in range(20):
+            perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
+            critical = _critical_point(topo, failure, perm)
+            asr = [
+                simulation._metric_chunk(
+                    params, ((failure, removed),), ("asr",), None,
+                    20250810, simulation._TAG_NMTTF, 0, k, k + 1,
+                )[0].asr
+                for removed in (critical - 1, critical)
+            ]
+            assert asr[0] == 1.0 and asr[1] < 1.0, (k, critical, asr)
+
+    @pytest.mark.parametrize(
+        "params,failure",
         [pytest.param(p, f, id=f"{param_id(p)}-{f.value}") for p, f in NMTTF_CONFIGS],
     )
     def test_both_probes_equal_csgraph_on_the_nmttf_stream(self, params, failure):
