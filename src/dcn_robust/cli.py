@@ -77,13 +77,14 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_topology(sub: argparse.ArgumentParser) -> None:
+def _add_topology(sub: argparse.ArgumentParser, unless: str = "") -> None:
     """The topology options, each stored under its TopologyParams field name.
-    They default to None, so a command taking --plan can tell a given one."""
+    They default to None, so a command taking --plan can tell a given one;
+    *unless* names what stands in for --topology there."""
     sub.add_argument(
         "--topology",
         choices=[k.value for k in TopologyKind],
-        help="topology family (required unless --plan is given)",
+        help=f"topology family (required{unless})",
     )
     sub.add_argument("--n", type=int, help="switch port count (fat-tree/bcube/dcell)")
     sub.add_argument("--l", type=int, help="server interface level (bcube/dcell)")
@@ -123,7 +124,7 @@ def _add_plan(sub: argparse.ArgumentParser, grid, samples: int, metrics: tuple[s
     *grid* reads the command's failure types, grids and class ratios from
     the arguments. Plan options default to None, so that a given one is
     refused next to --plan; *samples* and *metrics* are their defaults, and a document's."""
-    _add_topology(sub)
+    _add_topology(sub, " unless --plan is given")
     sub.add_argument("--seed", type=int, help="master RNG seed (default 0)")
     sub.add_argument("--samples", type=int, help=f"samples per point (default {samples})")
     sub.add_argument(
@@ -386,7 +387,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         extra={
             "placement": assignment.placement.value,
             "dataset": args.dataset,
-            "removed_switches": sorted(int(s) for s in degraded.removed_switches),
+            "removed_switches": sorted(degraded.removed_switches),
         },
     )
     _emit(args, Report(plan=echo, seed=0, rows=(row,)))

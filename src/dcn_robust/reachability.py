@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .topology import Topology, derived
+from .topology import Topology, _as_int, derived
 
 __all__ = [
     "CsrGraph",
@@ -86,13 +86,16 @@ class DegradedNetwork:
 
     def __post_init__(self) -> None:
         topo = self.topology
-        object.__setattr__(
-            self,
-            "removed_links",
-            frozenset((u, v) if u < v else (v, u) for u, v in self.removed_links),
+        links = (
+            [_as_int(end, "each end of removed_links", ValueError) for end in link]
+            for link in self.removed_links
         )
-        object.__setattr__(self, "removed_switches", frozenset(self.removed_switches))
-        object.__setattr__(self, "removed_servers", frozenset(self.removed_servers))
+        object.__setattr__(
+            self, "removed_links", frozenset((u, v) if u < v else (v, u) for u, v in links)
+        )
+        for name in ("removed_switches", "removed_servers"):
+            nodes = (_as_int(node, f"each of {name}", ValueError) for node in getattr(self, name))
+            object.__setattr__(self, name, frozenset(nodes))
         for node in self.removed_servers:
             if not topo.is_server(node):
                 raise ValueError(f"removed server {node} is not a server node")

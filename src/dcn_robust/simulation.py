@@ -48,7 +48,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,6 +79,7 @@ from .topology import (
     Topology,
     TopologyKind,
     TopologyParams,
+    _as_int,
     _json,
     build_topology,
     derived,
@@ -138,6 +141,21 @@ class ElementClass(str, Enum):
         return FailureType.SWITCH if self.is_switch_class else FailureType.LINK
 
 
+def _is_list(value) -> bool:
+    """A sequence or NumPy array, but no string (read a character at a time)."""
+    return isinstance(value, (Sequence, np.ndarray)) and not isinstance(value, str)
+
+
+def _is_number(value) -> bool:
+    """A real number other than bool, which ``float()`` would make 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _expect(ok: bool, rule: str, value) -> None:
+    if not ok:
+        raise UnsupportedPlanError(f"plan: {rule}, got {_json(value)}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """What to simulate: topology, failure type(s), FER grid(s), sampling.
@@ -157,18 +175,28 @@ class ExperimentPlan:
     class_ratios: tuple[tuple[ElementClass, float | None], ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("samples", "master_seed"):
+            value = _as_int(getattr(self, name), f"plan: {name}", UnsupportedPlanError)
+            object.__setattr__(self, name, value)
+        for name in ("failures", "metrics"):
+            value = getattr(self, name)
+            ok = _is_list(value) and all(isinstance(x, str) for x in value)
+            _expect(ok, f"{name} must be a list of strings", value)
+        grids = self.fer_grids
+        ok = _is_list(grids) and all(_is_list(g) for g in grids)
+        _expect(ok, "fer_grids must be a list of lists", grids)
+        for value in (x for g in grids for x in g):
+            _expect(_is_number(value), "FER values must be numbers", value)
+        ratios = []
+        for c, ratio in dict(self.class_ratios).items():
+            c = ElementClass(c)
+            ok = ratio is None or _is_number(ratio)
+            _expect(ok, f"class ratio {c.value} must be a number or null", ratio)
+            ratios.append((c, None if ratio is None else float(ratio)))
         object.__setattr__(self, "failures", tuple(FailureType(f) for f in self.failures))
-        object.__setattr__(
-            self, "fer_grids", tuple(tuple(float(x) for x in g) for g in self.fer_grids)
-        )
+        object.__setattr__(self, "fer_grids", tuple(tuple(map(float, g)) for g in grids))
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        ratios = (
-            (ElementClass(c), None if r is None else float(r))
-            for c, r in dict(self.class_ratios).items()
-        )
-        object.__setattr__(
-            self, "class_ratios", tuple(sorted(ratios, key=lambda item: item[0].value))
-        )
+        object.__setattr__(self, "class_ratios", tuple(sorted(ratios, key=lambda r: r[0].value)))
         if not self.failures:
             raise UnsupportedPlanError("plan needs at least one failure type")
         if len(self.fer_grids) not in (0, len(self.failures)):
@@ -180,10 +208,8 @@ class ExperimentPlan:
                 raise UnsupportedPlanError("FER grid values must lie in [0, 1]")
             if list(grid) != sorted(grid):
                 raise UnsupportedPlanError("FER grid must be sorted ascending")
-        if self.samples < 1:
-            raise UnsupportedPlanError(f"samples must be >= 1, got {self.samples}")
-        if self.samples > 2**32:
-            raise UnsupportedPlanError(f"samples must be <= 2**32, got {self.samples}")
+        if not 1 <= self.samples <= 2**32:
+            raise UnsupportedPlanError(f"samples must lie in [1, 2**32], got {self.samples}")
         points = math.prod(len(g) for g in self.fer_grids)
         if points > 2**24:
             raise UnsupportedPlanError(f"grid points must be <= 2**24, got {points}")
@@ -608,7 +634,7 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
         universe=big_f,
         nmttf_sim=mean,
         ci95_half_width=half,
-        critical_fer=float(critical.mean()) / big_f,
+        critical_fer=confidence_interval(critical / big_f)[0],  # the report row's mean
         critical_points=critical,
         samples=plan.samples,
         nmttf_theoretical=theo,
@@ -811,48 +837,19 @@ def plan_to_doc(plan: ExperimentPlan) -> dict:
     return doc
 
 
-def _check_plan_types(doc: dict) -> None:
-    """Refuse a sample count or seed that is no JSON integer, a FER value or
-    fixed class ratio that is no JSON number, and failures or metrics that
-    are no list of strings: ``int(2.9)``, ``int("7")`` and ``float(True)``
-    would run another plan, and a string would be read one character at a
-    time."""
-    for name in ("samples", "master_seed"):
-        # bool is a subclass of int, so compare exact types.
-        if name in doc and type(doc[name]) is not int:
-            raise UnsupportedPlanError(f"plan: {name} must be an integer, got {_json(doc[name])}")
-    for name in ("failures", "metrics"):
-        value = doc.get(name, [])
-        if type(value) is not list or any(type(x) is not str for x in value):
-            raise UnsupportedPlanError(
-                f"plan: {name} must be a list of strings, got {_json(value)}"
-            )
-    grids = doc.get("fer_grids", [])
-    if type(grids) is not list or any(type(g) is not list for g in grids):
-        raise UnsupportedPlanError(f"plan: fer_grids must be a list of lists, got {_json(grids)}")
-    for value in (x for g in grids for x in g):
-        if type(value) not in (int, float):
-            raise UnsupportedPlanError(f"plan: FER values must be numbers, got {_json(value)}")
-    ratios = doc.get("class_ratios", {})
-    if type(ratios) is not dict:
-        raise UnsupportedPlanError(f"plan: class_ratios must be an object, got {_json(ratios)}")
-    for name, ratio in ratios.items():
-        if ratio is not None and type(ratio) not in (int, float):
-            raise UnsupportedPlanError(
-                f"plan: class ratio {name} must be a number or null, got {_json(ratio)}"
-            )
-
-
 def plan_from_doc(doc: dict) -> ExperimentPlan:
-    """Inverse of :func:`plan_to_doc`; refuses a field value of the wrong
-    JSON type (``_check_plan_types``), then names any field that is not one
-    of :class:`ExperimentPlan`'s. Defaults and coercions are the plan's own."""
+    """Inverse of :func:`plan_to_doc`; names any field that is not one of
+    :class:`ExperimentPlan`'s, and refuses class_ratios that are no JSON
+    object (the plan also takes the (class, ratio) pairs it stores). The
+    plan checks its own field types and values, and keeps its defaults."""
     if not isinstance(doc, dict):
         raise UnsupportedPlanError(f"plan: expected an object, got {_json(doc)}")
-    _check_plan_types(doc)
     unknown = [name for name in doc if name not in ExperimentPlan.__dataclass_fields__]
     if unknown:
         raise UnsupportedPlanError(f"bad plan document: unknown field {', '.join(unknown)}")
+    ratios = doc.get("class_ratios", {})
+    if type(ratios) is not dict:
+        raise UnsupportedPlanError(f"plan: class_ratios must be an object, got {_json(ratios)}")
     try:
         return ExperimentPlan(**{**doc, "params": params_from_doc(doc["params"])})
     except (KeyError, TypeError, ValueError) as exc:

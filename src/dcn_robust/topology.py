@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -84,7 +85,8 @@ class GatewayPolicy:
         if self.mode not in ("max", "min", "count"):
             raise TopologyParameterError(f"gateway_policy: unknown mode {self.mode!r}")
         if self.mode == "count":
-            if self.g is None or self.g < 1:
+            object.__setattr__(self, "g", _as_int(self.g, "gateway_policy: count's g"))
+            if self.g < 1:
                 raise TopologyParameterError("gateway_policy: count requires g >= 1")
         elif self.g is not None:
             raise TopologyParameterError(f"gateway_policy: mode {self.mode!r} takes no g")
@@ -157,6 +159,11 @@ class TopologyParams:
         even = kind is TopologyKind.FAT_TREE
         for name, low in taken.items():
             value = getattr(self, name)
+            if low is None and not isinstance(value, bool):  # the core-core link flag
+                raise TopologyParameterError(f"{kind.value}: {name} must be true or false")
+            if low is not None and value is not None:
+                value = _as_int(value, f"{kind.value}: {name}")
+                object.__setattr__(self, name, value)
             if low is not None and (value is None or value < low or (even and value % 2)):
                 rule = f"even and >= {low}" if even else f">= {low}"
                 raise TopologyParameterError(f"{kind.value}: {name} must be {rule}, got {value}")
@@ -261,7 +268,7 @@ def derived(fn):
 def _select_gateways(top_level: np.ndarray, policy: GatewayPolicy) -> np.ndarray:
     if policy.mode == "max":
         return top_level
-    g = 1 if policy.mode == "min" else int(policy.g or 0)
+    g = 1 if policy.mode == "min" else policy.g
     if g > len(top_level):
         raise TopologyParameterError(
             f"gateway_policy: g={g} exceeds the {len(top_level)} top-level switches"
@@ -414,7 +421,7 @@ def gateway_ports(topology: Topology) -> int:
     params = topology.params
     if params.kind is TopologyKind.THREE_LAYER:
         return 2 * params.pairs
-    return int(params.n)
+    return params.n
 
 
 def gateway_port_density(topology: Topology) -> float:
@@ -483,7 +490,19 @@ def serialize_topology(topology: Topology) -> str:
 
 
 def _json(value) -> str:
-    return json.dumps(value, sort_keys=True)
+    """*value* as JSON where it has a JSON form, else its ``repr``."""
+    try:
+        return json.dumps(value, sort_keys=True)
+    except TypeError:
+        return repr(value)
+
+
+def _as_int(value, what: str, error: type[ValueError] = TopologyParameterError) -> int:
+    """*value* as an int, which it must be exactly: any ``numbers.Integral``,
+    NumPy's included, but bool; else *error* says what *what* must be."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {_json(value)}")
+    return int(value)
 
 
 def parse_topology(document: str) -> Topology:

@@ -211,6 +211,40 @@ class TestPartition:
         with pytest.raises(ValueError, match=r"removed link \(0, 1\)"):
             DegradedNetwork(topo, removed_links={known, (1, 0)})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("removed_switches", {16.5}, "each of removed_switches must be an integer, got 16.5"),
+            ("removed_servers", {True}, "each of removed_servers must be an integer, got true"),
+            ("removed_links", {(0.0, 16)}, "each end of removed_links must be an integer, got 0.0"),
+            ("removed_links", {(True, 16)}, "end of removed_links must be an integer, got true"),
+        ],
+        ids=["switch-16.5", "server-true", "link-float-end", "link-bool-end"],
+    )
+    def test_refuses_ids_that_are_no_integers(self, field, value, message):
+        # On fat-tree 4, 16.5 would remove switch 16 and True server 1.
+        with pytest.raises(ValueError, match=message):
+            DegradedNetwork(build_fat_tree(4), **{field: value})
+
+    def test_stores_numpy_ids_as_ints(self):
+        topo = build_fat_tree(4)
+        link = (np.int64(topo.edges_v[0]), np.int32(topo.edges_u[0]))
+        degraded = DegradedNetwork(
+            topo,
+            removed_links={link},
+            removed_switches={np.int64(16)},
+            removed_servers=np.array([1]),
+        )
+        assert degraded == DegradedNetwork(
+            topo,
+            removed_links={(int(topo.edges_u[0]), int(topo.edges_v[0]))},
+            removed_switches={16},
+            removed_servers={1},
+        )
+        ids = [*degraded.removed_switches, *degraded.removed_servers]
+        ids += [end for link in degraded.removed_links for end in link]
+        assert all(type(x) is int for x in ids)
+
     def test_masks_are_the_engine_masks(self, tiny_topologies):
         # The object API's masks come from the engine's one mask builder.
         rng = np.random.default_rng(41)

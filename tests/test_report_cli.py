@@ -512,6 +512,19 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "command, takes_plan",
+        [("gen", False), ("capacity", False), ("mttf", True), ("sweep", True)],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_topology_help_names_plan_only_where_the_command_takes_it(
+        self, command, takes_plan, capsys
+    ):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "topology family (required" in text
+        assert ("required unless --plan is given" in text) is takes_plan
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["mttf", "--failure", "link"],

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import os
 from collections import Counter
@@ -18,6 +19,7 @@ from dcn_robust.analytic import (
     normalized_time_table,
 )
 from dcn_robust.capacity import assign_capacities, builtin_dataset
+from dcn_robust.report import reliability_rows
 from dcn_robust.simulation import (
     ElementClass,
     ExperimentPlan,
@@ -591,6 +593,17 @@ class TestSimulateNmttf:
     def test_critical_fer_matches_critical_points(self):
         res = simulate_nmttf(plan_for(BCUBE_2x2, FailureType.LINK, samples=100), workers=1)
         assert res.critical_fer == pytest.approx(res.critical_points.mean() / 8)
+
+    @pytest.mark.parametrize(
+        "params,failure",
+        [pytest.param(p, f, id=f"{param_id(p)}-{f.value}") for p, f in NMTTF_CONFIGS],
+    )
+    def test_critical_fer_is_the_report_rows_mean(self, params, failure):
+        # mean(c) / F and mean(c / F) differ in the last bits for many
+        # draws; the field and the report row take the same one.
+        res = simulate_nmttf(plan_for(params, failure, samples=40), workers=1)
+        row = next(r for r in reliability_rows(res) if r.metric == "critical_fer")
+        assert res.critical_fer == row.mean
 
 
 class TestSurvivalSweep:
@@ -1222,3 +1235,66 @@ class TestPlanDocuments:
             doc = {**plan_to_doc(plan_for(BCUBE_2x2, FailureType.LINK)), name: value}
             with pytest.raises(UnsupportedPlanError, match=f"unknown field {name}$"):
                 plan_from_doc(doc)
+
+
+class TestPlanFieldTypes:
+    """A library plan is held to the rules a plan document is: the plan
+    checks its own fields, so what runs is what its echo says."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("samples", 2.9, "plan: samples must be an integer, got 2.9"),
+            ("samples", True, "plan: samples must be an integer, got true"),
+            ("master_seed", 1.5, "plan: master_seed must be an integer, got 1.5"),
+            ("master_seed", True, "plan: master_seed must be an integer, got true"),
+            ("fer_grids", (("0.5",),), 'plan: FER values must be numbers, got "0.5"'),
+            ("fer_grids", ((0.0, np.True_),), "plan: FER values must be numbers, got np.True_"),
+            ("fer_grids", np.array([0.5]), "plan: fer_grids must be a list of lists, got array"),
+            ("failures", "link", 'plan: failures must be a list of strings, got "link"'),
+            ("metrics", "asr", 'plan: metrics must be a list of strings, got "asr"'),
+            ("metrics", ("asr", 1), 'plan: metrics must be a list of strings, got ["asr", 1]'),
+        ],
+        ids=[
+            "samples-float", "samples-bool", "seed-float", "seed-bool", "fer-string",
+            "fer-numpy-bool", "grids-flat-array", "failures-string", "metrics-string",
+            "metrics-int",
+        ],
+    )
+    def test_a_mistyped_library_plan_is_refused(self, field, value, message):
+        fields = {"failures": (FailureType.LINK,), "fer_grids": ((0.5,),), field: value}
+        with pytest.raises(UnsupportedPlanError) as err:
+            ExperimentPlan(params=BCUBE_2x2, **fields)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("ratio", ["0.25", True], ids=["string", "bool"])
+    def test_a_mistyped_library_class_ratio_is_refused(self, ratio):
+        with pytest.raises(UnsupportedPlanError, match="class ratio agg-link must be a number"):
+            plan_for(
+                THREE_LAYER_SMALL,
+                FailureType.LINK,
+                fer_grids=((0.0, 0.2),),
+                class_ratios={ElementClass.EDGE_LINK: None, ElementClass.AGG_LINK: ratio},
+            )
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        params = TopologyParams(kind=TopologyKind.BCUBE, n=np.int64(2), l=np.int32(1))
+        plan = ExperimentPlan(
+            params=params,
+            failures=(FailureType.LINK,),
+            fer_grids=(np.linspace(0, 1, 3, dtype=np.float32),),
+            samples=np.int64(5),
+            master_seed=np.uint64(7),
+        )
+        same = plan_for(BCUBE_2x2, FailureType.LINK, fer_grids=((0.0, 0.5, 1.0),), samples=5)
+        assert plan == replace(same, master_seed=7)
+        assert type(plan.samples) is int and type(plan.master_seed) is int
+        assert all(type(x) is float for x in plan.fer_grids[0])
+        assert plan_from_doc(plan_to_doc(plan)) == plan
+        # The echo a JSON report writes re-reads as the plan.
+        assert plan_from_doc(json.loads(json.dumps(plan_to_doc(plan)))) == plan
+
+    def test_a_replaced_field_is_checked_too(self):
+        plan = plan_for(BCUBE_2x2, FailureType.LINK)
+        with pytest.raises(UnsupportedPlanError, match="metrics must be a list of strings"):
+            replace(plan, metrics="asr")

@@ -322,6 +322,49 @@ def test_three_layer_core_link_flag_must_be_a_bool():
         params_from_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "kind, fields, message",
+    [
+        (TopologyKind.FAT_TREE, {"n": 4.0}, "fat-tree: n must be an integer, got 4.0"),
+        (TopologyKind.FAT_TREE, {"n": "4"}, 'fat-tree: n must be an integer, got "4"'),
+        (TopologyKind.BCUBE, {"n": 2, "l": 1.0}, "bcube: l must be an integer, got 1.0"),
+        (
+            TopologyKind.THREE_LAYER,
+            {"n_a": 1, "n_e": 1, "pairs": 1, "include_core_core_link": 1},
+            "three-layer: include_core_core_link must be true or false",
+        ),
+    ],
+    ids=["fat-tree-n-float", "fat-tree-n-string", "bcube-l-float", "core-link-one"],
+)
+def test_params_refuse_a_field_of_the_wrong_type(kind, fields, message):
+    # 4.0 and "4" would fail later, inside a bound check or a generator;
+    # a core-core link of 1 would build, and its echo would not parse.
+    with pytest.raises(TopologyParameterError, match=message):
+        TopologyParams(kind=kind, **fields)
+
+
+def test_gateway_count_must_be_an_integer():
+    # 2.5 would select two gateways and echo count=2.5, which parse refuses.
+    with pytest.raises(TopologyParameterError, match="count's g must be an integer, got 2.5"):
+        GatewayPolicy("count", 2.5)
+    with pytest.raises(TopologyParameterError, match="count's g must be an integer, got true"):
+        GatewayPolicy.count(True)
+
+
+def test_numpy_integers_are_stored_as_ints():
+    params = TopologyParams(
+        kind=TopologyKind.FAT_TREE, n=np.int64(4), gateway_policy=GatewayPolicy.count(np.int32(2))
+    )
+    assert params == TopologyParams(
+        kind=TopologyKind.FAT_TREE, n=4, gateway_policy=GatewayPolicy.count(2)
+    )
+    assert type(params.n) is int and type(params.gateway_policy.g) is int
+    assert params_from_doc(params_to_doc(params)) == params
+    # The document of its topology serializes, and parses back as it.
+    topology = build_topology(params)
+    assert parse_topology(serialize_topology(topology)) == topology
+
+
 # The construction fields the paper gives each kind, and a valid instance.
 TAKES = {
     TopologyKind.THREE_LAYER: ("n_a", "n_e", "pairs", "include_core_core_link"),
