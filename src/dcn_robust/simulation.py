@@ -175,6 +175,8 @@ class ExperimentPlan:
     class_ratios: tuple[tuple[ElementClass, float | None], ...] = ()
 
     def __post_init__(self) -> None:
+        ok = isinstance(self.params, TopologyParams)
+        _expect(ok, "params must be TopologyParams", self.params)
         for name in ("samples", "master_seed"):
             value = _as_int(getattr(self, name), f"plan: {name}", UnsupportedPlanError)
             object.__setattr__(self, name, value)

@@ -152,10 +152,13 @@ class TopologyParams:
         for f in fields(self):
             if f.name in taken or f.name in ("kind", "gateway_policy"):
                 continue
-            if getattr(self, f.name) != f.default:
+            if getattr(self, f.name) is not f.default:  # not only equal: 0 == False
                 raise TopologyParameterError(
                     f"{kind.value}: takes no {f.name} (it takes {', '.join(taken)})"
                 )
+        policy = self.gateway_policy
+        if not isinstance(policy, GatewayPolicy):
+            raise TopologyParameterError(f"gateway_policy must be a GatewayPolicy, got {policy!r}")
         even = kind is TopologyKind.FAT_TREE
         for name, low in taken.items():
             value = getattr(self, name)
@@ -277,22 +280,29 @@ def _select_gateways(top_level: np.ndarray, policy: GatewayPolicy) -> np.ndarray
 
 
 # Each generator lays out one kind from its params: it returns the switch
-# layers (switch ids follow the servers, in layer order), the edges, in any
-# orientation and order, and the layer tag its gateways come from.
+# layers (switch ids follow the servers, in layer order), the edges as one
+# (m, 2) array, in any orientation and order, and its gateways' layer tag.
+
+
+def _links(*blocks) -> np.ndarray:
+    """The (m, 2) edges of (u, v) blocks of node ids that broadcast together."""
+    stacked = [np.stack(np.broadcast_arrays(u, v), axis=-1).reshape(-1, 2) for u, v in blocks]
+    return np.concatenate(stacked, dtype=np.int64)
 
 
 def _three_layer(params: TopologyParams):
     n_a, n_e, pairs = params.n_a, params.n_e, params.pairs
     s = params.n_servers  # the two cores, then the aggregation pairs, then the edge switches
     layers = [LAYER_CORE] * 2 + [LAYER_AGGREGATION] * (2 * pairs) + [LAYER_EDGE] * (pairs * n_a)
-    edges = [(s, s + 1)] if params.include_core_core_link else []
-    for p in range(pairs):
-        a, b = s + 2 + 2 * p, s + 3 + 2 * p  # the pair, linked to each other and both cores
-        edges += [(a, b), (s, a), (s, b), (s + 1, a), (s + 1, b)]
-        for e in range(p * n_a, (p + 1) * n_a):
-            esw = s + 2 + 2 * pairs + e
-            edges += [(a, esw), (b, esw)]
-            edges += [(server, esw) for server in range(e * n_e, (e + 1) * n_e)]
+    agg = s + 2 + np.arange(2 * pairs)  # pair p is agg[2p] and agg[2p + 1]
+    esw = s + 2 + 2 * pairs + np.arange(pairs * n_a)
+    above = np.repeat(agg[::2], n_a)  # the first switch of the pair above each edge switch
+    edges = _links(
+        *([(s, s + 1)] if params.include_core_core_link else []),
+        (agg[::2], agg[1::2]), ([[s], [s + 1]], agg),  # each pair, to each other and both cores
+        ([above, above + 1], esw),  # and to each of its edge switches
+        (np.arange(s), np.repeat(esw, n_e)),
+    )
     return layers, edges, LAYER_CORE
 
 
@@ -300,14 +310,13 @@ def _fat_tree(params: TopologyParams):
     n, half = params.n, params.n // 2
     s = params.n_servers  # core (i, j) is s + i*half + j; the n pods follow
     layers = [LAYER_CORE] * (half * half) + ([LAYER_AGGREGATION] * half + [LAYER_EDGE] * half) * n
-    edges = []
-    for p in range(n):
-        pod = s + half * half + p * n  # its aggregation switches, then its edge switches
-        for i in range(half):
-            agg, esw, first = pod + i, pod + half + i, (p * half + i) * half
-            edges += [(agg, pod + half + e) for e in range(half)]
-            edges += [(s + i * half + j, agg) for j in range(half)]
-            edges += [(server, esw) for server in range(first, first + half)]
+    pod = (s + half * half + n * np.arange(n)).reshape(n, 1, 1)  # aggregation, then edge switches
+    i, j = np.arange(half).reshape(half, 1), np.arange(half)
+    edges = _links(
+        (pod + i, pod + half + j),  # every aggregation switch to every edge switch of its pod
+        (s + i * half + j, pod + i),  # core (i, j) to aggregation switch i of each pod
+        (np.arange(s).reshape(n, half, half), pod + half + i),  # half servers an edge switch
+    )
     return layers, edges, LAYER_CORE
 
 
@@ -320,34 +329,23 @@ def _bcube(params: TopologyParams):
     # is i with base-n digit k removed.
     edges = []
     for k in range(l + 1):
-        stride = n**k
-        level_base = params.n_servers + k * per_level
-        m = (servers // (stride * n)) * stride + servers % stride
-        edges.append(np.column_stack((servers, level_base + m)))
-    return layers, np.concatenate(edges), level_layer(l)
+        high, low = np.divmod(servers, n**k)
+        edges.append((servers, params.n_servers + k * per_level + high // n * n**k + low))
+    return layers, _links(*edges), level_layer(l)
 
 
 def _dcell(params: TopologyParams):
-    n, l = params.n, params.l
-    t = [dcell_server_count(n, k) for k in range(l + 1)]  # servers in a level-k cell
-    n_servers = params.n_servers
-    layers = [level_layer(0)] * (n_servers // n)
-
-    edges: list[tuple[int, int]] = [(i, n_servers + i // n) for i in range(n_servers)]
-
-    def link_level(level: int, base: int) -> None:
-        if level == 0:
-            return
-        sub = t[level - 1]
-        g = sub + 1  # number of level-(l-1) cells in a level-l cell
-        for i in range(g):
-            for j in range(i + 1, g):
-                edges.append((base + i * sub + (j - 1), base + j * sub + i))
-        for i in range(g):
-            link_level(level - 1, base + i * sub)
-
-    link_level(l, 0)
-    return layers, edges, level_layer(0)  # every switch sits at the one level
+    n, l, s = params.n, params.l, params.n_servers
+    layers = [level_layer(0)] * (s // n)
+    blocks = [(np.arange(s), s + np.arange(s) // n)]  # n servers a switch
+    # A level-k cell is t_(k-1) + 1 sub-cells of t_(k-1) servers each, and
+    # sub-cell i's server j - 1 links to sub-cell j's server i, for i < j.
+    for k in range(1, l + 1):
+        sub = dcell_server_count(n, k - 1)
+        i, j = np.triu_indices(sub + 1, 1)
+        cell = np.arange(0, s, (sub + 1) * sub).reshape(-1, 1)  # the first server of each cell
+        blocks.append((cell + i * sub + j - 1, cell + j * sub + i))
+    return layers, _links(*blocks), level_layer(0)  # every switch sits at the one level
 
 
 _GENERATORS = {
@@ -362,7 +360,7 @@ def build_topology(params: TopologyParams) -> Topology:
     """The topology *params* build; the one construction path, of which
     the per-kind builders are shorthand."""
     layers, edges, top = _GENERATORS[params.kind](params)
-    arr = np.sort(np.asarray(edges, dtype=np.int64), axis=1)  # u < v
+    arr = np.sort(edges, axis=1)  # u < v
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
     n_servers = params.n_servers
     top_level = n_servers + np.flatnonzero(np.array(layers) == top).astype(np.int64)

@@ -1267,6 +1267,14 @@ class TestPlanFieldTypes:
             ExperimentPlan(params=BCUBE_2x2, **fields)
         assert str(err.value).startswith(message)
 
+    def test_params_that_are_no_topology_params_are_refused(self):
+        # A dict used to build a plan; plan_to_doc then raised AttributeError
+        # and simulate_nmttf TypeError (a dict is no cache key).
+        message = 'plan: params must be TopologyParams, got {"kind": "fat-tree", "n": 4}'
+        with pytest.raises(UnsupportedPlanError) as err:
+            ExperimentPlan(params={"kind": "fat-tree", "n": 4}, failures=(FailureType.LINK,))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("ratio", ["0.25", True], ids=["string", "bool"])
     def test_a_mistyped_library_class_ratio_is_refused(self, ratio):
         with pytest.raises(UnsupportedPlanError, match="class ratio agg-link must be a number"):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from dataclasses import replace
@@ -343,6 +344,20 @@ def test_params_refuse_a_field_of_the_wrong_type(kind, fields, message):
         TopologyParams(kind=kind, **fields)
 
 
+def test_gateway_policy_must_be_a_gateway_policy():
+    # A string used to build params; build_topology then raised AttributeError.
+    message = "gateway_policy must be a GatewayPolicy, got 'min'"
+    with pytest.raises(TopologyParameterError, match=message):
+        TopologyParams(kind=TopologyKind.FAT_TREE, n=4, gateway_policy="min")
+
+
+@pytest.mark.parametrize("value", [0, 0.0], ids=["int", "float"])
+def test_a_foreign_field_equal_to_its_default_is_refused(value):
+    # 0 == False: only the default itself stands for a field the kind does not take.
+    with pytest.raises(TopologyParameterError, match="fat-tree: takes no include_core_core_link"):
+        TopologyParams(kind=TopologyKind.FAT_TREE, n=4, include_core_core_link=value)
+
+
 def test_gateway_count_must_be_an_integer():
     # 2.5 would select two gateways and echo count=2.5, which parse refuses.
     with pytest.raises(TopologyParameterError, match="count's g must be an integer, got 2.5"):
@@ -435,6 +450,26 @@ def test_generators_keep_their_bytes():
             params = replace(base, gateway_policy=GatewayPolicy.parse(policy))
             digest.update(serialize_topology(build_topology(params)).encode())
     assert digest.hexdigest() == GENERATOR_BYTES_SHA256
+
+
+@pytest.mark.parametrize(
+    "params",
+    [*(TopologyParams(kind=kind, **fields) for kind, fields in VALID.items()),
+     TopologyParams(kind=TopologyKind.DCELL, n=7, l=2)],
+    ids=param_id,
+)
+def test_a_build_leaves_no_reference_cycle(params):
+    # With the collector off, a cycle would outlive the build with all it
+    # holds; DCell's recursive closure over its edge list once did. The
+    # first build runs apart, so what it may import lazily is not counted.
+    build_topology(params)
+    gc.collect()
+    gc.disable()
+    try:
+        build_topology(params)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("params", PARAM_GRID[::5], ids=param_id)

@@ -5,7 +5,8 @@ is ``tests``). Run it from the repository root with
 ``PYTHONPATH=src python -m pytest -q tests_large``. It covers fat-tree 48
 (27 648 servers), BCube 8/4 (32 768) and DCell 4/3 (176 820), each under
 link and under switch failures, over the first samples of the MTTF
-stream. The whole tier takes well under a minute on two cores.
+stream, and bounds the traced memory peak of each fabric's build. The
+whole tier takes well under a minute on two cores.
 
 A sweep sample drawn from an MTTF sample's stream removes a prefix of
 that sample's removal order: ``_apply_removals`` and ``_nmttf_chunk``
@@ -13,13 +14,15 @@ each take one permutation of the element pool from it. So the critical
 point and the accessible-server ratio can be compared sample by sample.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dcn_robust import simulation
 from dcn_robust.analytic import FailureType
 from dcn_robust.simulation import _critical_point, _element_pool, _metric_chunk, sample_rng
-from dcn_robust.topology import TopologyKind, TopologyParams
+from dcn_robust.topology import TopologyKind, TopologyParams, build_topology
 
 SEED = 20250810
 SAMPLES = 3
@@ -75,3 +78,18 @@ def test_asr_never_rises_along_a_removal_order(params, failure):
         asr = [asr_after(params, failure, c, k) for c in counts]
         assert asr[0] == 1.0 and asr[-1] == 0.0, (k, asr)
         assert all(a >= b for a, b in zip(asr, asr[1:])), (k, counts, asr)
+
+
+@pytest.mark.parametrize("params", FABRICS, ids=lambda p: f"{p.kind.value}-{p.args_text()}")
+def test_a_build_peaks_within_five_times_its_edge_arrays(params):
+    # The generators lay out their links as index arrays, so a build holds
+    # the edges a few times over (the layout, its oriented copy, the sort
+    # order and the sorted copy), never a Python tuple per link.
+    tracemalloc.start()
+    try:
+        topo = build_topology(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edge_bytes = topo.edges_u.nbytes + topo.edges_v.nbytes
+    assert peak <= 5 * edge_bytes, (peak, edge_bytes, round(peak / edge_bytes, 2))
