@@ -129,6 +129,9 @@ def min_cut_catalog(params: TopologyParams, failure: FailureType) -> MinCutSpec:
         raise OutOfScopeError("server failures have no min-cut model: any one ends the reliable phase")
     servers = params.n_servers
     kind = params.kind
+    if kind is TopologyKind.FAT_TREE and params.n == 2:
+        # No path is redundant: each of the 6 links and 5 switches is a cut.
+        return MinCutSpec(1, 6 if failure is FailureType.LINK else 5)
 
     if failure is FailureType.LINK:
         if kind in (TopologyKind.THREE_LAYER, TopologyKind.FAT_TREE):
@@ -146,8 +149,8 @@ def min_cut_catalog(params: TopologyParams, failure: FailureType) -> MinCutSpec:
         return MinCutSpec(1, servers / params.n_e)
     if kind is TopologyKind.FAT_TREE:
         return MinCutSpec(1, (2.0 * servers**2) ** (1.0 / 3.0))
-    if kind is TopologyKind.BCUBE:
-        return MinCutSpec(params.l + 1, servers)
+    if kind is TopologyKind.BCUBE:  # at l=0 the one switch is the one cut
+        return MinCutSpec(params.l + 1, servers if params.l else 1)
     if params.l > 2:
         raise OutOfScopeError(f"dcell switch min-cuts are not characterized for l={params.l} (> 2)")
     if params.l < 1:
@@ -164,14 +167,21 @@ def closed_form_mttf(
 
     Most cases use the min-cut approximation. DCell with l=1 under switch
     failures is exact (any two switch failures strand a server pair):
-    ``E[tau] * sqrt(4|S|+1) / |S|``. The approximation is known-poor for
-    BCube l=1 and DCell l=2 switch failures and flagged as such.
+    ``E[T2] = E[tau] * sqrt(4|S|+1) / |S|``, the time until two of its n+1
+    switches are down. With one gateway, that gateway's own failure strands
+    every server; it fails first with chance 1/(n+1), at ``E[T1] =
+    E[tau]/(n+1)``, so the mean is ``E[T1]/(n+1) + n/(n+1) * E[T2]``. The
+    approximation is known-poor for BCube l=1 and DCell l=2 switch failures
+    and flagged as such.
     """
     mean = _mean_lifetime(lifetime)
     kind = params.kind
     if failure is FailureType.SWITCH and kind is TopologyKind.DCELL and params.l == 1:
-        servers = params.n_servers
-        return MttfEstimate(mean * math.sqrt(4 * servers + 1) / servers, MttfQuality.EXACT)
+        n, servers, policy = params.n, params.n_servers, params.gateway_policy
+        second = mean * math.sqrt(4 * servers + 1) / servers
+        if policy.mode == "min" or policy.g == 1:
+            return MttfEstimate(mean / (n + 1) ** 2 + n / (n + 1) * second, MttfQuality.EXACT)
+        return MttfEstimate(second, MttfQuality.EXACT)
 
     value = burtin_pittel_mttf(min_cut_catalog(params, failure), mean)
     quality = MttfQuality.APPROXIMATE

@@ -342,7 +342,11 @@ def _class_grid(args: argparse.Namespace):
         name, _, value = spec.partition("=")
         if name not in {c.value for c in ElementClass}:
             raise UnsupportedPlanError(f"--fixed: unknown class {name!r} in {spec!r}")
-        ratios[ElementClass(name)] = _parse_float(value, "--fixed")
+        element = ElementClass(name)
+        if element in ratios:
+            what = "is the swept class" if element is swept else "is given twice"
+            raise UnsupportedPlanError(f"--fixed: class {name!r} {what}")
+        ratios[element] = _parse_float(value, "--fixed")
     return (swept.failure,), (_grid(args, "fer"),), ratios
 
 

@@ -129,7 +129,7 @@ def _pattern(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = np.concatenate([topology.edges_u, gateways])
     v = np.concatenate([topology.edges_v, np.full(len(gateways), n)])
     row, col = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.lexsort((col, row))
+    order = np.argsort(row * (n + 1) + col, kind="stable")  # by row, then column
     indptr = np.searchsorted(row[order], np.arange(n + 2))
     return col[order].astype(np.int32), indptr, order % len(u)
 

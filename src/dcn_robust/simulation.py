@@ -40,8 +40,8 @@ smallest removal time on the path: the fixpoint of ``b[v] = max over edges
 over the (max, min) semiring reach (M. Pollack, "The maximum capacity
 through a network", Oper. Res. 8, 1960; T. C. Hu, "The maximum capacity
 route problem", Oper. Res. 9, 1961). The bound, the rounds and the probes
-read one removal time per slot of one graph, in which each cluster is a
-single node (under link failures, ``reachability._pattern`` itself).
+read one removal time per slot of one graph with each cluster one node:
+``reachability._pattern`` itself unless a never-removed link joins servers.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ class ExperimentPlan:
                 raise UnsupportedPlanError("FER grid must hold at least one value")
             if not all(0.0 <= x <= 1.0 for x in grid):  # NaN fails both comparisons
                 raise UnsupportedPlanError("FER grid values must lie in [0, 1]")
-            if list(grid) != sorted(grid):
-                raise UnsupportedPlanError("FER grid must be sorted ascending")
+            if any(a >= b for a, b in zip(grid, grid[1:])):  # one row per FER value
+                raise UnsupportedPlanError("FER grid must be strictly ascending, no value twice")
         if not 1 <= self.samples <= 2**32:
             raise UnsupportedPlanError(f"samples must lie in [1, 2**32], got {self.samples}")
         points = math.prod(len(g) for g in self.fer_grids)
@@ -399,24 +399,24 @@ def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ..
     ``reachability._pattern`` with each server cluster contracted to one
     node, the edge each slot holds, and each server's cluster.
 
-    A cluster is a set of servers joined by links *failure* never removes:
-    under switch failures the server-server links, whose components
-    ``reachability._component_labels`` numbers in first-node order, so the
-    servers' labels are already 0..k-1; under link failures none, so each
-    server is its own cluster and the pattern's own arrays are returned.
-    The k clusters are nodes 0..k-1, the switches follow in their order,
-    and the root comes last. The links inside a cluster are dropped, so a
-    cluster's row holds the edges that leave it: once every one is down,
-    its servers are stranded (the cuts of the Burtin-Pittel model behind
-    ``analytic.min_cut_catalog``). Every node of a generated fabric keeps
-    an edge, so no row is empty, as ``reduceat`` over the rows needs.
+    A cluster is a set of servers joined by links *failure* never removes
+    (switch failures spare the server-server links, the others none), which
+    ``reachability._component_labels`` numbers 0..k-1 in first-node order.
+    Where no such link joins two servers (all but DCell with l >= 1 under
+    switch failures), each server is its own cluster and the pattern's own
+    arrays are returned. The k clusters are nodes 0..k-1, the switches
+    follow, and the root comes last. A cluster's row holds the edges that
+    leave it: once every one is down, its servers are stranded (the cuts of
+    the Burtin-Pittel model behind ``analytic.min_cut_catalog``). Every node
+    of a generated fabric keeps an edge, so no row is empty, as ``reduceat``
+    over the rows needs.
     """
     indices, indptr, slot_edge = reachability._pattern(topo)
     servers = topo.n_servers
-    if failure is not FailureType.SWITCH:
+    inner = (topo.edges_v < servers) & (failure is FailureType.SWITCH)  # u < v: two servers
+    if not inner.any():
         return indices, indptr, slot_edge, np.arange(servers)
-    server_links = reachability._subgraph(topo, topo.edges_v < servers)
-    cluster = reachability._component_labels(server_links)[1][:servers]
+    cluster = reachability._component_labels(reachability._subgraph(topo, inner))[1][:servers]
     node = np.concatenate([cluster, cluster.max() + 1 + np.arange(topo.n_switches + 1)])
     row = np.repeat(node, np.diff(indptr))
     col = node[indices].astype(np.int32)  # half the memory the memo keeps
@@ -428,11 +428,11 @@ def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ..
 
 @derived
 def _cluster_probe(topo: Topology, failure: FailureType) -> tuple:
-    """The ``reachability._probe_view`` of ``_cluster_graph``: under link
-    failures, the partition's own ``reachability._server_view``."""
-    if failure is not FailureType.SWITCH:
-        return reachability._server_view(topo)
+    """The ``reachability._probe_view`` of ``_cluster_graph``: where that is
+    the pattern itself, the partition's own ``reachability._server_view``."""
     indices, indptr, _, cluster = _cluster_graph(topo, failure)
+    if indices is reachability._pattern(topo)[0]:
+        return reachability._server_view(topo)
     return reachability._probe_view(reachability.CsrGraph(indices, indptr), cluster.max() + 1)
 
 

@@ -3,13 +3,13 @@
 :func:`build_topology` is the one construction path; the per-kind builders
 are shorthand for it. It returns an immutable :class:`Topology` holding the
 caller's own params object, servers and switches with stable integer ids
-(servers first, then switches, both in generator traversal order), a
-canonical sorted edge list, and a default gateway set
-(all top-level switches). Identical parameters always produce identical
-topologies, bit-for-bit in serialized form, and a topology document
-parses only as the topology its params build: a topology is a function
-of its :class:`TopologyParams`. What the engine derives from a topology
-lives on that object (:func:`derived`), not in a cache keyed by params.
+(servers first, then switches, in generator order), the links sorted by one
+key, ``min(u, v) * N + max(u, v)``, and as default gateways every
+top-level switch the generator names. Identical parameters always produce
+identical topologies, bit-for-bit in serialized form, and a topology
+document parses only as the topology its params build: a topology is a
+function of its :class:`TopologyParams`. What the engine derives from a
+topology lives on it (:func:`derived`), not in a cache keyed by params.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def _select_gateways(top_level: np.ndarray, policy: GatewayPolicy) -> np.ndarray
 
 # Each generator lays out one kind from its params: it returns the switch
 # layers (switch ids follow the servers, in layer order), the edges as one
-# (m, 2) array, in any orientation and order, and its gateways' layer tag.
+# (m, 2) array in any orientation and order, and its top-level switch ids.
 
 
 def _links(*blocks) -> np.ndarray:
@@ -303,7 +303,7 @@ def _three_layer(params: TopologyParams):
         ([above, above + 1], esw),  # and to each of its edge switches
         (np.arange(s), np.repeat(esw, n_e)),
     )
-    return layers, edges, LAYER_CORE
+    return layers, edges, s + np.arange(2)
 
 
 def _fat_tree(params: TopologyParams):
@@ -317,21 +317,21 @@ def _fat_tree(params: TopologyParams):
         (s + i * half + j, pod + i),  # core (i, j) to aggregation switch i of each pod
         (np.arange(s).reshape(n, half, half), pod + half + i),  # half servers an edge switch
     )
-    return layers, edges, LAYER_CORE
+    return layers, edges, s + np.arange(half * half)
 
 
 def _bcube(params: TopologyParams):
     n, l = params.n, params.l
     per_level = n**l
     servers = np.arange(params.n_servers, dtype=np.int64)
-    layers = [level_layer(k) for k in range(l + 1) for _ in range(per_level)]
+    layers = [layer for k in range(l + 1) for layer in [level_layer(k)] * per_level]
     # The level-k port of server i connects to the level-k switch whose index
     # is i with base-n digit k removed.
     edges = []
     for k in range(l + 1):
         high, low = np.divmod(servers, n**k)
         edges.append((servers, params.n_servers + k * per_level + high // n * n**k + low))
-    return layers, _links(*edges), level_layer(l)
+    return layers, _links(*edges), params.n_servers + l * per_level + np.arange(per_level)
 
 
 def _dcell(params: TopologyParams):
@@ -345,7 +345,7 @@ def _dcell(params: TopologyParams):
         i, j = np.triu_indices(sub + 1, 1)
         cell = np.arange(0, s, (sub + 1) * sub).reshape(-1, 1)  # the first server of each cell
         blocks.append((cell + i * sub + j - 1, cell + j * sub + i))
-    return layers, _links(*blocks), level_layer(0)  # every switch sits at the one level
+    return layers, _links(*blocks), s + np.arange(s // n)  # every switch sits at the one level
 
 
 _GENERATORS = {
@@ -359,17 +359,16 @@ _GENERATORS = {
 def build_topology(params: TopologyParams) -> Topology:
     """The topology *params* build; the one construction path, of which
     the per-kind builders are shorthand."""
-    layers, edges, top = _GENERATORS[params.kind](params)
-    arr = np.sort(edges, axis=1)  # u < v
-    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-    n_servers = params.n_servers
-    top_level = n_servers + np.flatnonzero(np.array(layers) == top).astype(np.int64)
+    layers, edges, top_level = _GENERATORS[params.kind](params)
+    nodes = params.n_servers + len(layers)
+    key = np.minimum(*edges.T) * nodes + np.maximum(*edges.T)  # (u, v) with u < v, as one int
+    edges_u, edges_v = np.divmod(np.sort(key, kind="stable"), nodes)  # merges sorted runs
     return Topology(
         params=params,
-        n_servers=n_servers,
+        n_servers=params.n_servers,
         switch_layers=tuple(layers),
-        edges_u=np.ascontiguousarray(arr[:, 0]),
-        edges_v=np.ascontiguousarray(arr[:, 1]),
+        edges_u=edges_u,
+        edges_v=edges_v,
         gateways=_select_gateways(top_level, params.gateway_policy),
     )
 

@@ -836,10 +836,14 @@ class TestPartitionReach:
 
     @pytest.mark.parametrize("failure", [FailureType.LINK, FailureType.SWITCH])
     def test_the_link_failure_probe_is_the_partition_view(self, tiny_topologies, failure):
-        # One cached view serves the partition and the link-failure probe.
+        # One cached view serves the partition and every probe that
+        # contracts nothing: the view is shared exactly when no link the
+        # failure type never removes (under switch failures, a link with no
+        # switch end) joins two servers.
         for topo in tiny_topologies.values():
             shared = simulation._cluster_probe(topo, failure) is reachability._server_view(topo)
-            assert shared is (failure is FailureType.LINK)
+            server_links = bool((topo.edges_v < topo.n_servers).any())
+            assert shared is not (failure is FailureType.SWITCH and server_links)
 
 
 class TestProbe:

@@ -243,6 +243,30 @@ class TestCli:
         assert "FER grid must hold at least one value" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--failure", "link", "--fer", "0.2,0.2"],
+            ["sweep2d", "--fer-link", "0", "--fer-switch", "0.1,0.3,0.3"],
+            ["classed-sweep", "--sweep-class", "edge-link", "--fer", "0,0.1,0.1"],
+        ],
+        ids=["sweep", "sweep2d", "classed-sweep"],
+    )
+    def test_repeated_fer_value_exit_3(self, command, tmp_path, capsys):
+        # Two points at one FER would write two rows with one key; the
+        # options and a plan document meet the plan's one check.
+        out = tmp_path / "r.csv"
+        argv = command[:1] + TINY_THREE_LAYER + command[1:] + ["--samples", "2", "--out", str(out)]
+        assert main(argv) == 3
+        assert "FER grid must be strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+        doc = plan_to_doc(ExperimentPlan(params=SMALL, failures=(FailureType.LINK,)))
+        doc["fer_grids"] = [[0.2, 0.2]]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--plan", str(path)]) == 3
+        assert "FER grid must be strictly ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "grid",
         [[0.0, float("nan")], [float("nan")], [0.0, float("nan"), 0.5]],
         ids=["nan-last", "nan-only", "nan-inside"],
@@ -379,6 +403,13 @@ class TestCli:
               "--fixed", "agg-link=abc"], "'abc'"),
             (["classed-sweep", "--sweep-class", "edge-link", "--fer", "0.1",
               "--fixed", "bogus=0.1"], "'bogus'"),
+            # A class fixed twice, or the swept class fixed, is refused,
+            # not run with the last ratio given.
+            (["classed-sweep", "--sweep-class", "edge-switch", "--fer", "0.1",
+              "--fixed", "agg-switch=0.25", "--fixed", "agg-switch=0.5"],
+             "--fixed: class 'agg-switch' is given twice"),
+            (["classed-sweep", "--sweep-class", "edge-link", "--fer", "0.1",
+              "--fixed", "edge-link=0.25"], "--fixed: class 'edge-link' is the swept class"),
             # Refused before a grid is built: a range with no finite bound,
             # or with more values than a plan may hold, never returned.
             (["sweep", "--failure", "link", "--fer", "nan"], "--fer: 'nan' is not a finite"),

@@ -14,6 +14,8 @@ from scipy.sparse import csgraph
 from dcn_robust import reachability, simulation
 from dcn_robust.analytic import (
     FailureType,
+    MinCutSpec,
+    MttfQuality,
     min_cut_catalog,
     normalized_time,
     normalized_time_table,
@@ -568,6 +570,37 @@ class TestSimulateNmttf:
         assert res.theoretical_quality.value == "exact"
         assert res.nmttf_theoretical == pytest.approx(math.sqrt(4 * 20 + 1) / 20)
 
+    @pytest.mark.parametrize(
+        "params,failure,big_f",
+        [
+            # One switch: its failure strands every server, so c = 1.
+            (TopologyParams(kind=TopologyKind.BCUBE, n=4, l=0), FailureType.SWITCH, 1),
+            # No redundant path: every link and every switch is a cut.
+            (TopologyParams(kind=TopologyKind.FAT_TREE, n=2), FailureType.LINK, 6),
+            (TopologyParams(kind=TopologyKind.FAT_TREE, n=2), FailureType.SWITCH, 5),
+        ],
+        ids=["bcube-4-0-switch", "fat-tree-2-link", "fat-tree-2-switch"],
+    )
+    def test_single_element_cuts_match_the_simulation(self, params, failure, big_f):
+        # Any first removal strands a server, so the simulation is exact.
+        assert min_cut_catalog(params, failure) == MinCutSpec(1, big_f)
+        res = simulate_nmttf(plan_for(params, failure, samples=20), workers=1)
+        assert set(res.critical_points.tolist()) == {1}
+        assert res.nmttf_sim == normalized_time(1, big_f) == res.nmttf_theoretical
+
+    @pytest.mark.parametrize("policy", ["min", "count=1"])
+    def test_dcell2_switch_with_one_gateway(self, policy):
+        # The one gateway fails first with chance 1/(n+1) and strands every
+        # server then; otherwise two switch failures strand a server pair.
+        params = replace(DCELL_SMALL, gateway_policy=GatewayPolicy.parse(policy))
+        n = params.n
+        exact = 1 / (n + 1) / (n + 1) + n / (n + 1) * normalized_time(2, n + 1)
+        res = simulate_nmttf(plan_for(params, FailureType.SWITCH, samples=4000), workers=1)
+        assert res.theoretical_quality is MttfQuality.EXACT
+        assert res.nmttf_theoretical == pytest.approx(exact, rel=1e-14) == 0.40
+        assert abs(res.nmttf_sim - exact) <= res.ci95_half_width
+        assert set(res.critical_points.tolist()) == {1, 2}
+
     def test_server_failures_rejected(self):
         with pytest.raises(UnsupportedPlanError):
             simulate_nmttf(plan_for(BCUBE_2x2, FailureType.SERVER))
@@ -706,6 +739,15 @@ class TestSurvivalSweep:
                 failures=(FailureType.LINK, FailureType.SWITCH),
                 fer_grids=((0.0, 0.5), ()),
             )
+        # A value given twice would run two points, and write two rows, at
+        # one FER.
+        for grids in [((0.2, 0.2),), ((0.0, 0.5), (0.1, 0.3, 0.3))]:
+            with pytest.raises(UnsupportedPlanError, match="strictly ascending"):
+                ExperimentPlan(
+                    params=BCUBE_2x2,
+                    failures=(FailureType.LINK, FailureType.SWITCH)[: len(grids)],
+                    fer_grids=grids,
+                )
 
     @pytest.mark.parametrize("sweep", [survival_sweep, survival_sweep_2d])
     def test_capacity_assignment_of_another_topology_refused(self, sweep):
@@ -1111,6 +1153,31 @@ class TestDerivedMemo:
         graph = simulation._cluster_graph(topo, FailureType.LINK)
         pattern = reachability._pattern(topo)
         assert len(pattern) == 3 and all(a is b for a, b in zip(graph[:3], pattern))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            THREE_LAYER_SMALL,
+            TopologyParams(kind=TopologyKind.FAT_TREE, n=4),
+            BCUBE_CELL,
+            TopologyParams(kind=TopologyKind.BCUBE, n=3, l=2),
+            TopologyParams(kind=TopologyKind.DCELL, n=4, l=0),
+            DCELL_SMALL,
+            TopologyParams(kind=TopologyKind.DCELL, n=3, l=2),
+        ],
+        ids=param_id,
+    )
+    def test_switch_failures_contract_only_where_two_servers_share_a_link(self, params):
+        # Switch failures never remove a server-server link, and only DCell
+        # with l >= 1 has one: everywhere else the switch cluster graph is
+        # the pattern's own arrays and its probe the partition's view.
+        topo = build_topology(params)
+        switch = FailureType.SWITCH
+        graph = simulation._cluster_graph(topo, switch)
+        shared = all(a is b for a, b in zip(graph[:3], reachability._pattern(topo)))
+        assert shared is not (params.kind is TopologyKind.DCELL and params.l >= 1)
+        assert (simulation._cluster_probe(topo, switch) is reachability._server_view(topo)) is shared
+        assert (int(graph[3].max()) + 1 == topo.n_servers) is shared
 
     def test_a_filled_memo_changes_no_equality_repr_or_document(self):
         topo = build_topology(DCELL_SMALL)

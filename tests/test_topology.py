@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dcn_robust import reachability
 from dcn_robust.topology import (
+    _GENERATORS,
     GatewayPolicy,
     TopologyKind,
     TopologyParameterError,
@@ -450,6 +452,47 @@ def test_generators_keep_their_bytes():
             params = replace(base, gateway_policy=GatewayPolicy.parse(policy))
             digest.update(serialize_topology(build_topology(params)).encode())
     assert digest.hexdigest() == GENERATOR_BYTES_SHA256
+
+
+def lexsorted_layout(params: TopologyParams):
+    """(edges_u, edges_v, top_level) as the generator's layout was once
+    finished: each link oriented by a per-row sort, the links ordered by
+    ``np.lexsort``, and the top-level switches found by their layer tag."""
+    layers, edges, _ = _GENERATORS[params.kind](params)
+    arr = np.sort(edges, axis=1)
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    top = {TopologyKind.THREE_LAYER: "core", TopologyKind.FAT_TREE: "core",
+           TopologyKind.BCUBE: f"level-{params.l}", TopologyKind.DCELL: "level-0"}[params.kind]
+    top_level = params.n_servers + np.flatnonzero(np.array(layers) == top)
+    return arr[:, 0], arr[:, 1], top_level
+
+
+def lexsorted_pattern(topo):
+    """``reachability._pattern`` with its slots ordered by ``np.lexsort``."""
+    n, gateways = topo.n_nodes, topo.gateways
+    u = np.concatenate([topo.edges_u, gateways])
+    v = np.concatenate([topo.edges_v, np.full(len(gateways), n)])
+    row, col = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((col, row))
+    return col[order], np.searchsorted(row[order], np.arange(n + 2)), order % len(u)
+
+
+@pytest.mark.parametrize("policy", ["max", "min", "count=g"])
+@pytest.mark.parametrize("params", PARAM_GRID, ids=param_id)
+def test_one_sort_key_orders_as_the_lexsorts_did(params, policy):
+    # One int64 key per link, and one per pattern slot, sorted once, give
+    # the orders the per-row sort and the two-key lexsorts gave; and the
+    # switches each generator names are the ones its top layer tag marks.
+    edges_u, edges_v, top_level = lexsorted_layout(params)
+    g = max(1, len(top_level) // 2)
+    topo = build_topology(replace(params, gateway_policy=GatewayPolicy.parse(
+        policy.replace("g", str(g)))))
+    assert np.array_equal(topo.edges_u, edges_u) and np.array_equal(topo.edges_v, edges_v)
+    assert topo.edges_u.dtype == topo.edges_v.dtype == topo.gateways.dtype == np.int64
+    picked = {"max": len(top_level), "min": 1, "count=g": g}[policy]
+    assert np.array_equal(topo.gateways, top_level[:picked])
+    for got, want in zip(reachability._pattern(topo), lexsorted_pattern(topo)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,9 @@ is ``tests``). Run it from the repository root with
 ``PYTHONPATH=src python -m pytest -q tests_large``. It covers fat-tree 48
 (27 648 servers), BCube 8/4 (32 768) and DCell 4/3 (176 820), each under
 link and under switch failures, over the first samples of the MTTF
-stream, and bounds the traced memory peak of each fabric's build. The
-whole tier takes well under a minute on two cores.
+stream, and bounds the traced memory peak of each fabric's build and of
+the kernels that derive the engine's graphs from it. The whole tier takes
+well under a minute on two cores.
 
 A sweep sample drawn from an MTTF sample's stream removes a prefix of
 that sample's removal order: ``_apply_removals`` and ``_nmttf_chunk``
@@ -19,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcn_robust import simulation
+from dcn_robust import reachability, simulation
 from dcn_robust.analytic import FailureType
 from dcn_robust.simulation import _critical_point, _element_pool, _metric_chunk, sample_rng
 from dcn_robust.topology import TopologyKind, TopologyParams, build_topology
@@ -80,16 +81,56 @@ def test_asr_never_rises_along_a_removal_order(params, failure):
         assert all(a >= b for a, b in zip(asr, asr[1:])), (k, counts, asr)
 
 
-@pytest.mark.parametrize("params", FABRICS, ids=lambda p: f"{p.kind.value}-{p.args_text()}")
-def test_a_build_peaks_within_five_times_its_edge_arrays(params):
-    # The generators lay out their links as index arrays, so a build holds
-    # the edges a few times over (the layout, its oriented copy, the sort
-    # order and the sorted copy), never a Python tuple per link.
+def traced_peak(fn):
+    """(fn's result, the peak of the memory traced while it ran)."""
     tracemalloc.start()
     try:
-        topo = build_topology(params)
-        _, peak = tracemalloc.get_traced_memory()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    edge_bytes = topo.edges_u.nbytes + topo.edges_v.nbytes
-    assert peak <= 5 * edge_bytes, (peak, edge_bytes, round(peak / edge_bytes, 2))
+
+
+def edge_bytes(topo) -> int:
+    return topo.edges_u.nbytes + topo.edges_v.nbytes
+
+
+FABRIC_IDS = [f"{p.kind.value}-{p.args_text()}" for p in FABRICS]
+
+
+@pytest.mark.parametrize("params", FABRICS, ids=FABRIC_IDS)
+def test_a_build_peaks_within_five_times_its_edge_arrays(params):
+    # The generators lay out their links as index arrays, so a build holds
+    # the edges a few times over (the layout, one sort key per link, its
+    # sorted copy and the two ends divmod splits it into), never a Python
+    # tuple per link.
+    topo, peak = traced_peak(lambda: build_topology(params))
+    assert peak <= 5 * edge_bytes(topo), (peak, edge_bytes(topo), peak / edge_bytes(topo))
+
+
+# Traced peak of each kernel in multiples of edge_bytes, run in this order
+# on a fresh topology. Measured with numpy 2.4, in the order fat-tree 48 /
+# BCube 8/4 / DCell 4/3: _pattern 5.7, 5.8, 6.3; _server_view 3.9, 6.3,
+# 9.5; _cluster_probe under switch failures 0.2, 0.2, 5.1, as fat-tree and
+# BCube share the server view and only DCell contracts. Each bound clears
+# the largest peak by 16-19 %.
+KERNEL_PEAK_BOUNDS = {"pattern": 7.5, "server view": 11.0, "switch probe": 6.0}
+
+
+@pytest.mark.parametrize("params", FABRICS, ids=FABRIC_IDS)
+def test_each_kernel_peaks_within_its_bound(params):
+    topo = build_topology(params)
+    kernels = {
+        "pattern": lambda: reachability._pattern(topo),
+        "server view": lambda: reachability._server_view(topo),
+        "switch probe": lambda: simulation._cluster_probe(topo, FailureType.SWITCH),
+    }
+    peaks = {name: traced_peak(fn)[1] / edge_bytes(topo) for name, fn in kernels.items()}
+    assert all(peaks[name] <= bound for name, bound in KERNEL_PEAK_BOUNDS.items()), peaks
+    # Switch failures remove no link between two servers, so only DCell's
+    # server-server links join servers into clusters.
+    graph = simulation._cluster_graph(topo, FailureType.SWITCH)
+    shared = all(a is b for a, b in zip(graph[:3], reachability._pattern(topo)))
+    assert shared is (params.kind is not TopologyKind.DCELL)
+    view = reachability._server_view(topo)
+    assert (simulation._cluster_probe(topo, FailureType.SWITCH) is view) is shared
