@@ -130,7 +130,7 @@ def _pattern(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = np.concatenate([topology.edges_v, np.full(len(gateways), n)])
     row, col = np.concatenate([u, v]), np.concatenate([v, u])
     order = np.argsort(row * (n + 1) + col, kind="stable")  # by row, then column
-    indptr = np.searchsorted(row[order], np.arange(n + 2))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n + 1))])
     return col[order].astype(np.int32), indptr, order % len(u)
 
 
@@ -297,19 +297,23 @@ def _reach(view: tuple, alive: np.ndarray, until: np.ndarray | None = None) -> n
     return reached
 
 
-def _all_servers_reach_gateway(graph: tuple, alive: np.ndarray) -> bool:
+def _all_servers_reach_gateway(graph: tuple, alive: np.ndarray, linked: bool = False) -> bool:
     """True iff every server reaches a surviving gateway, over the
     ``_probe_view`` *graph* of a cluster graph whose live slots *alive*
     flags: the probe of the certificate that checks each critical point
     the simulation's cut bound or widest paths give.
 
-    A cluster with no live slot is stranded, so the probe fails at once.
-    Otherwise it is ``_reach``, stopped once every target is reached.
+    A cluster with no live slot is stranded, so the probe fails at once;
+    *linked* says the caller knows every cluster keeps one (as at a prefix
+    at or below the cut bound), and skips that check. Otherwise it is
+    ``_reach``, stopped once every target is reached.
     """
     owner, target = graph[3], graph[4]
-    linked = np.zeros(owner[-1] + 1, dtype=bool)
-    linked[owner[alive[: len(owner)]]] = True
-    return bool(linked.all() and _reach(graph, alive, target)[target].all())
+    if not linked:
+        live = np.zeros(owner[-1] + 1, dtype=bool)
+        live[owner[alive[: len(owner)]]] = True
+        linked = live.all()
+    return bool(linked and _reach(graph, alive, target)[target].all())
 
 
 def _partition_arrays(

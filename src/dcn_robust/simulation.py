@@ -4,7 +4,10 @@ Every sample draws its own counter-based RNG stream from
 ``(master_seed, stream_tag, point, sample)``, so results are byte-identical
 no matter how samples are distributed over worker processes. The stream
 index packs ``(tag << 56) | (point << 32) | sample``, so a plan may hold
-at most 2**24 grid points and 2**32 samples.
+at most 2**24 grid points and 2**32 samples. A Philox stream is a function
+of its key alone (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC 2011), so each chunk re-keys one generator per sample rather
+than building a new one.
 
 The three survival sweeps (one failure type, the link x switch grid, and
 per-class ratios on the three-layer fabric) share one driver over a list
@@ -13,7 +16,9 @@ count)`` draws from element pools, plus the fields that label its rows;
 the (point, chunk) tasks of one operation share at most one process pool.
 A chunk returns the ``reachability.SurvivalMetrics`` record of each of
 its samples, in sample order, and the parent turns a point's records into
-one row per metric.
+one row per metric. An operation too small to spread over two workers runs
+inline, and ``ProcessPoolExecutor`` (with multiprocessing under it) is
+imported on the first operation that forks, not with this module.
 
 ``_cached_topology``, an ``lru_cache`` of the topologies of the last eight
 params asked for, is the one store that lasts for the whole process. What
@@ -50,8 +55,8 @@ import functools
 import math
 import numbers
 import os
+import sys
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -314,10 +319,26 @@ def resolve_workers(requested: int | None = None) -> int:
     return requested
 
 
-def sample_rng(master_seed: int, tag: int, point: int, sample: int) -> np.random.Generator:
-    """Counter-based per-sample generator; order-independent by design."""
+def sample_rng(
+    master_seed: int, tag: int, point: int, sample: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
+    """The sample's counter-based generator, order-independent by design:
+    *rng*, a Philox generator, re-keyed to the sample's stream, or a new
+    one where it is None. Setting the whole state (key, zero counter,
+    spent buffer, no buffered 32-bit half) makes the next draws those of a
+    new generator of that key, whatever *rng* drew before."""
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(key=0))
     stream = (tag << 56) | (point << 32) | sample
-    return np.random.Generator(np.random.Philox(key=[master_seed, stream]))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [master_seed, stream]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def removal_count(fer: float, total: int) -> int:
@@ -386,7 +407,7 @@ def _edge_times(topo: Topology, failure: FailureType, perm: np.ndarray) -> np.nd
     ids, on_nodes = _element_pool(topo, failure)
     big_f = len(ids)
     times = np.full(topo.n_nodes if on_nodes else topo.n_links, big_f)
-    times[ids[perm]] = np.arange(big_f)
+    times[ids[0] :][perm] = np.arange(big_f)  # the pool is one id range from ids[0]
     if on_nodes:
         link_times = np.minimum(times[topo.edges_u], times[topo.edges_v])
         return np.concatenate([link_times, times[topo.gateways]])
@@ -422,7 +443,7 @@ def _cluster_graph(topo: Topology, failure: FailureType) -> tuple[np.ndarray, ..
     col = node[indices].astype(np.int32)  # half the memory the memo keeps
     order = np.argsort(row, kind="stable")
     keep = order[row[order] != col[order]]
-    indptr = np.searchsorted(row[keep], np.arange(node[-1] + 2))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=node[-1] + 1))])
     return col[keep], indptr, slot_edge[keep], cluster
 
 
@@ -484,15 +505,18 @@ def _critical_point(topo: Topology, failure: FailureType, perm: np.ndarray) -> i
     refutes the bound, the candidate is one past the earliest stranding
     time of the widest paths (``_stranding_times``) instead, proved by the
     same two probes. A refuted bound costs one probe more than a proved
-    one; any other refutation raises RuntimeError.
+    one; any other refutation raises RuntimeError. At a prefix at or below
+    the bound every cluster keeps a live slot, so the probe is told to
+    skip its check for a cluster with none.
     """
     slot_time = _edge_times(topo, failure, perm)[_cluster_graph(topo, failure)[2]]
     probe = _cluster_probe(topo, failure)
+    bound = _cut_bound(topo, failure, slot_time)
 
     def all_reach(prefix: int) -> bool:
-        return reachability._all_servers_reach_gateway(probe, slot_time >= prefix)
+        return reachability._all_servers_reach_gateway(probe, slot_time >= prefix, prefix <= bound)
 
-    source, critical = "cut bound", _cut_bound(topo, failure, slot_time) + 1
+    source, critical = "cut bound", bound + 1
     refuted = critical < 1 or not all_reach(critical - 1)
     if refuted:
         source = "widest path"
@@ -521,13 +545,16 @@ def _nmttf_chunk(
     start: int,
     stop: int,
 ) -> np.ndarray:
+    """The critical point of each sample of ``range(start, stop)``, from
+    the removal order its stream draws: one generator for the chunk,
+    re-keyed by ``sample_rng`` per sample."""
     topo = _cached_topology(params)
     big_f = len(_element_pool(topo, failure)[0])
     out = np.empty(stop - start, dtype=np.int64)
+    rng = None
     for k in range(start, stop):
-        rng = sample_rng(master_seed, _TAG_NMTTF, 0, k)
-        perm = rng.permutation(big_f)
-        out[k - start] = _critical_point(topo, failure, perm)
+        rng = sample_rng(master_seed, _TAG_NMTTF, 0, k, rng)
+        out[k - start] = _critical_point(topo, failure, rng.permutation(big_f))
     return out
 
 
@@ -546,15 +573,17 @@ def _metric_chunk(
 
     *draws* is a tuple of ``(selector, count)`` pairs: each sample removes
     *count* uniformly random elements of each selector's pool, drawn in
-    order from the sample's own stream. Returns each sample's record, in
-    sample order.
+    order from the sample's own stream (one generator for the chunk,
+    re-keyed by ``sample_rng`` per sample). Returns each sample's record,
+    in sample order.
     """
     topo = _cached_topology(params)
     pools = [(*_element_pool(topo, selector), count) for selector, count in draws]
     cpu, mem = capacities if capacities is not None else (None, None)
     out = []
+    rng = None
     for k in range(start, stop):
-        rng = sample_rng(master_seed, tag, point, k)
+        rng = sample_rng(master_seed, tag, point, k, rng)
         node_alive, edge_alive = _apply_removals(topo, pools, rng)
         out.append(
             reachability.evaluate(
@@ -572,13 +601,28 @@ def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, samples)) for s in range(0, samples, size)]
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use and kept as a module
+    attribute (PEP 562): an operation that runs inline never loads
+    ``concurrent.futures.process``, multiprocessing, socket or subprocess."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _run_chunked(fn, tasks: list[tuple], workers: int) -> list:
     """``[fn(*task) for task in tasks]`` on a pool of one worker per two tasks,
-    at most *workers*; inline when that is one, as a pool would cost more."""
+    at most *workers*; inline when that is one, as a pool would cost more.
+    The pool is this module's ``ProcessPoolExecutor`` attribute, so the
+    first operation that forks loads it, and a class set there in its
+    place is the one started."""
     workers = min(workers, len(tasks) // 2)
     if workers <= 1:
         return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
         return [f.result() for f in futures]
 

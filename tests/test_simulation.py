@@ -3,8 +3,11 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +120,53 @@ class TestSamplingUniformity:
         c = sample_rng(7, 1, 3, 12).permutation(20)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestRekeyedStreams:
+    TAGS = (
+        simulation._TAG_NMTTF,
+        simulation._TAG_SWEEP,
+        simulation._TAG_SWEEP_2D,
+        simulation._TAG_CLASSED,
+    )
+
+    @staticmethod
+    def draws(rng) -> list:
+        return [rng.permutation(50), rng.integers(0, 10**9, size=7), rng.random(5)]
+
+    @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+    def test_a_rekeyed_generator_draws_what_a_fresh_one_does(self, master_seed):
+        # A chunk's generator is re-keyed per sample after earlier samples
+        # drew from it, 32-bit draws among them (sampled ASPL's pairs).
+        used = sample_rng(1, 0, 0, 0)
+        for tag in self.TAGS:
+            for sample in (0, 2**32 - 1):
+                # Each 32-bit draw takes one half of a 64-bit word: draw
+                # until the other half is left in the buffer.
+                used.integers(0, 1000, dtype=np.int32)
+                while not used.bit_generator.state["has_uint32"]:
+                    used.integers(0, 1000, dtype=np.int32)
+                rekeyed = sample_rng(master_seed, tag, 0, sample, used)
+                assert rekeyed is used
+                stream = (tag << 56) | sample
+                # The 128-bit integer key splits into the words [seed, stream].
+                oracle = np.random.Generator(np.random.Philox(key=(stream << 64) | master_seed))
+                fresh = sample_rng(master_seed, tag, 0, sample)
+                want = self.draws(oracle)
+                for got in (self.draws(rekeyed), self.draws(fresh)):
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_seeds_below_2_63_keep_the_streams_of_a_two_word_key(self):
+        # Philox(key=[seed, stream]) holds both words exactly while they fit
+        # int64, which every stream does: those streams have not changed.
+        for master_seed in (0, 20250810, 2**63 - 1):
+            for tag in self.TAGS:
+                stream = (tag << 56) | (2**24 - 1 << 32) | (2**32 - 1)
+                old = np.random.Generator(np.random.Philox(key=[master_seed, stream]))
+                new = sample_rng(master_seed, tag, 2**24 - 1, 2**32 - 1)
+                assert all(
+                    np.array_equal(g, w) for g, w in zip(self.draws(new), self.draws(old))
+                )
 
 
 class TestRemovalCount:
@@ -294,6 +344,35 @@ class TestCriticalPoint:
                 proved = _critical_point(topo, failure, perm) == bound
                 counts[proved, len(calls)] += 1
         assert set(counts) == {(True, 2), (False, 3)}
+
+    def test_skipping_the_cluster_check_up_to_the_cut_bound_changes_no_answer(
+        self, tiny_topologies
+    ):
+        # At a prefix at or below the cut bound every cluster keeps a live
+        # slot, so _critical_point lets the probe skip its check for one
+        # without: the flagged probe must answer as the full one there.
+        cases = [
+            (topo, failure, [np.random.default_rng(k) for k in range(5)])
+            for topo in tiny_topologies.values()
+            for failure in (FailureType.LINK, FailureType.SWITCH)
+        ]
+        cases += [
+            (build_topology(params), failure,
+             [sample_rng(20250810, simulation._TAG_NMTTF, 0, k) for k in range(4)])
+            for params, failure in NMTTF_CONFIGS
+        ]
+        probes = 0
+        for topo, failure, rngs in cases:
+            graph = simulation._cluster_probe(topo, failure)
+            big_f = len(_element_pool(topo, failure)[0])
+            for rng in rngs:
+                times = slot_times(topo, failure, rng.permutation(big_f))
+                for prefix in range(simulation._cut_bound(topo, failure, times) + 1):
+                    alive = times >= prefix
+                    full = reachability._all_servers_reach_gateway(graph, alive)
+                    assert reachability._all_servers_reach_gateway(graph, alive, True) is full
+                    probes += 1
+        assert probes > 1000
 
     def test_the_nmttf_stream_proves_some_bounds_and_refutes_others(self):
         proved = refuted = 0
@@ -1078,6 +1157,39 @@ class TestDeterminismAndWorkers:
         assert rows == expected[0]
         assert np.array_equal(result.critical_points, expected[1].critical_points)
         assert result.nmttf_sim == expected[1].nmttf_sim
+
+    def test_the_pool_module_loads_on_the_first_operation_that_forks(self):
+        code = """
+import sys
+import dcn_robust, dcn_robust.cli
+import numpy as np
+from dcn_robust import simulation
+from dcn_robust.analytic import FailureType
+from dcn_robust.topology import TopologyKind, TopologyParams
+
+params = TopologyParams(kind=TopologyKind.DCELL, n=4, l=1)
+sweep = simulation.ExperimentPlan(params, (FailureType.LINK,), ((0.3,),), samples=2)
+simulation.survival_sweep(sweep, workers=2)  # two tasks: inline
+print("concurrent.futures.process" in sys.modules)
+mttf = simulation.ExperimentPlan(params, (FailureType.LINK,), samples=4, master_seed=5)
+forked = simulation.simulate_nmttf(mttf, workers=2)
+print("concurrent.futures.process" in sys.modules)
+inline = simulation.simulate_nmttf(mttf, workers=1)
+print(np.array_equal(forked.critical_points, inline.critical_points)
+      and (forked.nmttf_sim, forked.ci95_half_width) == (inline.nmttf_sim, inline.ci95_half_width))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(simulation.__file__).resolve().parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["False", "True", "True"]
+
+    def test_the_pool_class_is_a_module_attribute(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        assert hasattr(simulation, "ProcessPoolExecutor")
+        assert simulation.ProcessPoolExecutor is ProcessPoolExecutor
+        assert not hasattr(simulation, "ThreadPoolExecutor")
 
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("DCN_ROBUST_THREADS", "3")

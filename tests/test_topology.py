@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dcn_robust import reachability
+from dcn_robust import reachability, simulation
+from dcn_robust.analytic import FailureType
 from dcn_robust.topology import (
     _GENERATORS,
     GatewayPolicy,
@@ -493,6 +494,26 @@ def test_one_sort_key_orders_as_the_lexsorts_did(params, policy):
     assert np.array_equal(topo.gateways, top_level[:picked])
     for got, want in zip(reachability._pattern(topo), lexsorted_pattern(topo)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("policy", ["max", "min"])
+@pytest.mark.parametrize("params", PARAM_GRID, ids=param_id)
+def test_row_counts_give_the_indptr_a_search_of_the_sorted_rows_did(params, policy):
+    # The pattern and each cluster graph count their slots per row
+    # (np.bincount); the oracle searches the sorted rows for each row's
+    # first slot (np.searchsorted).
+    topo = build_topology(replace(params, gateway_policy=GatewayPolicy.parse(policy)))
+    n, gateways = topo.n_nodes, topo.gateways
+    row = np.concatenate([topo.edges_u, gateways, topo.edges_v, np.full(len(gateways), n)])
+    indices, indptr, _ = reachability._pattern(topo)
+    assert np.array_equal(indptr, np.searchsorted(np.sort(row), np.arange(n + 2)))
+    assert indptr.dtype == np.intp
+    for failure in (FailureType.LINK, FailureType.SWITCH):
+        _, got, _, cluster = simulation._cluster_graph(topo, failure)
+        node = np.concatenate([cluster, cluster.max() + 1 + np.arange(topo.n_switches + 1)])
+        rows, cols = np.repeat(node, np.diff(indptr)), node[indices]
+        want = np.searchsorted(np.sort(rows[rows != cols]), np.arange(node[-1] + 2))
+        assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
 @pytest.mark.parametrize(
