@@ -229,8 +229,8 @@ def _write(out: Path | None, text: str) -> None:
 
 def _emit(args: argparse.Namespace, report: Report) -> None:
     _write(args.out, to_csv_text(report) if args.format == "csv" else to_json_text(report))
-    # --gnuplot is a sweep option; its script reads the CSV written to --out.
-    if args.out is not None and args.format == "csv" and getattr(args, "gnuplot", False):
+    # --gnuplot comes only with a CSV --out (_cmd_sweep), which its script reads.
+    if getattr(args, "gnuplot", False):
         _write(args.out.with_suffix(".gp"), gnuplot_script(args.out.name, report))
 
 
@@ -355,6 +355,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     module's globals as it runs, so a wrapper set later is the one called."""
     sweep = {"sweep": survival_sweep, "sweep2d": survival_sweep_2d,
              "classed-sweep": classed_sweep}[args.command]
+    if args.gnuplot and (args.out is None or args.format != "csv"):
+        raise ConfigurationError("--gnuplot writes its script next to a CSV --out")
     plan = _plan_from_args(args)
     assignment = _load_capacity(args, _cached_topology(plan.params))
     rows = sweep(plan, capacity_assignment=assignment)

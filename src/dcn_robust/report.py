@@ -70,11 +70,14 @@ def reliability_rows(result: ReliabilityResult) -> list[MetricSample]:
         params=result.params.args_text(),
         failure_type=result.failure.value,
     )
-    fer_mean, fer_half = confidence_interval(result.critical_points / result.universe)
+    critical = result.critical_points
+    fer_mean, fer_half = confidence_interval(critical / result.universe)
+    # Flagged as sweep rows are: two or more critical points, all equal.
+    flag = {"degenerate": True} if len(critical) >= 2 and (critical == critical[0]).all() else {}
     # (metric, mean, ci95 half-width, samples, extra) per row.
     values = [
-        ("nmttf_sim", result.nmttf_sim, result.ci95_half_width, result.samples, {}),
-        ("critical_fer", fer_mean, fer_half, result.samples, {}),
+        ("nmttf_sim", result.nmttf_sim, result.ci95_half_width, result.samples, dict(flag)),
+        ("critical_fer", fer_mean, fer_half, result.samples, dict(flag)),
     ]
     if result.nmttf_theoretical is not None:
         quality = {"quality": result.theoretical_quality.value}

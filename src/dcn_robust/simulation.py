@@ -9,16 +9,19 @@ of its key alone (Salmon et al., "Parallel random numbers: as easy as 1,
 2, 3", SC 2011), so each chunk re-keys one generator per sample rather
 than building a new one.
 
-The three survival sweeps (one failure type, the link x switch grid, and
-per-class ratios on the three-layer fabric) share one driver over a list
-of grid points. A point says what each sample removes as ``(selector,
-count)`` draws from element pools, plus the fields that label its rows;
-the (point, chunk) tasks of one operation share at most one process pool.
-A chunk returns the ``reachability.SurvivalMetrics`` record of each of
-its samples, in sample order, and the parent turns a point's records into
-one row per metric. An operation too small to spread over two workers runs
-inline, and ``ProcessPoolExecutor`` (with multiprocessing under it) is
-imported on the first operation that forks, not with this module.
+MTTF and the three survival sweeps (one failure type, the link x switch
+grid, and per-class ratios on the three-layer fabric) share one driver,
+``_run_samples``, over a list of grid points, each with its own
+per-sample function: ``_critical_sample`` draws a removal order and
+returns its critical point, ``_metric_sample`` removes a sweep point's
+``(selector, count)`` draws from element pools and returns the
+``reachability.SurvivalMetrics`` record. The (point, chunk) tasks of one
+operation share at most one process pool; each runs ``_chunk``, which
+returns its samples' results in sample order, and the parent turns a
+sweep point's records into one row per metric. An operation too small to
+spread over two workers runs inline, and ``ProcessPoolExecutor`` (with
+multiprocessing under it) is imported on the first operation that forks,
+not with this module.
 
 ``_cached_topology``, an ``lru_cache`` of the topologies of the last eight
 params asked for, is the one store that lasts for the whole process. What
@@ -538,67 +541,41 @@ def _cached_topology(params: TopologyParams) -> Topology:
     return build_topology(params)
 
 
-def _nmttf_chunk(
-    params: TopologyParams,
-    failure: FailureType,
-    master_seed: int,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """The critical point of each sample of ``range(start, stop)``, from
-    the removal order its stream draws: one generator for the chunk,
-    re-keyed by ``sample_rng`` per sample."""
-    topo = _cached_topology(params)
+def _critical_sample(failure: FailureType, topo: Topology, rng: np.random.Generator) -> int:
+    """One MTTF sample: the critical point of the removal order that *rng*
+    draws over the failure type's element pool."""
     big_f = len(_element_pool(topo, failure)[0])
-    out = np.empty(stop - start, dtype=np.int64)
-    rng = None
-    for k in range(start, stop):
-        rng = sample_rng(master_seed, _TAG_NMTTF, 0, k, rng)
-        out[k - start] = _critical_point(topo, failure, rng.permutation(big_f))
-    return out
+    return _critical_point(topo, failure, rng.permutation(big_f))
 
 
-def _metric_chunk(
-    params: TopologyParams,
-    draws: tuple,
-    metrics: tuple[str, ...],
-    capacities: tuple[np.ndarray, np.ndarray] | None,
-    master_seed: int,
-    tag: int,
-    point: int,
-    start: int,
-    stop: int,
-) -> list[reachability.SurvivalMetrics]:
-    """Evaluate the requested metrics over one range of sample indices.
-
-    *draws* is a tuple of ``(selector, count)`` pairs: each sample removes
-    *count* uniformly random elements of each selector's pool, drawn in
-    order from the sample's own stream (one generator for the chunk,
-    re-keyed by ``sample_rng`` per sample). Returns each sample's record,
-    in sample order.
-    """
-    topo = _cached_topology(params)
+def _metric_sample(
+    draws: tuple, metrics: tuple[str, ...], cpu, mem, topo: Topology, rng: np.random.Generator
+) -> reachability.SurvivalMetrics:
+    """One sweep sample: the requested metrics once *draws*, a tuple of
+    ``(selector, count)`` pairs, are removed. Each pair removes *count*
+    uniformly random elements of the selector's pool, drawn in order from
+    *rng*, which then draws the sampled ASPL's sources."""
     pools = [(*_element_pool(topo, selector), count) for selector, count in draws]
-    cpu, mem = capacities if capacities is not None else (None, None)
+    alive = _apply_removals(topo, pools, rng)  # (node_alive, edge_alive)
+    return reachability.evaluate(topo, *alive, metrics, cpu=cpu, mem=mem, aspl_rng=rng)
+
+
+def _chunk(
+    params: TopologyParams, sample, master_seed: int, tag: int, point: int, start: int, stop: int
+) -> list:
+    """``sample(topology, rng)`` for each sample of ``range(start, stop)``
+    at grid point *point*, in sample order: one generator for the chunk,
+    re-keyed by ``sample_rng`` to each sample's stream."""
+    topo = _cached_topology(params)
     out = []
     rng = None
     for k in range(start, stop):
         rng = sample_rng(master_seed, tag, point, k, rng)
-        node_alive, edge_alive = _apply_removals(topo, pools, rng)
-        out.append(
-            reachability.evaluate(
-                topo, node_alive, edge_alive, metrics, cpu=cpu, mem=mem, aspl_rng=rng
-            )
-        )
+        out.append(sample(topo, rng))
     return out
 
 
 # --- parallel map ------------------------------------------------------------
-
-
-def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
-    size = max(1, math.ceil(samples / (workers * 4)))
-    return [(s, min(s + size, samples)) for s in range(0, samples, size)]
 
 
 def __getattr__(name: str):
@@ -625,6 +602,24 @@ def _run_chunked(fn, tasks: list[tuple], workers: int) -> list:
     with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
         return [f.result() for f in futures]
+
+
+def _run_samples(plan: ExperimentPlan, tag: int, samplers: list, workers: int | None) -> list[list]:
+    """Each sampler's ``plan.samples`` results, in sample order. Sampler i
+    is grid point i of stream *tag*; its samples are cut into chunks of
+    about a quarter of a worker's share, and every (point, chunk) task of
+    the operation goes to one ``_run_chunked`` call."""
+    workers = resolve_workers(workers)
+    samples = plan.samples
+    size = max(1, math.ceil(samples / (workers * 4)))
+    starts = range(0, samples, size)
+    tasks = [
+        (plan.params, sampler, plan.master_seed, tag, point, start, min(start + size, samples))
+        for point, sampler in enumerate(samplers)
+        for start in starts
+    ]
+    parts = iter(_run_chunked(_chunk, tasks, workers))
+    return [[r for _ in starts for r in next(parts)] for _ in samplers]
 
 
 # --- public operations ---------------------------------------------------------
@@ -655,15 +650,9 @@ def simulate_nmttf(plan: ExperimentPlan, workers: int | None = None) -> Reliabil
     # cluster graph under it, so that the workers inherit all three.
     _cluster_probe(topo, failure)
 
-    workers = resolve_workers(workers)
-    tasks = [
-        (plan.params, failure, plan.master_seed, start, stop)
-        for start, stop in _chunks(plan.samples, workers)
-    ]
-    critical = np.concatenate(_run_chunked(_nmttf_chunk, tasks, workers))
-    table = normalized_time_table(big_f)
-    per_sample_nt = table[critical]
-    mean, half = confidence_interval(per_sample_nt)
+    samplers = [functools.partial(_critical_sample, failure)]
+    critical = np.array(_run_samples(plan, _TAG_NMTTF, samplers, workers)[0], dtype=np.int64)
+    mean, half = confidence_interval(normalized_time_table(big_f)[critical])
 
     theo = quality = rel = None
     note = None
@@ -735,29 +724,20 @@ def _sweep(
     """Evaluate the plan's metrics at every grid point, on at most one pool.
 
     Each point is ``(draws, row_fields)``: the ``(selector, count)`` draws of
-    :func:`_metric_chunk` and the fields that label the point's rows. A
+    :func:`_metric_sample` and the fields that label the point's rows. A
     point's RNG stream index is its position in *points*.
     """
+    if not plan.metrics:
+        raise UnsupportedPlanError("a sweep needs at least one metric")
     capacities = _plan_capacities(plan, capacity_assignment)
     reachability._server_view(_cached_topology(plan.params))  # forked workers inherit it
-    workers = resolve_workers(workers)
-    spans = _chunks(plan.samples, workers)
-    tasks = [
-        (plan.params, draws, plan.metrics, capacities, plan.master_seed, tag, point, start, stop)
-        for point, (draws, _) in enumerate(points)
-        for start, stop in spans
+    samplers = [
+        functools.partial(_metric_sample, draws, plan.metrics, *capacities) for draws, _ in points
     ]
-    parts = _run_chunked(_metric_chunk, tasks, workers)
+    base = {"topology": plan.params.kind.value, "params": plan.params.args_text()}
     rows: list[MetricSample] = []
-    for point, (_, fields) in enumerate(points):
-        base = {
-            "topology": plan.params.kind.value,
-            "params": plan.params.args_text(),
-            **fields,
-        }
-        chunks = parts[point * len(spans) : (point + 1) * len(spans)]
-        records = [r for chunk in chunks for r in chunk]
-        rows.extend(_aggregate_point(records, plan.metrics, base))
+    for records, (_, fields) in zip(_run_samples(plan, tag, samplers, workers), points):
+        rows.extend(_aggregate_point(records, plan.metrics, {**base, **fields}))
     return rows
 
 
@@ -851,18 +831,16 @@ def classed_sweep(
     return _sweep(plan, _TAG_CLASSED, points, workers, capacity_assignment)
 
 
-def _plan_capacities(
-    plan: ExperimentPlan, assignment
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (cpu, memory) vectors of *assignment*, which must have been
-    made for the plan's own topology."""
+def _plan_capacities(plan: ExperimentPlan, assignment) -> tuple:
+    """The (cpu, memory) vectors of *assignment*, which must have been made
+    for the plan's own topology; (None, None) when no rcr metric reads them."""
     if assignment is not None and assignment.topology.params != plan.params:
         raise UnsupportedPlanError(
             f"capacity assignment is for {params_to_doc(assignment.topology.params)}, "
             f"the plan runs {params_to_doc(plan.params)}"
         )
     if not any(m.startswith("rcr") for m in plan.metrics):
-        return None
+        return None, None
     if assignment is None:
         raise UnsupportedPlanError("rcr metrics require a capacity assignment")
     return assignment.cpu, assignment.memory

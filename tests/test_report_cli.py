@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,28 @@ class TestReportFormats:
         metrics = [r.metric for r in rows]
         assert metrics == ["nmttf_sim", "critical_fer", "nmttf_theo", "relative_error"]
         assert rows[2].extra["quality"] == "exact"
+
+    def test_reliability_rows_flag_all_equal_samples(self):
+        # DCell 3/1 under switch failures strands a server at the same
+        # count on every sample, as sweep rows whose samples agree.
+        params = TopologyParams(kind=TopologyKind.DCELL, n=3, l=1)
+        plan = ExperimentPlan(params=params, failures=(FailureType.SWITCH,), samples=20)
+        result = simulate_nmttf(plan, workers=1)
+        assert len(set(result.critical_points.tolist())) == 1
+        rows = {r.metric: r for r in reliability_rows(result)}
+        for metric in ("nmttf_sim", "critical_fer"):
+            assert rows[metric].ci95_half_width == 0.0
+            assert rows[metric].extra == {"degenerate": True}
+        assert "degenerate" not in rows["nmttf_theo"].extra
+        single = reliability_rows(simulate_nmttf(replace(plan, samples=1), workers=1))
+        assert all("degenerate" not in r.extra for r in single)
+        varied = reliability_rows(
+            simulate_nmttf(replace(plan, failures=(FailureType.LINK,)), workers=1)
+        )
+        assert varied[0].ci95_half_width > 0.0
+        assert all("degenerate" not in r.extra for r in varied)
+        doc = json.loads(to_json_text(Report(plan={}, seed=0, rows=tuple(rows.values()))))
+        assert [s["points"][0].get("degenerate") for s in doc["series"]] == [True, True, None, None]
 
     def test_gnuplot_script_references_csv(self):
         report = small_sweep_report()
@@ -993,6 +1016,31 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "r.csv"), "--gnuplot"]) == 2
         assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--format", "json", "--out", "sweep.json"]], ids=["no-out", "json-out"]
+    )
+    def test_gnuplot_without_a_csv_out_is_refused(self, extra, tmp_path, monkeypatch, capsys):
+        # The script reads the CSV that --out writes; with none it would
+        # silently be left out. The sweep must not run either.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "survival_sweep", None)  # called, it would raise TypeError
+        argv = ["sweep", "--topology", "fat-tree", "--n", "4", "--failure", "link",
+                "--fer", "0.1", "--gnuplot", *extra]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: --gnuplot writes its script next to a CSV --out\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_plan_with_no_metrics_is_refused(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "params": {"kind": "fat-tree", "n": 4}, "failures": ["link"],
+            "fer_grids": [[0.1]], "metrics": [],
+        }))
+        assert main(["sweep", "--plan", str(plan)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: a sweep needs at least one metric\n"
+        assert captured.out == ""
+
     def test_plan_file_round_trip(self, tmp_path):
         plan = ExperimentPlan(
             params=SMALL,
@@ -1111,7 +1159,7 @@ GOLDEN_RUNS = {
     "mttf-json": (
         ["mttf", "--topology", "dcell", "--n", "3", "--l", "1", "--failure", "switch",
          "--samples", "20", "--seed", "7", "--format", "json"],
-        {"stdout": "3acc9279cb2cb8a2639cee495da3947f1df62cac3457d35d4f9f44cd1a91e4ef"},
+        {"stdout": "043012ed1821c9ef3dd25459c5ed9319ad13d397f9240e2539ce3aa32fd5a9b4"},
     ),
     "sweep-gnuplot": (
         ["sweep", "--topology", "fat-tree", "--n", "4", "--failure", "link", "--fer", "0,0.2",

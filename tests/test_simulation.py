@@ -290,8 +290,8 @@ class TestCriticalPoint:
         self, params, failure
     ):
         # A sweep sample drawn from an MTTF sample's stream removes a prefix
-        # of that sample's order: _apply_removals and _nmttf_chunk take one
-        # permutation each from it. So the partition and the cluster graph
+        # of that sample's order: _apply_removals and _critical_sample take
+        # one permutation each from it. So the partition and the cluster graph
         # agree sample by sample: every server reaches a gateway one removal
         # before the critical point, and some server does not at it.
         topo = simulation._cached_topology(params)
@@ -300,10 +300,10 @@ class TestCriticalPoint:
             perm = sample_rng(20250810, simulation._TAG_NMTTF, 0, k).permutation(big_f)
             critical = _critical_point(topo, failure, perm)
             asr = [
-                simulation._metric_chunk(
-                    params, ((failure, removed),), ("asr",), None,
-                    20250810, simulation._TAG_NMTTF, 0, k, k + 1,
-                )[0].asr
+                simulation._metric_sample(
+                    ((failure, removed),), ("asr",), None, None,
+                    topo, sample_rng(20250810, simulation._TAG_NMTTF, 0, k),
+                ).asr
                 for removed in (critical - 1, critical)
             ]
             assert asr[0] == 1.0 and asr[1] < 1.0, (k, critical, asr)
@@ -747,6 +747,31 @@ class TestSurvivalSweep:
         assert single.ci95_half_width is None
         assert single.extra == {}
 
+    def test_a_sweep_needs_a_metric(self, monkeypatch):
+        # Refused before any sample runs; an MTTF plan names no metric.
+        monkeypatch.setattr(simulation, "_run_chunked", None)  # called, it would raise TypeError
+        plan = plan_for(DCELL_SMALL, FailureType.LINK, fer_grids=((0.1,),), metrics=())
+        plan2d = ExperimentPlan(
+            params=DCELL_SMALL,
+            failures=(FailureType.LINK, FailureType.SWITCH),
+            fer_grids=((0.1,), (0.1,)),
+            metrics=(),
+        )
+        classed = plan_for(
+            THREE_LAYER_SMALL,
+            FailureType.LINK,
+            fer_grids=((0.1,),),
+            metrics=(),
+            class_ratios={ElementClass.EDGE_LINK: None},
+        )
+        for sweep, p in ((survival_sweep, plan), (survival_sweep_2d, plan2d),
+                         (classed_sweep, classed)):
+            with pytest.raises(UnsupportedPlanError, match="a sweep needs at least one metric"):
+                sweep(p, workers=1)
+        monkeypatch.undo()
+        result = simulate_nmttf(replace(plan, fer_grids=(), samples=5), workers=1)
+        assert len(result.critical_points) == 5
+
     def test_rows_carry_grid_and_time(self):
         plan = plan_for(
             BCUBE_2x2,
@@ -1077,14 +1102,19 @@ class TestGatewayPolicySensitivity:
 
 
 class TestDeterminismAndWorkers:
-    def test_identical_results_across_worker_counts(self):
-        plan = plan_for(DCELL_SMALL, FailureType.LINK, fer_grids=((0.2, 0.4),), samples=40)
-        rows1 = survival_sweep(plan, workers=1)
-        rows2 = survival_sweep(plan, workers=2)
-        assert rows1 == rows2
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_identical_results_across_worker_counts(self, workers):
+        # 41 samples are chunks of 6 at two workers and of 4 at three (11
+        # per point, the last holding one sample), so the (point, chunk)
+        # results are reassembled from ragged chunks.
+        for samples in (40, 41):
+            plan = plan_for(
+                DCELL_SMALL, FailureType.LINK, fer_grids=((0.2, 0.4),), samples=samples
+            )
+            assert survival_sweep(plan, workers=1) == survival_sweep(plan, workers=workers)
         for failure in (FailureType.LINK, FailureType.SWITCH):
-            res1 = simulate_nmttf(plan_for(DCELL_SMALL, failure, samples=60), workers=1)
-            res2 = simulate_nmttf(plan_for(DCELL_SMALL, failure, samples=60), workers=2)
+            res1 = simulate_nmttf(plan_for(DCELL_SMALL, failure, samples=41), workers=1)
+            res2 = simulate_nmttf(plan_for(DCELL_SMALL, failure, samples=41), workers=workers)
             assert np.array_equal(res1.critical_points, res2.critical_points)
             assert res1.nmttf_sim == res2.nmttf_sim
         plan2d = ExperimentPlan(
@@ -1094,7 +1124,7 @@ class TestDeterminismAndWorkers:
             samples=20,
             master_seed=5,
         )
-        assert survival_sweep_2d(plan2d, workers=1) == survival_sweep_2d(plan2d, workers=2)
+        assert survival_sweep_2d(plan2d, workers=1) == survival_sweep_2d(plan2d, workers=workers)
         classed = plan_for(
             THREE_LAYER_SMALL,
             FailureType.LINK,
@@ -1102,7 +1132,7 @@ class TestDeterminismAndWorkers:
             samples=20,
             class_ratios={ElementClass.EDGE_LINK: None, ElementClass.AGG_LINK: 0.25},
         )
-        assert classed_sweep(classed, workers=1) == classed_sweep(classed, workers=2)
+        assert classed_sweep(classed, workers=1) == classed_sweep(classed, workers=workers)
 
     @staticmethod
     def counting_pools(monkeypatch, pool=simulation.ProcessPoolExecutor) -> list:

@@ -10,7 +10,7 @@ the kernels that derive the engine's graphs from it. The whole tier takes
 well under a minute on two cores.
 
 A sweep sample drawn from an MTTF sample's stream removes a prefix of
-that sample's removal order: ``_apply_removals`` and ``_nmttf_chunk``
+that sample's removal order: ``_apply_removals`` and ``_critical_sample``
 each take one permutation of the element pool from it. So the critical
 point and the accessible-server ratio can be compared sample by sample.
 """
@@ -22,7 +22,7 @@ import pytest
 
 from dcn_robust import reachability, simulation
 from dcn_robust.analytic import FailureType
-from dcn_robust.simulation import _critical_point, _element_pool, _metric_chunk, sample_rng
+from dcn_robust.simulation import _critical_point, _element_pool, _metric_sample, sample_rng
 from dcn_robust.topology import TopologyKind, TopologyParams, build_topology
 
 SEED = 20250810
@@ -42,9 +42,9 @@ CASES = [
 def asr_after(params, failure, removed: int, sample: int) -> float:
     """ASR once the first *removed* elements of MTTF sample *sample*'s
     removal order are gone."""
-    (record,) = _metric_chunk(
-        params, ((failure, removed),), ("asr",), None,
-        SEED, simulation._TAG_NMTTF, 0, sample, sample + 1,
+    record = _metric_sample(
+        ((failure, removed),), ("asr",), None, None,
+        simulation._cached_topology(params), sample_rng(SEED, simulation._TAG_NMTTF, 0, sample),
     )
     return record.asr
 
